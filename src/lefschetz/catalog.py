@@ -58,7 +58,7 @@ from .surface import (
     classify_kind_from_word,
     homology_of_word,
 )
-from .twists import Factorization, Target, TwistLetter
+from .twists import Factorization, Target, TwistLetter, cap_boundary, letter_counts
 from .words import parse_word
 
 
@@ -93,9 +93,6 @@ _SEP_FAMILIES = {"d", "e", "f", "C"}
 
 
 def default_kind_for_name(name: str) -> str:
-    stem = name
-    while stem and stem[-1].isdigit():
-        stem = stem[:-1]
     head = []
     for ch in name:
         if ch.isalpha():
@@ -333,19 +330,12 @@ def _audit(entry: CatalogEntry) -> CatalogEntry:
             f"{entry.name}: {len(f.letters)} letters vs declared total "
             f"{entry.counts.total}"
         )
-    n = 0
-    s = [0] * (f.spec.genus // 2)
-    for letter in f.letters:
-        curve = f.curve(letter.curve)
-        if curve.kind == NONSEP:
-            n += 1
-        elif curve.kind == SEP:
-            s[curve.h - 1] += 1
-        else:
-            raise CatalogError(f"{entry.name}: boundary-parallel letter")
-    if n != entry.counts.n or tuple(s) != entry.counts.s:
+    # Boundary-parallel letters tally as nothing, so with the total check
+    # above they also surface here as a mismatch.
+    tally = letter_counts(f)
+    if tally != entry.counts:
         raise CatalogError(
-            f"{entry.name}: letter tally ({n}, {tuple(s)}) vs declared "
+            f"{entry.name}: letter tally ({tally.n}, {tally.s}) vs declared "
             f"({entry.counts.n}, {entry.counts.s})"
         )
     for curve in f.curves:
@@ -381,25 +371,29 @@ def get_entry(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def pi1_presentation(entry_name: str) -> GroupPresentation:
+def presentation_from_factorization(f: Factorization) -> GroupPresentation:
     """Presentation of pi_1 of the total space: the surface group of the
-    fiber modulo the printed vanishing-cycle words.
+    capped fiber modulo the words of the distinct letter curves.
+
+    Words enter as relators in order of first appearance in the twist
+    word; letter curves without a word contribute nothing.  Raises
+    NoWordData when no letter curve carries a word.
+    """
+    f = cap_boundary(f)
+    distinct = dict.fromkeys(letter.curve for letter in f.letters)
+    cycles = [f.curve(name).word for name in distinct if f.curve(name).word is not None]
+    if not cycles:
+        raise NoWordData("the letter curves carry no pi_1 words")
+    return quotient_by_cycles(surface_group(f.spec.genus), cycles)
+
+
+def pi1_presentation(entry_name: str) -> GroupPresentation:
+    """``presentation_from_factorization`` of a catalog entry.
 
     Only entries whose letters carry printed words (W1 and W2) support
     this; others raise NoWordData.
     """
-    entry = get_entry(entry_name)
-    f = entry.factorization
-    seen: list[str] = []
-    for letter in f.letters:
-        if letter.curve not in seen:
-            seen.append(letter.curve)
-    cycles = [f.curve(name).word for name in seen if f.curve(name).word is not None]
-    if not cycles:
-        raise NoWordData(
-            f"entry {entry.name!r} has no printed pi_1 words for its letters"
-        )
-    return quotient_by_cycles(surface_group(f.spec.genus), cycles)
+    return presentation_from_factorization(get_entry(entry_name).factorization)
 
 
 def invariant_report(entry_name: str) -> InvariantReport:

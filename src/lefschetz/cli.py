@@ -2,9 +2,10 @@
 
 Subcommands: verify, invariants, enumerate, pi1, catalog, bounds.
 Exit codes: 0 success / verified, 1 verification negative or infeasible,
-2 usage or parse error.  ``--json`` switches every subcommand to a
-single JSON document with stable field names and ordering (rationals are
-rendered as exact strings like ``-7/4``).
+2 usage or parse error, including an input path that cannot be read.
+``--json`` switches every subcommand to a single JSON document with
+stable field names and ordering (rationals are rendered as exact strings
+like ``-7/4``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import catalog as cat
@@ -23,7 +23,7 @@ from .feasibility import (
     enumerate_feasible,
     min_fiber_bounds,
 )
-from .fpgroup import abelianization, quotient_by_cycles, surface_group, todd_coxeter
+from .fpgroup import abelianization, todd_coxeter
 from .invariants import (
     LEDGER_BLOCK,
     LEDGER_MATSUMOTO_EVEN,
@@ -36,17 +36,18 @@ from .invariants import (
     hyperelliptic_signature,
 )
 from .mono import MonoParseError, parse_mono, serialize_mono
-from .twists import MissingHomology, cap_boundary, verify_homological_relator
+from .twists import (
+    Factorization,
+    MissingHomology,
+    cap_boundary,
+    verify_homological_relator,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 _MAX_S_FLAGS = 8  # supports genus up to 17
-
-
-def _frac(value: Fraction) -> str:
-    return str(value)
 
 
 def _emit(args, document: dict, human: str) -> None:
@@ -111,19 +112,22 @@ def _counts_from_args(args) -> FiberCounts:
     return FiberCounts.of(args.genus, args.n, *s)
 
 
+def _load_mono(source: str) -> Factorization:
+    try:
+        text = Path(source).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {source}: {exc.strerror}")
+    try:
+        return parse_mono(text)
+    except MonoParseError as exc:
+        raise UsageError(f"parse error in {source}: {exc}")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_verify(args) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        raise UsageError(f"no such file: {args.file}")
-    try:
-        f = parse_mono(path.read_text())
-    except MonoParseError as exc:
-        print(f"parse error in {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    f = _load_mono(args.file)
     try:
         report = verify_homological_relator(f, hyperelliptic=args.hyperelliptic)
     except MissingHomology as exc:
@@ -174,7 +178,7 @@ def _cmd_invariants(args) -> int:
             doc = {
                 "command": "invariants",
                 "genus": counts.genus, "n": counts.n, "s": list(counts.s),
-                "e": e, "sigma": _frac(sigma), "sigma_integral": False,
+                "e": e, "sigma": str(sigma), "sigma_integral": False,
             }
             _emit(args, doc,
                   f"e      {e}\nsigma  {sigma} (not an integer: these counts "
@@ -202,7 +206,7 @@ def _cmd_invariants(args) -> int:
         "e": report.e,
         "sigma": report.sigma,
         "sigma_route": sorted(routes),
-        "chi_h": _frac(report.chi_h),
+        "chi_h": str(report.chi_h),
         "betti": (
             {"b2plus": report.b2plus, "b2minus": report.b2minus}
             if report.feasible else None
@@ -230,9 +234,9 @@ def _row_doc(row) -> dict:
     return {
         "n": row.counts.n,
         "s": list(row.counts.s),
-        "sigma": _frac(row.sigma),
+        "sigma": str(row.sigma),
         "sigma_integral": row.sigma_integral,
-        "chi_h": _frac(row.chi_h),
+        "chi_h": str(row.chi_h),
         "verdict": row.verdict,
     }
 
@@ -288,43 +292,27 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_pi1(args) -> int:
     source = args.source
-    presentation = None
-    label = source
-    worded = None
     try:
         entry = cat.get_entry(source)
     except KeyError:
-        entry = None
-    if entry is not None:
-        try:
-            presentation = cat.pi1_presentation(entry.name)
-        except cat.NoWordData as exc:
-            raise UsageError(str(exc))
-        f = entry.factorization
-        distinct = list(dict.fromkeys(l.curve for l in f.letters))
-        with_words = sum(1 for name in distinct if f.curve(name).word is not None)
-        worded = f"{with_words}/{len(distinct)} distinct letter curves carry words"
-        label = f"catalog entry {entry.name}"
-    else:
-        path = Path(source)
-        if not path.exists():
+        if not Path(source).exists():
             raise UsageError(
                 f"{source!r} is neither a catalog entry ({', '.join(cat.entry_names())}) "
                 "nor a file"
             )
-        try:
-            f = cap_boundary(parse_mono(path.read_text()))
-        except MonoParseError as exc:
-            print(f"parse error in {source}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        distinct = list(dict.fromkeys(l.curve for l in f.letters))
-        cycles = [
-            f.curve(name).word for name in distinct if f.curve(name).word is not None
-        ]
-        if not cycles:
-            raise UsageError(f"no letter in {source} carries a pi_1 word")
-        worded = f"{len(cycles)}/{len(distinct)} distinct letter curves carry words"
-        presentation = quotient_by_cycles(surface_group(f.spec.genus), cycles)
+        f, label = _load_mono(source), source
+    else:
+        f, label = entry.factorization, f"catalog entry {entry.name}"
+    try:
+        presentation = cat.presentation_from_factorization(f)
+    except cat.NoWordData as exc:
+        raise UsageError(f"{label}: {exc}")
+    # one surface relator, then one relator per worded letter curve
+    distinct = {letter.curve for letter in cap_boundary(f).letters}
+    worded = (
+        f"{len(presentation.relators) - 1}/{len(distinct)} distinct letter "
+        "curves carry words"
+    )
 
     result = todd_coxeter(presentation, max_cosets=args.max_cosets)
     invariants = abelianization(presentation)
@@ -410,7 +398,7 @@ def _cmd_catalog(args) -> int:
         "invariants": {
             "e": report.e,
             "sigma": report.sigma,
-            "chi_h": _frac(report.chi_h),
+            "chi_h": str(report.chi_h),
             "betti": (
                 {"b2plus": report.b2plus, "b2minus": report.b2minus}
                 if report.feasible else None
@@ -560,10 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

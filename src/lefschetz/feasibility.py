@@ -50,24 +50,14 @@ REJECT_SIGMA_INTEGRAL = "sigma-integrality"
 REJECT_SIGMA_BOUND = "sigma-bound"
 REJECT_CHI_H = "chi-h"
 
-CONSTRAINT_ORDER = (
-    REJECT_TOTAL,
-    REJECT_N_LOWER,
-    REJECT_CONGRUENCE,
-    REJECT_SIGMA_INTEGRAL,
-    REJECT_SIGMA_BOUND,
-    REJECT_CHI_H,
-)
-
 
 @dataclass(frozen=True)
 class ConstraintProfile:
-    """What to enumerate: genus, strict fiber bound, structural flags."""
+    """What to enumerate: genus, strict fiber bound, hyperelliptic flag."""
 
     genus: int
     max_total_fibers: int
     hyperelliptic: bool = True
-    simply_connected: bool = True
 
     def __post_init__(self) -> None:
         if self.genus < 1:
@@ -190,6 +180,20 @@ class BoundsReport:
         return self.m_lower if self.m_lower == self.m_upper else None
 
 
+# g = 1, 2: the recorded witness and the note explaining the floor below it.
+_LOW_GENUS_WITNESSES = {
+    1: (
+        Witness("elliptic surface E(1)", 12, True),
+        "no admissible count vector exists below 12 fibers",
+    ),
+    2: (
+        Witness("Baykur-Korkmaz genus-2 fibration", 14, True),
+        "below 14 fibers only (n,s) = (8,1) and (10,0) pass the "
+        "sigma constraints and both have chi_h = 0",
+    ),
+}
+
+
 def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
     """Least conceivable hyperelliptic fiber count below a witness count.
 
@@ -221,27 +225,16 @@ def min_fiber_bounds(g: int) -> BoundsReport:
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    if g == 1:
-        witness = Witness("elliptic surface E(1)", 12, True)
-        floor = _hyperelliptic_floor(1, 12)
+    if g in _LOW_GENUS_WITNESSES:
+        witness, floor_note = _LOW_GENUS_WITNESSES[g]
+        floor = _hyperelliptic_floor(g, witness.fibers)
         return BoundsReport(
-            genus=1, n_lower=floor, n_upper=12, m_lower=floor, m_upper=12,
+            genus=g, n_lower=floor, n_upper=witness.fibers,
+            m_lower=floor, m_upper=witness.fibers,
             witnesses=(witness,),
             notes=(
-                "every genus-1 fibration is hyperelliptic, so N_1 = M_1",
-                "no admissible count vector exists below 12 fibers",
-            ),
-        )
-    if g == 2:
-        witness = Witness("Baykur-Korkmaz genus-2 fibration", 14, True)
-        floor = _hyperelliptic_floor(2, 14)
-        return BoundsReport(
-            genus=2, n_lower=floor, n_upper=14, m_lower=floor, m_upper=14,
-            witnesses=(witness,),
-            notes=(
-                "every genus-2 fibration is hyperelliptic, so N_2 = M_2",
-                "below 14 fibers only (n,s) = (8,1) and (10,0) pass the "
-                "sigma constraints and both have chi_h = 0",
+                f"every genus-{g} fibration is hyperelliptic, so N_{g} = M_{g}",
+                floor_note,
             ),
         )
     if g in (3, 4):

@@ -21,16 +21,8 @@ MonoParseError carrying the offending line number.
 
 from __future__ import annotations
 
-from .surface import (
-    BOUNDARY,
-    NONSEP,
-    SEP,
-    CurveClass,
-    HomologyClass,
-    SurfaceSpec,
-    homology_of_word,
-)
-from .twists import Factorization, TwistLetter
+from .surface import BOUNDARY, NONSEP, SEP, CurveClass, HomologyClass, SurfaceSpec
+from .twists import Factorization, Target, TwistLetter, check_curve, check_target
 from .words import WordSyntaxError, format_word, parse_word
 
 
@@ -52,11 +44,11 @@ def _int(token: str, line: int, what: str) -> int:
 def parse_mono(text: str) -> Factorization:
     """Parse a .mono document into a Factorization."""
     genus: int | None = None
-    boundary: int | None = None
+    spec: SurfaceSpec | None = None
     curves: list[CurveClass] = []
     curve_names: set[str] = set()
     letters: list[TwistLetter] = []
-    target: tuple[tuple[int, int], ...] | None = None
+    target: Target | None = None
     stage = "genus"  # genus -> boundary -> curves -> twists -> done
     lineno = 0
 
@@ -86,6 +78,7 @@ def parse_mono(text: str) -> Factorization:
             boundary = _int(rest[0], lineno, "boundary")
             if boundary < 0:
                 raise MonoParseError(lineno, "boundary must be >= 0")
+            spec = SurfaceSpec(genus, boundary)
             stage = "curves"
         elif head == "curve":
             if stage != "curves":
@@ -93,7 +86,7 @@ def parse_mono(text: str) -> Factorization:
                     lineno,
                     "curve lines belong after the header and before twists",
                 )
-            curve = _parse_curve(rest, genus, boundary, lineno)
+            curve = _parse_curve(rest, spec, lineno)
             if curve.name in curve_names:
                 raise MonoParseError(lineno, f"duplicate curve name {curve.name!r}")
             curve_names.add(curve.name)
@@ -120,20 +113,20 @@ def parse_mono(text: str) -> Factorization:
         elif head == "target":
             if stage not in ("curves", "twists"):
                 raise MonoParseError(lineno, "target must follow the twist section")
-            target = _parse_target(rest, boundary, lineno)
+            target = _parse_target(rest, spec, lineno)
             stage = "done"
         else:
             raise MonoParseError(lineno, f"unknown directive {head!r}")
 
     if genus is None:
         raise MonoParseError(lineno + 1, "missing genus directive")
-    if boundary is None:
+    if spec is None:
         raise MonoParseError(lineno + 1, "missing boundary directive")
     if target is None:
         raise MonoParseError(lineno + 1, "missing target directive")
     try:
         return Factorization(
-            spec=SurfaceSpec(genus, boundary),
+            spec=spec,
             curves=tuple(curves),
             letters=tuple(letters),
             target=target,
@@ -142,9 +135,7 @@ def parse_mono(text: str) -> Factorization:
         raise MonoParseError(lineno, str(exc))
 
 
-def _parse_curve(
-    rest: list[str], genus: int, boundary: int, lineno: int
-) -> CurveClass:
+def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
     if len(rest) < 3 or rest[1] != "kind":
         raise MonoParseError(
             lineno, "usage: curve <NAME> kind (nonsep | sep <INT> | boundary <INT>) ..."
@@ -162,29 +153,19 @@ def _parse_curve(
             raise MonoParseError(lineno, "sep needs a type: sep <INT>")
         h = _int(rest[pos], lineno, "separating type")
         pos += 1
-        if not 1 <= h <= genus // 2:
-            raise MonoParseError(
-                lineno,
-                f"separating type {h} out of range 1..{genus // 2} for genus {genus}",
-            )
     elif kind_token == "boundary":
         kind = BOUNDARY
         if pos >= len(rest):
             raise MonoParseError(lineno, "boundary needs an index: boundary <INT>")
         boundary_index = _int(rest[pos], lineno, "boundary index")
         pos += 1
-        if not 1 <= boundary_index <= boundary:
-            raise MonoParseError(
-                lineno,
-                f"boundary index {boundary_index} out of range 1..{boundary}",
-            )
     else:
         raise MonoParseError(lineno, f"unknown curve kind {kind_token!r}")
 
     homology = None
     if pos < len(rest) and rest[pos] == "hom":
         pos += 1
-        rank = 2 * genus
+        rank = spec.homology_rank
         if len(rest) - pos < rank:
             raise MonoParseError(
                 lineno, f"hom needs {rank} integers (basis a1 b1 ... ag bg)"
@@ -212,22 +193,13 @@ def _parse_curve(
             name=name, kind=kind, h=h, boundary_index=boundary_index,
             homology=homology, word=word,
         )
-        if word is not None:
-            # validates generators are a1..ag / b1..bg and, when both are
-            # present, that hom matches the abelianization
-            abelianized = homology_of_word(word, SurfaceSpec(genus, 0))
-            if homology is not None and homology != abelianized:
-                raise ValueError(
-                    f"curve {name!r}: hom does not match the word's abelianization"
-                )
+        check_curve(curve, spec)
         return curve
     except ValueError as exc:
         raise MonoParseError(lineno, str(exc))
 
 
-def _parse_target(
-    rest: list[str], boundary: int, lineno: int
-) -> tuple[tuple[int, int], ...]:
+def _parse_target(rest: list[str], spec: SurfaceSpec, lineno: int) -> Target:
     if rest == ["identity"]:
         return ()
     if not rest or len(rest) % 3 != 0:
@@ -235,7 +207,6 @@ def _parse_target(
             lineno, "usage: target identity | target (boundary <INT> <INT>)+"
         )
     pairs = []
-    seen = set()
     for k in range(0, len(rest), 3):
         if rest[k] != "boundary":
             raise MonoParseError(
@@ -243,14 +214,11 @@ def _parse_target(
             )
         index = _int(rest[k + 1], lineno, "target boundary index")
         exponent = _int(rest[k + 2], lineno, "target exponent")
-        if not 1 <= index <= boundary:
-            raise MonoParseError(
-                lineno, f"target boundary index {index} out of range 1..{boundary}"
-            )
-        if index in seen:
-            raise MonoParseError(lineno, f"target boundary index {index} repeated")
-        seen.add(index)
         pairs.append((index, exponent))
+    try:
+        check_target(tuple(pairs), spec)
+    except ValueError as exc:
+        raise MonoParseError(lineno, str(exc))
     return tuple(pairs)
 
 

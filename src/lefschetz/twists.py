@@ -80,50 +80,14 @@ class Factorization:
             if curve.name in index:
                 raise ValueError(f"duplicate curve name {curve.name!r}")
             index[curve.name] = curve
-            self._validate_curve(curve)
+            check_curve(curve, self.spec)
         for letter in self.letters:
             if letter.curve not in index:
                 raise ValueError(
                     f"letter references undeclared curve {letter.curve!r}"
                 )
-        seen: set[int] = set()
-        for boundary_index, _exponent in self.target:
-            if not 1 <= boundary_index <= self.spec.boundary_count:
-                raise ValueError(
-                    f"target boundary index {boundary_index} out of range "
-                    f"1..{self.spec.boundary_count}"
-                )
-            if boundary_index in seen:
-                raise ValueError(
-                    f"target boundary index {boundary_index} repeated"
-                )
-            seen.add(boundary_index)
+        check_target(self.target, self.spec)
         object.__setattr__(self, "_index", index)
-
-    def _validate_curve(self, curve: CurveClass) -> None:
-        g = self.spec.genus
-        if curve.kind == SEP and curve.h > g // 2:
-            raise ValueError(
-                f"curve {curve.name!r}: separating type {curve.h} exceeds "
-                f"floor(g/2) = {g // 2}"
-            )
-        if curve.kind == BOUNDARY and curve.boundary_index > self.spec.boundary_count:
-            raise ValueError(
-                f"curve {curve.name!r}: boundary index {curve.boundary_index} "
-                f"out of range 1..{self.spec.boundary_count}"
-            )
-        if curve.homology is not None and len(curve.homology.coords) != 2 * g:
-            raise ValueError(
-                f"curve {curve.name!r}: homology rank "
-                f"{len(curve.homology.coords)} does not match 2g = {2 * g}"
-            )
-        if curve.word is not None:
-            abelianized = homology_of_word(curve.word, self.spec.capped())
-            if curve.homology is not None and curve.homology != abelianized:
-                raise ValueError(
-                    f"curve {curve.name!r}: declared homology disagrees with "
-                    "the abelianization of its word"
-                )
 
     def curve(self, name: str) -> CurveClass:
         return self._index[name]
@@ -137,6 +101,53 @@ class Factorization:
 
     def all_positive(self) -> bool:
         return all(letter.sign == 1 for letter in self.letters)
+
+
+def check_curve(curve: CurveClass, spec: SurfaceSpec) -> None:
+    """Check a curve's data against the surface it is declared on.
+
+    Raises ValueError for a separating type above floor(g/2), a boundary
+    index above the boundary count, a class of rank other than 2g, a word
+    with letters outside a1..ag, b1..bg, or a class that differs from the
+    abelianization of the word.
+    """
+    g = spec.genus
+    if curve.kind == SEP and curve.h > g // 2:
+        raise ValueError(
+            f"curve {curve.name!r}: separating type {curve.h} out of range "
+            f"1..{g // 2} for genus {g}"
+        )
+    if curve.kind == BOUNDARY and curve.boundary_index > spec.boundary_count:
+        raise ValueError(
+            f"curve {curve.name!r}: boundary index {curve.boundary_index} "
+            f"out of range 1..{spec.boundary_count}"
+        )
+    if curve.homology is not None and len(curve.homology.coords) != 2 * g:
+        raise ValueError(
+            f"curve {curve.name!r}: homology rank "
+            f"{len(curve.homology.coords)} does not match 2g = {2 * g}"
+        )
+    if curve.word is not None:
+        abelianized = homology_of_word(curve.word, spec.capped())
+        if curve.homology is not None and curve.homology != abelianized:
+            raise ValueError(
+                f"curve {curve.name!r}: homology does not match the "
+                "abelianization of its word"
+            )
+
+
+def check_target(target: Target, spec: SurfaceSpec) -> None:
+    """Check that target boundary indices lie in 1..r and appear once each."""
+    seen: set[int] = set()
+    for boundary_index, _exponent in target:
+        if not 1 <= boundary_index <= spec.boundary_count:
+            raise ValueError(
+                f"target boundary index {boundary_index} out of range "
+                f"1..{spec.boundary_count}"
+            )
+        if boundary_index in seen:
+            raise ValueError(f"target boundary index {boundary_index} repeated")
+        seen.add(boundary_index)
 
 
 def effective_class(curve: CurveClass, spec: SurfaceSpec) -> HomologyClass:
@@ -174,12 +185,6 @@ def mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
 
 def mat_transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
-
-
-def mat_inverse_symplectic(m: Matrix, j: Matrix) -> Matrix:
-    # For symplectic M, M^-1 = J^-1 M^T J and J^-1 = -J.
-    neg_j = tuple(tuple(-x for x in row) for row in j)
-    return mat_mul(neg_j, mat_mul(mat_transpose(m), j))
 
 
 def is_symplectic(m: Matrix, genus: int) -> bool:

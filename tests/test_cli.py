@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from lefschetz.cli import main
+
+CLI_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli.json"
 
 
 def run(capsys, *argv):
@@ -271,6 +276,14 @@ def test_verify_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("subcommand", ["verify", "pi1"])
+def test_unreadable_path_exit_2(tmp_path, capsys, subcommand):
+    code, _, err = run(capsys, subcommand, str(tmp_path))
+    assert code == 2
+    assert "cannot read" in err
+    assert "Traceback" not in err
+
+
 # -- bounds -------------------------------------------------------------------------
 
 
@@ -306,3 +319,23 @@ def test_bad_subcommand_exit_2(capsys):
 
 def test_no_subcommand_exit_2(capsys):
     assert main([]) == 2
+
+
+# -- golden replay ------------------------------------------------------------------
+
+
+def test_golden_cli_replay(tmp_path, monkeypatch, capsys):
+    # Every argv of the benchmark's cli workload, with stdout and exit code
+    # captured from the seed commit; .mono files go where the argv name them.
+    refs = json.loads(CLI_REFS.read_text())
+    monkeypatch.chdir(tmp_path)
+    tmp = Path(".bench-tmp")
+    tmp.mkdir()
+    for key, ref in refs.items():
+        argv = key.split()
+        if argv[:2] == ["catalog", "export"] and "--json" not in argv:
+            (tmp / f"{argv[2]}.mono").write_text(ref["stdout"])
+    assert len(refs) == 80
+    for key, ref in refs.items():
+        code, out, _ = run(capsys, *key.split())
+        assert (code, out) == (ref["exit"], ref["stdout"]), key

@@ -105,12 +105,34 @@ def test_positioned_errors(text, fragment):
         parse_mono(text)
 
 
-def test_error_carries_line_number():
-    text = "genus 1\nboundary 0\ntwist zz\ntarget identity\n"
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        pytest.param(
+            "genus 1\nboundary 0\ntwist zz\ntarget identity\n", 3,
+            id="undeclared-twist",
+        ),
+        pytest.param(
+            "genus 2\nboundary 0\ncurve d kind sep 2\ntarget identity\n", 3,
+            id="sep-type-out-of-range",
+        ),
+        pytest.param(
+            "genus 1\nboundary 0\ncurve c kind nonsep\n"
+            "curve u kind nonsep hom 1 0 word b1\ntarget identity\n", 4,
+            id="hom-word-mismatch",
+        ),
+        pytest.param(
+            "genus 1\nboundary 2\ncurve c kind nonsep\ntwist c\n"
+            "target boundary 1 1 boundary 1 2\n# end\n", 5,
+            id="target-index-repeated",
+        ),
+    ],
+)
+def test_error_carries_line_number(text, line):
     with pytest.raises(MonoParseError) as err:
         parse_mono(text)
-    assert err.value.line == 3
-    assert "line 3" in str(err.value)
+    assert err.value.line == line
+    assert f"line {line}:" in str(err.value)
 
 
 def test_round_trip_all_catalog_entries():
