@@ -16,13 +16,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .feasibility import (
-    ADMITTED,
-    REJECT_CHI_H,
-    ConstraintProfile,
-    enumerate_feasible,
-    min_fiber_bounds,
-)
+from .feasibility import ConstraintProfile, enumerate_feasible, min_fiber_bounds
 from .fpgroup import abelianization, todd_coxeter
 from .invariants import (
     LEDGER_BLOCK,
@@ -251,8 +245,8 @@ def _cmd_enumerate(args) -> int:
         genus=args.genus, max_total_fibers=args.max_fibers, hyperelliptic=True
     )
     rows = enumerate_feasible(profile)
-    admitted = [r for r in rows if r.verdict == ADMITTED]
-    pre_chi = [r for r in rows if r.verdict in (ADMITTED, REJECT_CHI_H)]
+    admitted = [r for r in rows if r.admitted]
+    pre_chi = [r for r in rows if r.pre_chi_survivor]
     shown = rows if args.show_rejected else pre_chi
     notes = []
     if args.genus == 4 and args.max_fibers == 24:
@@ -280,7 +274,7 @@ def _cmd_enumerate(args) -> int:
         lines.append(
             f"{row.counts.n:>4} {str(row.counts.s):>12} {str(row.sigma):>8} "
             f"{str(row.chi_h):>6}  "
-            + (ADMITTED if row.admitted else f"rejected ({row.verdict})")
+            + (row.verdict if row.admitted else f"rejected ({row.verdict})")
         )
     lines.append("")
     lines.append(f"admitted: {len(admitted)}, pre-chi survivors: {len(pre_chi)}")
@@ -381,10 +375,7 @@ def _cmd_catalog(args) -> int:
         raise UsageError(str(exc))
     if args.action == "export":
         text = serialize_mono(entry.factorization, comment=f"catalog entry {entry.name}")
-        if args.json:
-            print(json.dumps({"command": "catalog", "name": entry.name, "mono": text}, indent=2))
-        else:
-            print(text, end="")
+        _emit(args, {"command": "catalog", "name": entry.name, "mono": text}, text)
         return EXIT_OK
     # show
     report = cat.invariant_report(entry.name)

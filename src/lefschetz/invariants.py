@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .surface import exact_ints
+
 # Ledger entry kinds.
 LEDGER_MATSUMOTO_EVEN = "mats"
 LEDGER_SEPARATING = "sep"
@@ -53,9 +55,12 @@ class FiberCounts:
     s: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        counts = exact_ints((self.genus, self.n, *self.s), "genus and fiber counts")
+        object.__setattr__(self, "genus", counts[0])
+        object.__setattr__(self, "n", counts[1])
+        object.__setattr__(self, "s", counts[2:])
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
         if len(self.s) != self.genus // 2:
             raise ValueError(
                 f"genus {self.genus} needs {self.genus // 2} separating "

@@ -21,6 +21,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -66,7 +67,8 @@ class HomologyClass:
     def __post_init__(self) -> None:
         if len(self.coords) % 2 != 0:
             raise ValueError("homology coordinates must have even length 2g")
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        coords = exact_ints(self.coords, "homology coordinates")
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def zero(cls, genus: int) -> "HomologyClass":
@@ -101,6 +103,15 @@ class HomologyClass:
         return HomologyClass(tuple(-x for x in self.coords))
 
 
+def exact_ints(values, what: str) -> tuple[int, ...]:
+    """The values as exact ints; ValueError names a non-integer (no truncation)."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} must be integers, got {bad!r}") from None
+
+
 def _check_same_rank(x: HomologyClass, y: HomologyClass) -> None:
     if len(x.coords) != len(y.coords):
         raise ValueError(
@@ -122,21 +133,19 @@ def generator_index(name: str, genus: int) -> int:
 def pairing_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
     """The matrix J of the symplectic pairing, block diag [[0,1],[-1,0]]."""
     n = 2 * genus
-    rows = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = -1
-    return tuple(tuple(r) for r in rows)
+    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    return tuple(tuple(pair_coords(x, y) for y in basis) for x in basis)
+
+
+def pair_coords(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """<x, y> = x^T J y on raw coordinate tuples of the same even length."""
+    return sum(x[i] * y[i + 1] - x[i + 1] * y[i] for i in range(0, len(x), 2))
 
 
 def symplectic_pairing(x: HomologyClass, y: HomologyClass) -> int:
     """<x, y> = x^T J y.  Bilinear and antisymmetric."""
     _check_same_rank(x, y)
-    xc, yc = x.coords, y.coords
-    return sum(
-        xc[2 * i] * yc[2 * i + 1] - xc[2 * i + 1] * yc[2 * i]
-        for i in range(len(xc) // 2)
-    )
+    return pair_coords(x.coords, y.coords)
 
 
 def homology_of_word(word: Word, spec: SurfaceSpec) -> HomologyClass:

@@ -3,10 +3,12 @@
 A factorization stores its twist letters left to right exactly as the
 word is written.  Composition is functional (the rightmost letter acts
 first), so the matrix of a word t_c1 t_c2 ... t_cm is the product
-M(c1) M(c2) ... M(cm) with the leftmost factor outermost.
+M(c1) M(c2) ... M(cm) with the leftmost factor outermost.  It is computed
+by applying the letters right to left to the basis vectors.
 
 The homological action of a positive twist about a curve with class a is
 the transvection  x |-> x + <x, a> a ;  a negative twist uses -<x, a>.
+Every twist action here goes through the one kernel ``transvect``.
 Separating and boundary-parallel curves act trivially (their class is
 zero after capping), so everything verified here is a necessary
 condition only: a matrix identity never certifies a relator, but a
@@ -34,7 +36,7 @@ from .surface import (
     HomologyClass,
     SurfaceSpec,
     homology_of_word,
-    pairing_matrix,
+    pair_coords,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -171,28 +173,36 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 def is_symplectic(m: Matrix, genus: int) -> bool:
-    j = pairing_matrix(genus)
-    return mat_mul(mat_transpose(m), mat_mul(j, m)) == j
+    """Whether m is 2g x 2g and keeps the pairing: <Me_i, Me_j> = <e_i, e_j>."""
+    n = 2 * genus
+    if len(m) != n or any(len(row) != n for row in m):
+        return False
+    pairs = tuple(zip(identity_matrix(n), zip(*m)))  # (e_j, M e_j)
+    return all(
+        pair_coords(mx, my) == pair_coords(x, y) for x, mx in pairs for y, my in pairs
+    )
 
 
 # -- twist action ----------------------------------------------------------
+
+
+def transvect(x: tuple[int, ...], a: tuple[int, ...], sign: int) -> tuple[int, ...]:
+    """Image of the vector x under t_a^sign:  x |-> x + sign <x, a> a."""
+    k = sign * pair_coords(x, a)
+    return tuple(xi + k * ai for xi, ai in zip(x, a)) if k else x
+
+
+def _twists_on_basis(n: int, twists: list[tuple[tuple[int, ...], int]]) -> Matrix:
+    # Column j is e_j pushed through the (class, sign) twists right to left.
+    columns = identity_matrix(n)
+    for a, sign in reversed(twists):
+        columns = tuple(transvect(column, a, sign) for column in columns)
+    return tuple(zip(*columns))
 
 
 def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
@@ -204,36 +214,22 @@ def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
         raise ValueError(f"twist sign must be +1 or -1, got {sign}")
     if not a.is_zero() and not a.is_primitive():
         raise ValueError("twist class must be zero or primitive (gcd 1)")
-    n = len(a.coords)
-    g = n // 2
-    # <x, a> = (Ja)^T x, so M = I + sign * a (Ja)^T as an outer product.
-    ja = [0] * n
-    for i in range(g):
-        ja[2 * i] = a.coords[2 * i + 1]
-        ja[2 * i + 1] = -a.coords[2 * i]
-    return tuple(
-        tuple(
-            (1 if i == j else 0) + sign * a.coords[i] * ja[j] for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def letter_matrix(f: Factorization, letter: TwistLetter) -> Matrix:
-    return twist_matrix(effective_class(f.curve(letter.curve), f.spec), letter.sign)
+    return _twists_on_basis(len(a.coords), [(a.coords, sign)])
 
 
 def factorization_matrix(f: Factorization) -> Matrix:
     """Product of the letter transvections in composition order.
 
-    Boundary targets play no role here: boundary twists are homologically
-    trivial after capping, so the product is compared against the
-    identity regardless of target.
+    Letter classes are resolved left to right first, so MissingHomology
+    names the leftmost letter without one.  Boundary targets play no role
+    here: boundary twists are homologically trivial after capping, so the
+    product is compared against the identity regardless of target.
     """
-    result = identity_matrix(f.spec.homology_rank)
-    for letter in f.letters:
-        result = mat_mul(result, letter_matrix(f, letter))
-    return result
+    twists = [
+        (effective_class(f.curve(letter.curve), f.spec).coords, letter.sign)
+        for letter in f.letters
+    ]
+    return _twists_on_basis(f.spec.homology_rank, twists)
 
 
 # -- verification ----------------------------------------------------------
@@ -354,7 +350,7 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     left:   (t_a, t_b) -> (t_{a(b)}, t_a)      (the inverse move)
 
     The conjugated letter keeps its sign and kind; its class is the
-    matrix-vector image under the conjugating twist.  The product matrix
+    transvect image under the conjugating twist.  The product matrix
     and the multiset of letter kinds are unchanged.
     """
     if direction not in ("right", "left"):
@@ -373,17 +369,13 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
 
     if direction == "right":
         # Conjugate the first curve by the inverse of the second letter.
-        conj = twist_matrix(class_b, -second.sign)
-        name, curves = _moved_curve_name(
-            f, curve_a, HomologyClass(mat_vec(conj, class_a.coords))
-        )
+        image = transvect(class_a.coords, class_b.coords, -second.sign)
+        name, curves = _moved_curve_name(f, curve_a, HomologyClass(image))
         new_pair = (TwistLetter(curve_b.name, second.sign), TwistLetter(name, first.sign))
     else:
         # Conjugate the second curve by the first letter.
-        conj = twist_matrix(class_a, first.sign)
-        name, curves = _moved_curve_name(
-            f, curve_b, HomologyClass(mat_vec(conj, class_b.coords))
-        )
+        image = transvect(class_b.coords, class_a.coords, first.sign)
+        name, curves = _moved_curve_name(f, curve_b, HomologyClass(image))
         new_pair = (TwistLetter(name, second.sign), TwistLetter(curve_a.name, first.sign))
 
     letters = f.letters[: i - 1] + new_pair + f.letters[i + 1 :]

@@ -38,11 +38,23 @@ from lefschetz.twists import (
     factorization_matrix,
     hurwitz_move,
     letter_counts,
-    mat_mul,
-    mat_transpose,
     twist_matrix,
     verify_homological_relator,
 )
+
+
+# Dense integer matrix helpers, kept here as an independent check on the
+# library's vector-level transvections.
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
+
+
+def mat_transpose(m):
+    return tuple(zip(*m))
 
 
 def _ok(k, text):

@@ -29,6 +29,10 @@ def test_fiber_counts_validation():
         FiberCounts(2, -1, (2,))
     with pytest.raises(ValueError):
         FiberCounts(2, 0, (0,))  # nontrivial
+    with pytest.raises(ValueError, match="1.5"):
+        FiberCounts(2, 8, (1.5,))  # no silent truncation to 1
+    with pytest.raises(ValueError, match="8.5"):
+        FiberCounts(2, 8.5, (1,))
 
 
 def test_fiber_counts_of_pads():

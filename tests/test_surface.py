@@ -44,6 +44,12 @@ def test_pairing_matrix_blocks():
     )
 
 
+def test_homology_class_rejects_non_integers():
+    # 0.5 must not truncate to 0 and turn (0.5, 1) into the class (0, 1)
+    with pytest.raises(ValueError, match="0.5"):
+        cls(0.5, 1)
+
+
 def test_pairing_dimension_mismatch():
     with pytest.raises(ValueError):
         symplectic_pairing(cls(1, 0), cls(1, 0, 0, 0))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lefschetz.invariants import FiberCounts
 from lefschetz.surface import (
+    BOUNDARY,
     NONSEP,
     SEP,
     CurveClass,
@@ -26,8 +27,8 @@ from lefschetz.twists import (
     identity_matrix,
     is_symplectic,
     letter_counts,
-    mat_mul,
     mat_vec,
+    transvect,
     twist_matrix,
     verify_homological_relator,
 )
@@ -69,6 +70,36 @@ def oracle_power(p, k):
     return out
 
 
+# -- independent dense reference for any genus -------------------------------
+# Each letter matrix is built as I + sign * a (Ja)^T from pairing_matrix and
+# the word's matrix is the product of the letter matrices left to right.
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
+
+
+def dense_twist_matrix(a, sign):
+    n = len(a)
+    ja = [sum(x * y for x, y in zip(row, a)) for row in pairing_matrix(n // 2)]
+    return tuple(
+        tuple((1 if i == j else 0) + sign * a[i] * ja[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def dense_factorization_matrix(f):
+    n = f.spec.homology_rank
+    out = identity_matrix(n)
+    for letter in f.letters:
+        homology = f.curve(letter.curve).homology
+        a = homology.coords if homology is not None else (0,) * n
+        out = mat_mul(out, dense_twist_matrix(a, letter.sign))
+    return out
+
+
 def test_twist_matrix_matches_hand_matrices():
     assert twist_matrix(A1, 1) == ORACLE_A
     assert twist_matrix(B1, 1) == ORACLE_B
@@ -88,6 +119,8 @@ def test_twist_matrix_zero_class_is_identity():
 def test_twist_matrix_example_g1():
     # image of b1 under t_a1 is b1 - a1
     assert mat_vec(twist_matrix(A1, 1), B1.coords) == (-1, 1)
+    assert transvect(B1.coords, A1.coords, 1) == (-1, 1)
+    assert transvect(B1.coords, A1.coords, -1) == (1, 1)
 
 
 def test_twist_matrix_rejects_imprimitive():
@@ -152,6 +185,37 @@ def test_missing_homology_error_names_curve():
     f = Factorization(SurfaceSpec(1), curves, (TwistLetter("mystery"),))
     with pytest.raises(MissingHomology, match="mystery"):
         factorization_matrix(f)
+    # with two classless letters the leftmost one is named
+    curves = (
+        CurveClass("ta", NONSEP, homology=A1),
+        CurveClass("early", NONSEP),
+        CurveClass("late", NONSEP),
+    )
+    letters = tuple(TwistLetter(n) for n in ("ta", "early", "ta", "late"))
+    with pytest.raises(MissingHomology, match="'early'") as info:
+        factorization_matrix(Factorization(SurfaceSpec(1), curves, letters))
+    assert info.value.curve_name == "early"
+
+
+@st.composite
+def mixed_words(draw):
+    genus = draw(st.integers(1, 5))
+    classes = draw(st.lists(primitive_classes(genus), min_size=1, max_size=4))
+    curves = [CurveClass(f"c{k}", NONSEP, homology=c) for k, c in enumerate(classes)]
+    curves.append(CurveClass("delta", BOUNDARY, boundary_index=1))
+    if genus >= 2:
+        curves.append(CurveClass("sep", SEP, h=draw(st.integers(1, genus // 2))))
+    letter = st.builds(
+        TwistLetter, st.sampled_from([c.name for c in curves]), st.sampled_from((1, -1))
+    )
+    letters = draw(st.lists(letter, max_size=12))
+    return Factorization(SurfaceSpec(genus, 1), tuple(curves), tuple(letters))
+
+
+@given(mixed_words())
+@settings(max_examples=150, deadline=None)
+def test_factorization_matrix_matches_dense_reference(f):
+    assert factorization_matrix(f) == dense_factorization_matrix(f)
 
 
 def test_separating_letters_act_trivially():
@@ -364,10 +428,15 @@ def test_conjugate_identity_keeps_words():
     assert moved.curve("u").homology == HomologyClass((1, 1))
 
 
-def test_conjugate_rejects_non_symplectic():
+@pytest.mark.parametrize(
+    "m",
+    [((1, 0), (0, 2)), ((1, 0), (0, 1, 0)), identity_matrix(4)],
+    ids=["scaled", "ragged", "wrong-size"],
+)
+def test_conjugate_rejects_non_symplectic(m):
     f = torus_factorization(("ta",))
     with pytest.raises(ValueError):
-        conjugate_factorization(f, ((1, 0), (0, 2)))
+        conjugate_factorization(f, m)
 
 
 # -- cancel_adjacent_inverses ----------------------------------------------------
