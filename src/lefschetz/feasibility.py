@@ -2,14 +2,16 @@
 
 A count vector (n, s_1, ..., s_{floor(g/2)}) for a hyperelliptic
 fibration on a simply-connected 4-manifold must pass, in this frozen
-order:
+order, with q = 2g + 1, e = 4 - 4g + n + s and the integer signature
+numerator sigma_q = q sigma = -(g+1) n + sum_h (4h(g-h) - q) s_h:
 
     1. total        n + s < max_total_fibers
     2. n-lower      n >= 4g
-    3. congruence   the hyperelliptic twist-count congruence
-    4. sigma-int    the hyperelliptic signature is an integer
-    5. sigma-bound  sigma <= n - s - 4g
-    6. chi-h        chi_h = (e + sigma)/4 is an integer >= 1
+    3. congruence   n + sum_h 2h(4h+2) s_h = 0 mod 4q (g odd), 2q (g even)
+    4. sigma-int    q | sigma_q (sigma is an integer)
+    5. sigma-bound  sigma_q <= (n - s - 4g) q
+    6. chi-h        chi_h = (e + sigma)/4 is an integer >= 1:
+                    4q | (e q + sigma_q) and e q + sigma_q >= 4q
 
 The first failing constraint is recorded, so rejection diagnostics are
 reproducible.  Rows failing only the chi-h stage ("pre-chi survivors")
@@ -22,25 +24,28 @@ meaningful; the operations below therefore require a hyperelliptic
 profile and the nonhyperelliptic lower bounds in ``min_fiber_bounds``
 use n >= 4g directly.
 
-Enumeration is embarrassingly parallel over n in principle; this
-implementation is single-threaded and emits rows in lexicographic order
-on (n, s_1, s_2, ...).
+One integer kernel, ``_verdict``, decides every row for both
+``check_counts`` and ``enumerate_feasible``; a row's ``Fraction`` values
+(sigma, chi_h) come from the closed forms in ``invariants`` when read.
+The enumerator steps n upwards and, for each n, the compositions s with
+sum(s) <= max_total_fibers - 1 - n in lexicographic order, so it visits
+only the rows it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from typing import Iterator
 
 from .invariants import (
     FiberCounts,
     euler_characteristic,
     hyperelliptic_signature,
     min_nonseparating_bound,
-    signature_bound_check,
-    twist_count_congruence,
 )
+from .surface import exact_ints
 
 ADMITTED = "admitted"
 REJECT_TOTAL = "total"
@@ -60,21 +65,35 @@ class ConstraintProfile:
     hyperelliptic: bool = True
 
     def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError(f"genus must be >= 1, got {self.genus}")
-        if self.max_total_fibers < 1:
+        genus, bound = exact_ints(
+            (self.genus, self.max_total_fibers), "genus and max_total_fibers"
+        )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "max_total_fibers", bound)
+        if genus < 1:
+            raise ValueError(f"genus must be >= 1, got {genus}")
+        if bound < 1:
             raise ValueError("max_total_fibers must be >= 1")
 
 
 @dataclass(frozen=True)
 class FeasibilityRow:
-    """One evaluated count vector with its exact invariants and verdict."""
+    """One evaluated count vector and its verdict; invariants derive on read."""
 
     counts: FiberCounts
-    sigma: Fraction
-    sigma_integral: bool
-    chi_h: Fraction
     verdict: str
+
+    @cached_property  # read up to three times per printed row
+    def sigma(self) -> Fraction:
+        return hyperelliptic_signature(self.counts)[0]
+
+    @property
+    def sigma_integral(self) -> bool:
+        return self.sigma.denominator == 1
+
+    @property
+    def chi_h(self) -> Fraction:
+        return Fraction(euler_characteristic(self.counts) + self.sigma, 4)
 
     @property
     def admitted(self) -> bool:
@@ -94,32 +113,48 @@ def _require_hyperelliptic(p: ConstraintProfile) -> None:
         )
 
 
+def _verdict(g: int, n: int, s: tuple[int, ...], bound: int) -> str:
+    """The first failing stage for (n, s) at genus g below ``bound``, in integers."""
+    s_total = sum(s)
+    total = n + s_total
+    if total >= bound:
+        return REJECT_TOTAL
+    if n < 4 * g:
+        return REJECT_N_LOWER
+    q = 2 * g + 1
+    weighted = n
+    sigma_q = -(g + 1) * n
+    for h, count in enumerate(s, start=1):
+        weighted += 2 * h * (4 * h + 2) * count
+        sigma_q += (4 * h * (g - h) - q) * count
+    if weighted % ((4 if g % 2 else 2) * q):
+        return REJECT_CONGRUENCE
+    if sigma_q % q:
+        return REJECT_SIGMA_INTEGRAL
+    if sigma_q > (n - s_total - 4 * g) * q:
+        return REJECT_SIGMA_BOUND
+    chi_4q = (4 - 4 * g + total) * q + sigma_q  # 4 q chi_h
+    if chi_4q % (4 * q) or chi_4q < 4 * q:
+        return REJECT_CHI_H
+    return ADMITTED
+
+
 def check_counts(c: FiberCounts, p: ConstraintProfile) -> FeasibilityRow:
     """Evaluate the constraint chain; verdict carries the first failure."""
     _require_hyperelliptic(p)
     if c.genus != p.genus:
         raise ValueError(f"counts are genus {c.genus}, profile genus {p.genus}")
-    sigma, integral = hyperelliptic_signature(c)
-    e = euler_characteristic(c)
-    chi_h = Fraction(e + sigma, 4)
+    return FeasibilityRow(c, _verdict(c.genus, c.n, c.s, p.max_total_fibers))
 
-    verdict = ADMITTED
-    if c.total >= p.max_total_fibers:
-        verdict = REJECT_TOTAL
-    elif c.n < min_nonseparating_bound(c.genus):
-        verdict = REJECT_N_LOWER
-    elif not twist_count_congruence(c):
-        verdict = REJECT_CONGRUENCE
-    elif not integral:
-        verdict = REJECT_SIGMA_INTEGRAL
-    elif not signature_bound_check(c, int(sigma), b1=0):
-        verdict = REJECT_SIGMA_BOUND
-    elif chi_h.denominator != 1 or chi_h < 1:
-        verdict = REJECT_CHI_H
-    return FeasibilityRow(
-        counts=c, sigma=sigma, sigma_integral=integral, chi_h=chi_h,
-        verdict=verdict,
-    )
+
+def _compositions(width: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Nonnegative ``width``-tuples with sum <= ``budget``, lexicographically."""
+    if width == 0:
+        yield ()
+        return
+    for first in range(budget + 1):
+        for rest in _compositions(width - 1, budget - first):
+            yield (first, *rest)
 
 
 def enumerate_feasible(p: ConstraintProfile) -> tuple[FeasibilityRow, ...]:
@@ -130,15 +165,15 @@ def enumerate_feasible(p: ConstraintProfile) -> tuple[FeasibilityRow, ...]:
     as needed.
     """
     _require_hyperelliptic(p)
+    g = p.genus
     bound = p.max_total_fibers
-    width = p.genus // 2
     rows = []
     for n in range(bound):
-        remaining = bound - 1 - n
-        for s in product(range(remaining + 1), repeat=width):
-            if sum(s) > remaining or n + sum(s) < 1:
-                continue
-            rows.append(check_counts(FiberCounts(p.genus, n, s), p))
+        vectors = _compositions(g // 2, bound - 1 - n)
+        if n == 0:
+            next(vectors)  # s = 0: the trivial fibration, not a row
+        for s in vectors:
+            rows.append(FeasibilityRow(FiberCounts(g, n, s), _verdict(g, n, s, bound)))
     return tuple(rows)
 
 

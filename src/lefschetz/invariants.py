@@ -56,19 +56,20 @@ class FiberCounts:
 
     def __post_init__(self) -> None:
         counts = exact_ints((self.genus, self.n, *self.s), "genus and fiber counts")
-        object.__setattr__(self, "genus", counts[0])
-        object.__setattr__(self, "n", counts[1])
-        object.__setattr__(self, "s", counts[2:])
-        if self.genus < 1:
-            raise ValueError(f"genus must be >= 1, got {self.genus}")
-        if len(self.s) != self.genus // 2:
+        genus, n, s = counts[0], counts[1], counts[2:]
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
+        if genus < 1:
+            raise ValueError(f"genus must be >= 1, got {genus}")
+        if len(s) != genus // 2:
             raise ValueError(
-                f"genus {self.genus} needs {self.genus // 2} separating "
-                f"counts, got {len(self.s)}"
+                f"genus {genus} needs {genus // 2} separating "
+                f"counts, got {len(s)}"
             )
-        if self.n < 0 or any(x < 0 for x in self.s):
+        if min(counts[1:]) < 0:  # n and every s_h
             raise ValueError("fiber counts must be nonnegative")
-        if self.total < 1:
+        if n + sum(s) < 1:
             raise ValueError("a nontrivial fibration needs at least one fiber")
 
     @classmethod

@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from lefschetz.cli import main
+from lefschetz.feasibility import REJECT_CHI_H, ConstraintProfile, enumerate_feasible
 
 CLI_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli.json"
 
@@ -36,6 +38,20 @@ def test_enumerate_g4_json(capsys):
     assert doc["admitted"] == [[16, 0, 5], [16, 4, 2], [18, 2, 3]]
     assert [18, 0, 0] in doc["pre_chi_survivors"]
     assert any("18,0,0" in n.replace(" ", "") for n in doc["notes"])
+
+
+def test_enumerate_g4_note_matches_rows(capsys):
+    # The note is fixed text; recompute what it states from the rows.
+    _, out, _ = run(
+        capsys, "enumerate", "--genus", "4", "--max-fibers", "24",
+        "--hyperelliptic", "--json",
+    )
+    [note] = json.loads(out)["notes"]
+    vector = tuple(map(int, re.search(r"\((\d+(?:,\d+)*)\)", note).group(1).split(",")))
+    chi_h = int(re.search(r"chi_h = (-?\d+)", note).group(1))
+    rows = enumerate_feasible(ConstraintProfile(4, 24))
+    [row] = [r for r in rows if (r.counts.n, *r.counts.s) == vector]
+    assert row.verdict == REJECT_CHI_H and row.chi_h == chi_h
 
 
 def test_enumerate_requires_hyperelliptic(capsys):

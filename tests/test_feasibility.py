@@ -1,7 +1,11 @@
+import re
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz.feasibility import (
     ADMITTED,
@@ -16,7 +20,14 @@ from lefschetz.feasibility import (
     enumerate_feasible,
     min_fiber_bounds,
 )
-from lefschetz.invariants import FiberCounts
+from lefschetz.invariants import (
+    FiberCounts,
+    euler_characteristic,
+    hyperelliptic_signature,
+    min_nonseparating_bound,
+    signature_bound_check,
+    twist_count_congruence,
+)
 
 
 def counts_tuple(row):
@@ -126,6 +137,81 @@ def test_check_counts_genus_mismatch():
         check_counts(FiberCounts.of(2, 8, 1), ConstraintProfile(3, 14))
 
 
+@pytest.mark.parametrize(
+    "genus,bound,bad",
+    [(4, 21.5, "21.5"), (4.0, 22, "4.0"), (4, "24", "'24'"), (Fraction(4), 24, "Fraction")],
+)
+def test_constraint_profile_rejects_non_integers(genus, bound, bad):
+    # A float bound used to admit rows in check_counts and crash range()
+    # in enumerate_feasible; a float genus passed the genus-mismatch check.
+    with pytest.raises(ValueError, match=f"must be integers, got {re.escape(bad)}"):
+        ConstraintProfile(genus, bound)
+
+
+def test_constraint_profile_keeps_exact_ints():
+    class Index:
+        def __index__(self):
+            return 24
+
+    p = ConstraintProfile(4, Index())
+    assert type(p.max_total_fibers) is int and p == ConstraintProfile(4, 24)
+
+
+# -- the Fraction route -------------------------------------------------------
+# check_counts decides with one integer kernel; the closed forms in
+# invariants, evaluated in Fractions in chain order, must agree with it.
+
+
+def fraction_route_verdict(c, bound):
+    sigma, integral = hyperelliptic_signature(c)
+    chi_h = Fraction(euler_characteristic(c) + sigma, 4)
+    if c.total >= bound:
+        return REJECT_TOTAL
+    if c.n < min_nonseparating_bound(c.genus):
+        return REJECT_N_LOWER
+    if not twist_count_congruence(c):
+        return REJECT_CONGRUENCE
+    if not integral:
+        return REJECT_SIGMA_INTEGRAL
+    if not signature_bound_check(c, int(sigma), b1=0):
+        return REJECT_SIGMA_BOUND
+    if chi_h.denominator != 1 or chi_h < 1:
+        return REJECT_CHI_H
+    return ADMITTED
+
+
+@st.composite
+def counts_and_bounds(draw):
+    g = draw(st.integers(1, 10))
+    s = tuple(draw(st.lists(st.integers(0, 6), min_size=g // 2, max_size=g // 2)))
+    n = draw(st.integers(0, 90))
+    if draw(st.booleans()):
+        # Solve the congruence for n, so the later stages get reached.
+        q = 2 * g + 1
+        modulus = (4 if g % 2 else 2) * q
+        weighted = sum(2 * h * (4 * h + 2) * sh for h, sh in enumerate(s, 1))
+        n = 4 * g + (-(4 * g) - weighted) % modulus + modulus * draw(st.integers(0, 2))
+    if n + sum(s) == 0:
+        n = 1
+    bound = max(1, n + sum(s) + 1 + draw(st.integers(-2, 12)))
+    return FiberCounts(g, n, s), bound
+
+
+@given(counts_and_bounds())
+@settings(max_examples=400, deadline=None)
+def test_check_counts_matches_fraction_route(case):
+    c, bound = case
+    row = check_counts(c, ConstraintProfile(c.genus, bound))
+    assert row.verdict == fraction_route_verdict(c, bound)
+    q = 2 * c.genus + 1
+    sigma_q = -(c.genus + 1) * c.n + sum(
+        (4 * h * (c.genus - h) - q) * sh for h, sh in enumerate(c.s, 1)
+    )
+    assert row.sigma == Fraction(sigma_q, q)
+    assert row.sigma_integral == (sigma_q % q == 0)
+    assert row.chi_h == (euler_characteristic(c) + row.sigma) / 4
+
+
 # -- enumerate_feasible -----------------------------------------------------------
 
 
@@ -179,6 +265,21 @@ def test_enumerate_matches_naive_oracle(g, bound):
     rows = enumerate_feasible(ConstraintProfile(g, bound))
     got = [(counts_tuple(r), r.verdict) for r in rows]
     assert got == sorted(oracle_rows(g, bound))
+
+
+@pytest.mark.parametrize("g,bound", [(6, 30), (7, 20), (8, 16), (9, 14), (10, 13)])
+def test_enumerate_higher_genus(g, bound):
+    rows = enumerate_feasible(ConstraintProfile(g, bound))
+    width = g // 2
+    assert len(rows) == comb(bound + width, width + 1) - 1
+    tuples = [counts_tuple(r) for r in rows]
+    assert all(a < b for a, b in zip(tuples, tuples[1:]))
+    survivors = [r for r in rows if r.pre_chi_survivor]
+    for row in survivors:
+        n, *s = counts_tuple(row)
+        assert oracle_verdict(g, n, s, bound) == row.verdict
+    # n >= 4g needs bound > 4g; of these bounds only g=6 B=30 exceeds 4g.
+    assert bool(survivors) == (bound > 4 * g)
 
 
 def test_admitted_rows_have_consistent_betti_arithmetic():
@@ -239,6 +340,35 @@ def test_bounds_high_genus_generic():
     assert (b.n_lower, b.n_upper) == (28, None)
     assert (b.m_lower, b.m_upper) == (29, None)
     assert any("open question" in note for note in b.notes)
+
+
+def note_vectors(note):
+    return [tuple(map(int, m.split(","))) for m in re.findall(r"\((\d+(?:,\d+)*)\)", note)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_bounds_floor_notes_match_enumerator(g):
+    # The notes are fixed text; recompute what each one states.
+    report = min_fiber_bounds(g)
+    [note] = [x for x in report.notes if re.search(r"below \d+ fibers", x)]
+    bound = int(re.search(r"below (\d+) fibers", note).group(1))
+    assert bound == report.m_upper
+    rows = enumerate_feasible(ConstraintProfile(g, bound))
+    admitted = [counts_tuple(r) for r in rows if r.admitted]
+    pre_chi = [r for r in rows if r.pre_chi_survivor]
+    vectors = note_vectors(note)
+    if "admitted counts are" in note:
+        assert vectors == admitted
+        totals = re.search(r"with totals (.*)$", note).group(1)
+        assert [int(t) for t in re.findall(r"\d+", totals)] == [sum(v) for v in vectors]
+    elif "the sigma constraints" in note:
+        assert vectors == [counts_tuple(r) for r in pre_chi]
+        chi_h = int(re.search(r"chi_h = (-?\d+)", note).group(1))
+        assert all(r.chi_h == chi_h for r in pre_chi)
+        assert admitted == []
+    else:
+        assert note.startswith("no admissible count vector")
+        assert vectors == [] and admitted == []
 
 
 def test_bounds_validation():
