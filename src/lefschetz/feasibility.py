@@ -74,6 +74,10 @@ class ConstraintProfile:
             raise ValueError(f"genus must be >= 1, got {genus}")
         if bound < 1:
             raise ValueError("max_total_fibers must be >= 1")
+        if not isinstance(self.hyperelliptic, bool):
+            raise ValueError(
+                f"hyperelliptic must be True or False, got {self.hyperelliptic!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,12 @@
 A factorization stores its twist letters left to right exactly as the
 word is written.  Composition is functional (the rightmost letter acts
 first), so the matrix of a word t_c1 t_c2 ... t_cm is the product
-M(c1) M(c2) ... M(cm) with the leftmost factor outermost.  It is computed
-by applying the letters right to left to the basis vectors.
+M(c1) M(c2) ... M(cm) with the leftmost factor outermost.
 
 The homological action of a positive twist about a curve with class a is
 the transvection  x |-> x + <x, a> a ;  a negative twist uses -<x, a>.
-Every twist action here goes through the one kernel ``transvect``.
+``transvect`` applies it to one vector; products are built on rows with
+one sparse rank-1 update per letter.
 Separating and boundary-parallel curves act trivially (their class is
 zero after capping), so everything verified here is a necessary
 condition only: a matrix identity never certifies a relator, but a
@@ -17,7 +17,8 @@ non-identity matrix refutes one.
 Hurwitz moves operate on homology data only (kind plus class); the
 underlying isotopy class is not tracked.  Curves created by a move are
 named ``<old>@h<counter>`` with the smallest unused counter, so move
-sequences are reproducible.
+sequences are reproducible; such a curve leaves the table again when a
+move takes away its last letter.
 
 All operations are pure functions over immutable values.
 """
@@ -35,6 +36,7 @@ from .surface import (
     CurveClass,
     HomologyClass,
     SurfaceSpec,
+    exact_ints,
     homology_of_word,
     pair_coords,
 )
@@ -97,9 +99,6 @@ class Factorization:
     @property
     def is_identity_target(self) -> bool:
         return not self.target
-
-    def curve_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.curves)
 
     def all_positive(self) -> bool:
         return all(letter.sign == 1 for letter in self.letters)
@@ -197,12 +196,24 @@ def transvect(x: tuple[int, ...], a: tuple[int, ...], sign: int) -> tuple[int, .
     return tuple(xi + k * ai for xi, ai in zip(x, a)) if k else x
 
 
-def _twists_on_basis(n: int, twists: list[tuple[tuple[int, ...], int]]) -> Matrix:
-    # Column j is e_j pushed through the (class, sign) twists right to left.
-    columns = identity_matrix(n)
+def _twist_product(n: int, twists: list[tuple[tuple[int, ...], int]]) -> Matrix:
+    # Rows of P = M(c1) ... M(cm), built as P <- M(ck) P from the right.
+    # M(a)^s = I + s a w^T with w^T x = <x, a>, so w_{i^1} is -a_i for even
+    # i and +a_i for odd i: c = w^T P sums the rows i^1 over a's support,
+    # and only the rows in that support change, by s a_i c.
+    rows = [list(row) for row in identity_matrix(n)]
     for a, sign in reversed(twists):
-        columns = tuple(transvect(column, a, sign) for column in columns)
-    return tuple(zip(*columns))
+        support = [(i, ai) for i, ai in enumerate(a) if ai]
+        if not support:
+            continue  # separating and boundary letters act trivially
+        c = [0] * n
+        for i, ai in support:
+            k = ai if i & 1 else -ai
+            c = [x + k * y for x, y in zip(c, rows[i ^ 1])]
+        for i, ai in support:
+            k = sign * ai
+            rows[i] = [x + k * y for x, y in zip(rows[i], c)]
+    return tuple(map(tuple, rows))
 
 
 def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
@@ -214,7 +225,7 @@ def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
         raise ValueError(f"twist sign must be +1 or -1, got {sign}")
     if not a.is_zero() and not a.is_primitive():
         raise ValueError("twist class must be zero or primitive (gcd 1)")
-    return _twists_on_basis(len(a.coords), [(a.coords, sign)])
+    return _twist_product(len(a.coords), [(a.coords, sign)])
 
 
 def factorization_matrix(f: Factorization) -> Matrix:
@@ -229,7 +240,7 @@ def factorization_matrix(f: Factorization) -> Matrix:
         (effective_class(f.curve(letter.curve), f.spec).coords, letter.sign)
         for letter in f.letters
     ]
-    return _twists_on_basis(f.spec.homology_rank, twists)
+    return _twist_product(f.spec.homology_rank, twists)
 
 
 # -- verification ----------------------------------------------------------
@@ -297,50 +308,77 @@ def verify_homological_relator(
 _DERIVED_NAME = re.compile(r"(.+)@h[0-9]+\Z")
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
+def _fresh_name(base: str, taken: dict[str, CurveClass]) -> str:
     k = 1
     while f"{base}@h{k}" in taken:
         k += 1
     return f"{base}@h{k}"
 
 
-def _moved_curve_name(
+def _moved_curve(
     f: Factorization, old: CurveClass, new_class: HomologyClass
-) -> tuple[str, tuple[CurveClass, ...]]:
-    """Pick the curve recording the conjugated letter; extend table if needed.
+) -> CurveClass:
+    """Pick the curve recording the conjugated letter.
 
     Reuse the old curve when its class is untouched (disjoint twists
     commute), or the curve the old one was derived from when the move
-    undoes the derivation; otherwise mint ``<old>@h<counter>``.  Any
-    pi_1 word is dropped from minted curves, since conjugating a word
-    would need twist data we do not track.
+    undoes the derivation; otherwise mint ``<old>@h<counter>``, which is
+    not yet in the table.  Any pi_1 word is dropped from minted curves,
+    since conjugating a word would need twist data we do not track.
     """
-    old_class = effective_class(old, f.spec)
-    if new_class == old_class:
-        return old.name, f.curves
+    if new_class == effective_class(old, f.spec):
+        return old
     m = _DERIVED_NAME.match(old.name)
-    if m is not None and m.group(1) in f.curve_names():
-        parent = f.curve(m.group(1))
-        if parent.kind == old.kind and effective_class(parent, f.spec) == new_class:
-            return parent.name, f.curves
-    minted = CurveClass(
-        name=_fresh_name(old.name, set(f.curve_names())),
+    parent = f._index.get(m.group(1)) if m is not None else None
+    if (
+        parent is not None
+        and parent.kind == old.kind
+        and effective_class(parent, f.spec) == new_class
+    ):
+        return parent
+    return CurveClass(
+        name=_fresh_name(old.name, f._index),
         kind=old.kind,
         h=old.h,
         boundary_index=old.boundary_index,
         homology=new_class,
         word=None,
     )
-    return minted.name, f.curves + (minted,)
 
 
-def _prune_orphan_derived(curves: tuple[CurveClass, ...], letters) -> tuple[CurveClass, ...]:
-    # Machine-minted @h curves vanish again once nothing references them,
-    # so a move followed by its inverse restores the factorization exactly.
-    used = {letter.curve for letter in letters}
-    return tuple(
-        c for c in curves if c.name in used or not _DERIVED_NAME.match(c.name)
+def _moved_factorization(
+    f: Factorization, displaced: CurveClass, moved: CurveClass, letters
+) -> Factorization:
+    """The factorization after a move, built without re-running the checks.
+
+    The result is valid by construction, so ``Factorization.__post_init__``
+    is skipped: every kept curve was checked in f; a minted ``moved`` curve
+    copies the kind, h and boundary index of a checked curve, has a class
+    of the same rank and no word, and its name is not yet taken; ``letters``
+    only name curves of f or ``moved``; the spec and target are f's.  The
+    ``displaced`` curve leaves the table when its name looks derived
+    (``@h``) and no letter uses it any more, so machine-minted curves
+    vanish again: when no letter of f names an ``@h`` curve, a move
+    followed by its inverse restores f exactly.  Only the curve that lost
+    a letter in this move can have become unused, so no other is pruned.
+    """
+    index = dict(f._index)
+    curves = f.curves
+    if moved.name not in index:
+        index[moved.name] = moved
+        curves += (moved,)
+    if (
+        displaced is not moved
+        and _DERIVED_NAME.match(displaced.name)
+        and all(letter.curve != displaced.name for letter in letters)
+    ):
+        del index[displaced.name]
+        curves = tuple(c for c in curves if c is not displaced)
+    out = object.__new__(Factorization)
+    vars(out).update(
+        spec=f.spec, curves=curves, letters=letters, target=f.target, _index=index
     )
+    return out
 
 
 def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factorization:
@@ -355,6 +393,7 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     """
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
+    (i,) = exact_ints((i,), "Hurwitz move positions")
     if not 1 <= i < len(f.letters):
         raise ValueError(
             f"position {i} out of range 1..{len(f.letters) - 1} for a "
@@ -370,17 +409,16 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     if direction == "right":
         # Conjugate the first curve by the inverse of the second letter.
         image = transvect(class_a.coords, class_b.coords, -second.sign)
-        name, curves = _moved_curve_name(f, curve_a, HomologyClass(image))
-        new_pair = (TwistLetter(curve_b.name, second.sign), TwistLetter(name, first.sign))
+        displaced, moved = curve_a, _moved_curve(f, curve_a, HomologyClass(image))
+        new_pair = (second, TwistLetter(moved.name, first.sign))
     else:
         # Conjugate the second curve by the first letter.
         image = transvect(class_b.coords, class_a.coords, first.sign)
-        name, curves = _moved_curve_name(f, curve_b, HomologyClass(image))
-        new_pair = (TwistLetter(name, second.sign), TwistLetter(curve_a.name, first.sign))
+        displaced, moved = curve_b, _moved_curve(f, curve_b, HomologyClass(image))
+        new_pair = (TwistLetter(moved.name, second.sign), first)
 
     letters = f.letters[: i - 1] + new_pair + f.letters[i + 1 :]
-    curves = _prune_orphan_derived(curves, letters)
-    return replace(f, curves=curves, letters=letters)
+    return _moved_factorization(f, displaced, moved, letters)
 
 
 def conjugate_factorization(f: Factorization, m: Matrix) -> Factorization:

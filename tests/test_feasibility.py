@@ -148,6 +148,13 @@ def test_constraint_profile_rejects_non_integers(genus, bound, bad):
         ConstraintProfile(genus, bound)
 
 
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_constraint_profile_rejects_non_bool_hyperelliptic(flag):
+    # "no" is truthy and used to enumerate as a hyperelliptic profile.
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(flag))}"):
+        ConstraintProfile(2, 5, hyperelliptic=flag)
+
+
 def test_constraint_profile_keeps_exact_ints():
     class Index:
         def __index__(self):

@@ -197,10 +197,23 @@ def test_missing_homology_error_names_curve():
     assert info.value.curve_name == "early"
 
 
+def sparse_primitive_classes(genus):
+    # mostly zero coordinates, as in chain and random benchmark words
+    return (
+        st.lists(st.sampled_from((-1, 0, 0, 0, 1)), min_size=2 * genus, max_size=2 * genus)
+        .filter(any)
+        .map(lambda v: HomologyClass(tuple(v)))
+    )
+
+
+def any_primitive_classes(genus):
+    return st.one_of(primitive_classes(genus), sparse_primitive_classes(genus))
+
+
 @st.composite
-def mixed_words(draw):
-    genus = draw(st.integers(1, 5))
-    classes = draw(st.lists(primitive_classes(genus), min_size=1, max_size=4))
+def mixed_words(draw, max_genus=8, min_letters=0):
+    genus = draw(st.integers(1, max_genus))
+    classes = draw(st.lists(any_primitive_classes(genus), min_size=1, max_size=4))
     curves = [CurveClass(f"c{k}", NONSEP, homology=c) for k, c in enumerate(classes)]
     curves.append(CurveClass("delta", BOUNDARY, boundary_index=1))
     if genus >= 2:
@@ -208,7 +221,7 @@ def mixed_words(draw):
     letter = st.builds(
         TwistLetter, st.sampled_from([c.name for c in curves]), st.sampled_from((1, -1))
     )
-    letters = draw(st.lists(letter, max_size=12))
+    letters = draw(st.lists(letter, min_size=min_letters, max_size=12))
     return Factorization(SurfaceSpec(genus, 1), tuple(curves), tuple(letters))
 
 
@@ -330,6 +343,79 @@ def test_hurwitz_position_out_of_range():
         hurwitz_move(f, 0)
     with pytest.raises(ValueError):
         hurwitz_move(f, 2)
+
+
+@pytest.mark.parametrize("i,bad", [(1.0, "1.0"), ("1", "'1'"), (None, "None")])
+def test_hurwitz_position_must_be_an_integer(i, bad):
+    f = torus_factorization(("ta", "tb"))
+    with pytest.raises(ValueError, match=f"must be integers, got {bad}"):
+        hurwitz_move(f, i)
+
+
+def test_hurwitz_move_keeps_declared_unused_curves():
+    # a@h1 looks machine-minted but is declared by the file; no move may
+    # delete it, so the move and its inverse give back the parsed value.
+    from lefschetz.mono import parse_mono
+
+    f = parse_mono(
+        "genus 1\nboundary 0\n"
+        "curve a kind nonsep hom 1 0\n"
+        "curve b kind nonsep hom 0 1\n"
+        "curve a@h1 kind nonsep hom 1 1\n"
+        "twist a\ntwist b\ntarget identity\n"
+    )
+    moved = hurwitz_move(f, 1, "right")
+    assert [c.name for c in moved.curves] == ["a", "b", "a@h1", "a@h2"]
+    assert [l.curve for l in moved.letters] == ["b", "a@h2"]
+    assert hurwitz_move(moved, 1, "left") == f
+
+
+@st.composite
+def hurwitz_walks(draw):
+    f = draw(mixed_words(max_genus=6, min_letters=2))
+    # a declared curve whose name looks minted; no letter names it
+    decoy = CurveClass("c0@h1", NONSEP, homology=f.curve("c0").homology)
+    f = Factorization(f.spec, f.curves + (decoy,), f.letters)
+    move = st.tuples(
+        st.integers(1, len(f.letters) - 1), st.sampled_from(("right", "left"))
+    )
+    return f, draw(st.lists(move, min_size=1, max_size=12))
+
+
+def letter_data(f):
+    return [
+        (f.curve(l.curve).kind_label(), l.sign, f.curve(l.curve).homology)
+        for l in f.letters
+    ]
+
+
+INVERSE = {"right": "left", "left": "right"}
+
+
+@given(hurwitz_walks())
+@settings(max_examples=150, deadline=None)
+def test_hurwitz_walks_stay_valid_and_undo(walk):
+    f, moves = walk
+    states = [f]
+    for i, direction in moves:
+        m = hurwitz_move(states[-1], i, direction)
+        # the unchecked result is what the checking constructor builds
+        rebuilt = Factorization(m.spec, m.curves, m.letters, m.target)
+        assert m == rebuilt and vars(m) == vars(rebuilt)
+        assert all(m.curve(l.curve).name == l.curve for l in m.letters)
+        states.append(m)
+    # From f, whose letters name no @h curve, one move and its inverse
+    # restore it exactly.
+    i, direction = moves[0]
+    assert hurwitz_move(states[1], i, INVERSE[direction]) == f
+    # Undone move by move, the walk returns every earlier letter sequence
+    # (kinds, signs, classes); a curve minted on the way back may carry a
+    # new @h name, since a dropped minted name is not remembered.
+    back = states[-1]
+    for (i, direction), before in zip(reversed(moves), reversed(states[:-1])):
+        back = hurwitz_move(back, i, INVERSE[direction])
+        assert letter_data(back) == letter_data(before)
+    assert factorization_matrix(back) == factorization_matrix(f)
 
 
 def random_genus_le4_factorization(rng):
