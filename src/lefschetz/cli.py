@@ -19,9 +19,6 @@ from . import catalog as cat
 from .feasibility import ConstraintProfile, enumerate_feasible, min_fiber_bounds
 from .fpgroup import abelianization, todd_coxeter
 from .invariants import (
-    LEDGER_BLOCK,
-    LEDGER_MATSUMOTO_EVEN,
-    LEDGER_SEPARATING,
     FiberCounts,
     LedgerEntry,
     chi_and_betti,
@@ -36,6 +33,7 @@ from .twists import (
     cap_boundary,
     verify_homological_relator,
 )
+from .words import format_word
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -64,29 +62,16 @@ def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
     """
     entries = []
     for term in spec.split(","):
-        term = term.strip()
-        if not term:
-            raise UsageError(f"empty term in ledger spec {spec!r}")
-        if "*" in term:
-            kind_part, _, mult_part = term.rpartition("*")
-            try:
-                mult = int(mult_part)
-            except ValueError:
-                raise UsageError(f"bad multiplicity in ledger term {term!r}")
-        else:
-            kind_part, mult = term, 1
-        if kind_part == "mats":
-            entries.append(LedgerEntry(LEDGER_MATSUMOTO_EVEN, mult))
-        elif kind_part == "sep":
-            entries.append(LedgerEntry(LEDGER_SEPARATING, mult))
-        elif kind_part.startswith("block:"):
-            try:
-                value = int(kind_part[len("block:"):])
-            except ValueError:
-                raise UsageError(f"bad block value in ledger term {term!r}")
-            entries.append(LedgerEntry(LEDGER_BLOCK, mult, value=value))
-        else:
-            raise UsageError(f"unknown ledger kind in term {term!r}")
+        head, star, mult = term.strip().partition("*")
+        kind, colon, value = head.partition(":")
+        try:
+            entries.append(LedgerEntry(
+                kind,
+                int(mult) if star else 1,
+                value=int(value) if colon else None,
+            ))
+        except ValueError as exc:
+            raise UsageError(f"bad ledger term {term.strip()!r}: {exc}")
     return entries
 
 
@@ -399,9 +384,7 @@ def _cmd_catalog(args) -> int:
         "notes": list(entry.notes),
     }
     f = entry.factorization
-    word = " ".join(
-        l.curve if l.sign == 1 else l.curve + "~" for l in f.letters
-    )
+    word = format_word((l.curve, l.sign) for l in f.letters)
     target = (
         "identity" if f.is_identity_target
         else " ".join(f"t_delta{i}^{n}" for i, n in f.target)
@@ -470,18 +453,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit a JSON document")
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-
-    p = sub.add_parser("verify", help="homological relator check of a .mono file")
+    p = sub.add_parser("verify", parents=[common],
+                       help="homological relator check of a .mono file")
     p.add_argument("file")
     p.add_argument("--hyperelliptic", action="store_true",
                    help="also check the twist-count congruence")
-    add_json(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("invariants", help="e, sigma, chi_h, Betti from counts")
+    p = sub.add_parser("invariants", parents=[common],
+                       help="e, sigma, chi_h, Betti from counts")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     for k in range(1, _MAX_S_FLAGS + 1):
@@ -490,42 +473,34 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="take sigma from the hyperelliptic closed form")
     p.add_argument("--ledger", metavar="SPEC",
                    help="take sigma from a block ledger, e.g. mats*1,block:-6*1,sep*-3")
-    add_json(p)
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("enumerate", help="feasible fiber-count vectors below a bound")
+    p = sub.add_parser("enumerate", parents=[common],
+                       help="feasible fiber-count vectors below a bound")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-fibers", type=int, required=True,
                    help="strict bound: totals n + s < this value")
     p.add_argument("--hyperelliptic", action="store_true")
     p.add_argument("--show-rejected", action="store_true",
                    help="also print rows rejected before the chi_h stage")
-    add_json(p)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("pi1", help="coset enumeration of a total-space pi_1")
+    p = sub.add_parser("pi1", parents=[common],
+                       help="coset enumeration of a total-space pi_1")
     p.add_argument("source", help="catalog entry name or .mono file")
     p.add_argument("--max-cosets", type=int, default=10**6)
-    add_json(p)
     p.set_defaults(func=_cmd_pi1)
 
     p = sub.add_parser("catalog", help="list, show, or export catalog entries")
+    p.set_defaults(func=_cmd_catalog)
     catsub = p.add_subparsers(dest="action", required=True)
-    pl = catsub.add_parser("list")
-    add_json(pl)
-    pl.set_defaults(func=_cmd_catalog, action="list")
-    ps = catsub.add_parser("show")
-    ps.add_argument("name")
-    add_json(ps)
-    ps.set_defaults(func=_cmd_catalog, action="show")
-    pe = catsub.add_parser("export")
-    pe.add_argument("name")
-    add_json(pe)
-    pe.set_defaults(func=_cmd_catalog, action="export")
+    catsub.add_parser("list", parents=[common])
+    catsub.add_parser("show", parents=[common]).add_argument("name")
+    catsub.add_parser("export", parents=[common]).add_argument("name")
 
-    p = sub.add_parser("bounds", help="bounds on minimal singular-fiber counts")
+    p = sub.add_parser("bounds", parents=[common],
+                       help="bounds on minimal singular-fiber counts")
     p.add_argument("--genus", type=int, required=True)
-    add_json(p)
     p.set_defaults(func=_cmd_bounds)
 
     return parser

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .surface import exact_ints
 from .words import Word, free_reduce, parse_word
 
 
@@ -294,9 +295,7 @@ class _CosetTable:
         return self.p[k] == k
 
 
-def _relator_columns(
-    p: GroupPresentation,
-) -> tuple[dict[str, int], list[tuple[int, ...]]]:
+def _relator_columns(p: GroupPresentation) -> list[tuple[int, ...]]:
     index = {name: k for k, name in enumerate(p.generators)}
     relators = []
     for relator in p.relators:
@@ -308,7 +307,7 @@ def _relator_columns(
                     for name, sign in reduced
                 )
             )
-    return index, relators
+    return relators
 
 
 def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationResult:
@@ -319,9 +318,10 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     ``max_cosets`` live cosets even after lookahead.  Deterministic for a
     fixed presentation.
     """
+    (max_cosets,) = exact_ints((max_cosets,), "max_cosets")
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    _, relators = _relator_columns(p)
+    relators = _relator_columns(p)
     table = _CosetTable(2 * len(p.generators), max_cosets)
 
     alpha = 0

@@ -112,6 +112,11 @@ class LedgerEntry:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        (multiplicity,) = exact_ints((self.multiplicity,), "ledger multiplicities")
+        object.__setattr__(self, "multiplicity", multiplicity)
+        if self.value is not None:
+            (value,) = exact_ints((self.value,), "ledger values")
+            object.__setattr__(self, "value", value)
         if self.kind in _FIXED_CONTRIBUTIONS:
             if self.value is not None:
                 raise ValueError(f"{self.kind} entries carry a fixed contribution")

@@ -216,10 +216,9 @@ def _parse_target(rest: list[str], spec: SurfaceSpec, lineno: int) -> Target:
         exponent = _int(rest[k + 2], lineno, "target exponent")
         pairs.append((index, exponent))
     try:
-        check_target(tuple(pairs), spec)
+        return check_target(tuple(pairs), spec)
     except ValueError as exc:
         raise MonoParseError(lineno, str(exc))
-    return tuple(pairs)
 
 
 def serialize_mono(f: Factorization, comment: str | None = None) -> str:

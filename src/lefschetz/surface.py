@@ -43,12 +43,15 @@ class SurfaceSpec:
     boundary_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-        if self.boundary_count < 0:
-            raise ValueError(
-                f"boundary_count must be >= 0, got {self.boundary_count}"
-            )
+        genus, boundary_count = exact_ints(
+            (self.genus, self.boundary_count), "genus and boundary_count"
+        )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_count", boundary_count)
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        if boundary_count < 0:
+            raise ValueError(f"boundary_count must be >= 0, got {boundary_count}")
 
     @property
     def homology_rank(self) -> int:
@@ -94,13 +97,6 @@ class HomologyClass:
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         _check_same_rank(self, other)
         return HomologyClass(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        _check_same_rank(self, other)
-        return HomologyClass(tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "HomologyClass":
-        return HomologyClass(tuple(-x for x in self.coords))
 
 
 def exact_ints(values, what: str) -> tuple[int, ...]:
@@ -189,6 +185,11 @@ class CurveClass:
     word: Word | None = None
 
     def __post_init__(self) -> None:
+        for field in ("h", "boundary_index"):
+            value = getattr(self, field)
+            if value is not None:
+                (value,) = exact_ints((value,), f"curve {self.name!r}: {field} values")
+                object.__setattr__(self, field, value)
         if self.kind not in (NONSEP, SEP, BOUNDARY):
             raise ValueError(f"curve {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == SEP:

@@ -40,6 +40,7 @@ from .surface import (
     homology_of_word,
     pair_coords,
 )
+from .words import free_reduce
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -65,8 +66,8 @@ class TwistLetter:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"twist sign must be +1 or -1, got {self.sign}")
+        if self.sign.__class__ is not int or self.sign not in (1, -1):
+            raise ValueError(f"twist sign must be the int +1 or -1, got {self.sign!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class Factorization:
                 raise ValueError(
                     f"letter references undeclared curve {letter.curve!r}"
                 )
-        check_target(self.target, self.spec)
+        object.__setattr__(self, "target", check_target(self.target, self.spec))
         object.__setattr__(self, "_index", index)
 
     def curve(self, name: str) -> CurveClass:
@@ -137,8 +138,10 @@ def check_curve(curve: CurveClass, spec: SurfaceSpec) -> None:
             )
 
 
-def check_target(target: Target, spec: SurfaceSpec) -> None:
-    """Check that target boundary indices lie in 1..r and appear once each."""
+def check_target(target: Target, spec: SurfaceSpec) -> Target:
+    """The target with exact int pairs; ValueError unless its boundary
+    indices lie in 1..r and appear once each."""
+    target = tuple(exact_ints(pair, "target entries") for pair in target)
     seen: set[int] = set()
     for boundary_index, _exponent in target:
         if not 1 <= boundary_index <= spec.boundary_count:
@@ -149,6 +152,7 @@ def check_target(target: Target, spec: SurfaceSpec) -> None:
         if boundary_index in seen:
             raise ValueError(f"target boundary index {boundary_index} repeated")
         seen.add(boundary_index)
+    return target
 
 
 def effective_class(curve: CurveClass, spec: SurfaceSpec) -> HomologyClass:
@@ -221,8 +225,8 @@ def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
 
     The class must be zero (separating: identity matrix) or primitive.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"twist sign must be +1 or -1, got {sign}")
+    if sign.__class__ is not int or sign not in (1, -1):
+        raise ValueError(f"twist sign must be the int +1 or -1, got {sign!r}")
     if not a.is_zero() and not a.is_primitive():
         raise ValueError("twist class must be zero or primitive (gcd 1)")
     return _twist_product(len(a.coords), [(a.coords, sign)])
@@ -445,13 +449,8 @@ def conjugate_factorization(f: Factorization, m: Matrix) -> Factorization:
 
 def cancel_adjacent_inverses(f: Factorization) -> Factorization:
     """Remove adjacent t_c t_c^-1 and t_c^-1 t_c pairs until none remain."""
-    out: list[TwistLetter] = []
-    for letter in f.letters:
-        if out and out[-1].curve == letter.curve and out[-1].sign == -letter.sign:
-            out.pop()
-        else:
-            out.append(letter)
-    return replace(f, letters=tuple(out))
+    pairs = free_reduce(tuple((letter.curve, letter.sign) for letter in f.letters))
+    return replace(f, letters=tuple(TwistLetter(curve, sign) for curve, sign in pairs))
 
 
 def cap_boundary(f: Factorization) -> Factorization:

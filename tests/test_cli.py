@@ -151,6 +151,26 @@ def test_invariants_infeasible_betti(capsys):
     assert "infeasible" in out
 
 
+@pytest.mark.parametrize("spec", [
+    "mats:3", "block", "block:x", "block:", "foo*1", "sep*x", "sep*", "a*b*c",
+    "", "mats*1,,sep*1", "mats*1.5", "block:1.5",
+])
+def test_invariants_malformed_ledger_exit_2(capsys, spec):
+    code, out, err = run(
+        capsys, "invariants", "--genus", "4", "--n", "18", "--s1", "5",
+        "--ledger", spec,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_invariants_ledger_multiplicity_defaults_to_one(capsys):
+    argv = ("invariants", "--genus", "3", "--n", "12", "--s1", "6", "--json")
+    bare = run(capsys, *argv, "--ledger", "block:-6")
+    assert bare[0] == 0
+    assert bare == run(capsys, *argv, "--ledger", "block:-6*1")
+
+
 # -- pi1 ---------------------------------------------------------------------------
 
 

@@ -1,8 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz.fpgroup import surface_group, todd_coxeter
+from lefschetz.invariants import LedgerEntry
 from lefschetz.surface import (
+    BOUNDARY,
     NONSEP,
     SEP,
     CurveClass,
@@ -13,6 +18,7 @@ from lefschetz.surface import (
     pairing_matrix,
     symplectic_pairing,
 )
+from lefschetz.twists import Factorization, TwistLetter, twist_matrix
 from lefschetz.words import parse_word
 
 
@@ -48,6 +54,58 @@ def test_homology_class_rejects_non_integers():
     # 0.5 must not truncate to 0 and turn (0.5, 1) into the class (0, 1)
     with pytest.raises(ValueError, match="0.5"):
         cls(0.5, 1)
+
+
+class _IntLike:
+    """An exact integer that is not an int, like a numpy integer."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# Each builder gets one bad value; every integer field must name it in a
+# ValueError instead of storing it, truncating it or failing later.
+NON_INTEGER_CASES = {
+    "surface genus float": (lambda: SurfaceSpec(2.0), 2.0),
+    "surface genus str": (lambda: SurfaceSpec("2"), "2"),
+    "surface boundary float": (lambda: SurfaceSpec(2, 1.0), 1.0),
+    "curve h": (lambda: CurveClass("d", SEP, h=1.0), 1.0),
+    "curve boundary index": (
+        lambda: CurveClass("p", BOUNDARY, boundary_index=1.5), 1.5
+    ),
+    "twist sign": (lambda: TwistLetter("a", 1.0), 1.0),
+    "twist matrix sign": (lambda: twist_matrix(cls(1, 0), 1.0), 1.0),
+    "target exponent": (
+        lambda: Factorization(SurfaceSpec(1, 1), (), (), target=((1, 1.5),)), 1.5
+    ),
+    "ledger multiplicity": (lambda: LedgerEntry("mats", 1.5), 1.5),
+    "ledger value": (lambda: LedgerEntry("block", 1, value=-6.0), -6.0),
+    "coset limit": (lambda: todd_coxeter(surface_group(1), 10.5), 10.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_CASES))
+def test_integer_fields_reject_non_integers(case):
+    build, bad = NON_INTEGER_CASES[case]
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        build()
+
+
+def test_integer_fields_store_exact_ints():
+    two = _IntLike(2)
+    values = [
+        *vars(SurfaceSpec(two, two)).values(),
+        CurveClass("d", SEP, h=_IntLike(1)).h,
+        CurveClass("p", BOUNDARY, boundary_index=two).boundary_index,
+        *Factorization(SurfaceSpec(1, 2), (), (), target=((two, two),)).target[0],
+        LedgerEntry("block", two, value=two).multiplicity,
+        LedgerEntry("block", two, value=two).value,
+    ]
+    assert [v.__class__ for v in values] == [int] * 8
+    assert values == [2, 2, 1, 2, 2, 2, 2, 2]
 
 
 def test_pairing_dimension_mismatch():
