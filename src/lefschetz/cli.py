@@ -27,6 +27,7 @@ from .invariants import (
     hyperelliptic_signature,
 )
 from .mono import MonoParseError, parse_mono, serialize_mono
+from .surface import integer
 from .twists import (
     Factorization,
     MissingHomology,
@@ -67,8 +68,8 @@ def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
         try:
             entries.append(LedgerEntry(
                 kind,
-                int(mult) if star else 1,
-                value=int(value) if colon else None,
+                integer(mult) if star else 1,
+                value=integer(value) if colon else None,
             ))
         except ValueError as exc:
             raise UsageError(f"bad ledger term {term.strip()!r}: {exc}")
@@ -465,10 +466,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", parents=[common],
                        help="e, sigma, chi_h, Betti from counts")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--genus", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     for k in range(1, _MAX_S_FLAGS + 1):
-        p.add_argument(f"--s{k}", type=int, help=argparse.SUPPRESS if k > 3 else None)
+        p.add_argument(f"--s{k}", type=integer, help=argparse.SUPPRESS if k > 3 else None)
     p.add_argument("--hyperelliptic", action="store_true",
                    help="take sigma from the hyperelliptic closed form")
     p.add_argument("--ledger", metavar="SPEC",
@@ -477,8 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="feasible fiber-count vectors below a bound")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-fibers", type=int, required=True,
+    p.add_argument("--genus", type=integer, required=True)
+    p.add_argument("--max-fibers", type=integer, required=True,
                    help="strict bound: totals n + s < this value")
     p.add_argument("--hyperelliptic", action="store_true")
     p.add_argument("--show-rejected", action="store_true",
@@ -488,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pi1", parents=[common],
                        help="coset enumeration of a total-space pi_1")
     p.add_argument("source", help="catalog entry name or .mono file")
-    p.add_argument("--max-cosets", type=int, default=10**6)
+    p.add_argument("--max-cosets", type=integer, default=10**6)
     p.set_defaults(func=_cmd_pi1)
 
     p = sub.add_parser("catalog", help="list, show, or export catalog entries")
@@ -500,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", parents=[common],
                        help="bounds on minimal singular-fiber counts")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=integer, required=True)
     p.set_defaults(func=_cmd_bounds)
 
     return parser

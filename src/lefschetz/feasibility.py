@@ -219,92 +219,78 @@ class BoundsReport:
         return self.m_lower if self.m_lower == self.m_upper else None
 
 
-# g = 1, 2: the recorded witness and the note explaining the floor below it.
-_LOW_GENUS_WITNESSES = {
-    1: (
-        Witness("elliptic surface E(1)", 12, True),
-        "no admissible count vector exists below 12 fibers",
-    ),
-    2: (
-        Witness("Baykur-Korkmaz genus-2 fibration", 14, True),
+# Per genus: the best recorded witness (name, fibers), the hyperelliptic
+# witness when that is a different fibration (otherwise the best one is
+# hyperelliptic), and the note on the hyperelliptic floor.  A catalog
+# witness gives its entry name as ``fibers`` and is counted from its word.
+_RECORDED = {
+    1: (("elliptic surface E(1)", 12), None,
+        "no admissible count vector exists below 12 fibers"),
+    2: (("Baykur-Korkmaz genus-2 fibration", 14), None,
         "below 14 fibers only (n,s) = (8,1) and (10,0) pass the "
-        "sigma constraints and both have chi_h = 0",
-    ),
+        "sigma constraints and both have chi_h = 0"),
+    3: (("W (genus-3 hyperelliptic)", "W"), None,
+        "below 18 fibers only (n,s) = (16,1) passes the sigma "
+        "constraints and it has chi_h = 0"),
+    4: (("W1 (genus-4, nonhyperelliptic)", "W1"), ("W2 (genus-4 hyperelliptic)", "W2"),
+        "below 24 fibers the admitted counts are (16,0,5), (16,4,2) "
+        "and (18,2,3), with totals 21, 22 and 23"),
 }
 
 
-def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
-    """Least conceivable hyperelliptic fiber count below a witness count.
+def _witness(name: str, fibers: int | str, hyperelliptic: bool) -> Witness:
+    if isinstance(fibers, str):
+        from .catalog import get_entry  # deferred: catalog builds on this package
 
-    Runs the enumerator strictly below the witness count; if nothing is
-    admitted the witness is optimal, otherwise the smallest admitted
-    total is the floor.
+        fibers = len(get_entry(fibers).factorization.letters)
+    return Witness(name, fibers, hyperelliptic)
+
+
+def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
+    """Least admitted hyperelliptic fiber total below a witness count.
+
+    Totals t rise from 4g, each tried on every s with n = t - sum(s) >= 4g,
+    which covers every row the enumerator could admit.  The first admitted
+    total is the floor; when there is none the witness is optimal.
     """
-    rows = enumerate_feasible(ConstraintProfile(g, witness_fibers, hyperelliptic=True))
-    admitted = [r.counts.total for r in rows if r.admitted]
-    return min(admitted) if admitted else witness_fibers
+    for t in range(4 * g, witness_fibers):
+        for s in _compositions(g // 2, t - 4 * g):
+            if _verdict(g, t - sum(s), s, witness_fibers) == ADMITTED:
+                return t
+    return witness_fibers
 
 
 def min_fiber_bounds(g: int) -> BoundsReport:
     """Assemble the known bounds on N_g and M_g.
 
-    g = 1, 2: every fibration of that genus is hyperelliptic, so
-    N_g = M_g; the enumerator gives the floor and the recorded witness
-    (the 12-fiber elliptic fibration on E(1), the Baykur-Korkmaz
-    genus-2 fibration with 14 fibers) matches it.
-
-    g = 3, 4: N_g is bounded below by n >= 4g and above by the best
-    catalog witness (W with 18 fibers, W1 with 23); M_g comes from the
-    enumerator floor and the hyperelliptic witness (W again, W2 with 24
-    fibers).
+    g = 1..4 read the table ``_RECORDED``: the best recorded witness
+    bounds N_g above and the hyperelliptic one bounds M_g above.  M_g is
+    bounded below by the hyperelliptic floor, the least total the verdict
+    kernel admits, searched upwards from 4g.  For g <= 2 every fibration
+    is hyperelliptic, so N_g = M_g >= floor; otherwise N_g >= 4g.
 
     g >= 5: only the generic bounds N_g >= 4g, M_g >= 4g + 1 are known;
     whether M_g = 4g + 6 (as for g = 2, 3) is an open question, flagged
     in the notes, not a result.
     """
+    (g,) = exact_ints((g,), "genus values")
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    if g in _LOW_GENUS_WITNESSES:
-        witness, floor_note = _LOW_GENUS_WITNESSES[g]
-        floor = _hyperelliptic_floor(g, witness.fibers)
-        return BoundsReport(
-            genus=g, n_lower=floor, n_upper=witness.fibers,
-            m_lower=floor, m_upper=witness.fibers,
-            witnesses=(witness,),
-            notes=(
-                f"every genus-{g} fibration is hyperelliptic, so N_{g} = M_{g}",
-                floor_note,
-            ),
-        )
-    if g in (3, 4):
-        from .catalog import get_entry  # deferred: catalog builds on this package
-
-        if g == 3:
-            w = get_entry("W")
-            hyp_witness = Witness("W (genus-3 hyperelliptic)", len(w.factorization.letters), True)
-            best = hyp_witness
-            extra_notes = (
-                "below 18 fibers only (n,s) = (16,1) passes the sigma "
-                "constraints and it has chi_h = 0",
-            )
+    if g in _RECORDED:
+        (name, fibers), hyp, floor_note = _RECORDED[g]
+        best = _witness(name, fibers, hyp is None)
+        hyp = _witness(*hyp, True) if hyp else best
+        floor = _hyperelliptic_floor(g, hyp.fibers)
+        if g <= 2:
+            n_lower = floor
+            note = f"every genus-{g} fibration is hyperelliptic, so N_{g} = M_{g}"
         else:
-            w1 = get_entry("W1")
-            w2 = get_entry("W2")
-            best = Witness("W1 (genus-4, nonhyperelliptic)", len(w1.factorization.letters), False)
-            hyp_witness = Witness("W2 (genus-4 hyperelliptic)", len(w2.factorization.letters), True)
-            extra_notes = (
-                "below 24 fibers the admitted counts are (16,0,5), (16,4,2) "
-                "and (18,2,3), with totals 21, 22 and 23",
-            )
-        m_lower = _hyperelliptic_floor(g, hyp_witness.fibers)
+            n_lower, note = min_nonseparating_bound(g), "N lower bound from n >= 4g"
         return BoundsReport(
-            genus=g,
-            n_lower=min_nonseparating_bound(g),
-            n_upper=best.fibers,
-            m_lower=m_lower,
-            m_upper=hyp_witness.fibers,
-            witnesses=(best, hyp_witness) if best != hyp_witness else (hyp_witness,),
-            notes=("N lower bound from n >= 4g",) + extra_notes,
+            genus=g, n_lower=n_lower, n_upper=best.fibers,
+            m_lower=floor, m_upper=hyp.fibers,
+            witnesses=(best, hyp) if hyp is not best else (best,),
+            notes=(note, floor_note),
         )
     return BoundsReport(
         genus=g,

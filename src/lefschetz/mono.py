@@ -11,9 +11,11 @@ comment running to the end of the line.  Sections appear in order:
     target identity
     target (boundary <INT> <INT>)+             # exactly one target line
 
-``hom`` takes 2g integers over the ordered basis a1 b1 a2 b2 ... ag bg.
-Word tokens are a<k> / b<k> with a ``~`` suffix for inverses; [x,y]
-expands to the commutator x y x~ y~.
+<INT> is ``-?[0-9]+`` in ASCII digits (no ``+``, no ``_``) and <NAME> is
+any non-empty token without whitespace or ``#``.  ``hom`` takes 2g
+integers over the ordered basis a1 b1 a2 b2 ... ag bg.  Word tokens are
+a<k> / b<k> with a ``~`` suffix for inverses; [x,y] expands to the
+commutator x y x~ y~.
 
 Parsing is total: every byte sequence either parses or raises
 MonoParseError carrying the offending line number.
@@ -22,6 +24,7 @@ MonoParseError carrying the offending line number.
 from __future__ import annotations
 
 from .surface import BOUNDARY, NONSEP, SEP, CurveClass, HomologyClass, SurfaceSpec
+from .surface import integer
 from .twists import Factorization, Target, TwistLetter, check_curve, check_target
 from .words import WordSyntaxError, format_word, parse_word
 
@@ -36,17 +39,16 @@ class MonoParseError(ValueError):
 
 def _int(token: str, line: int, what: str) -> int:
     try:
-        return int(token)
-    except ValueError:
-        raise MonoParseError(line, f"{what}: expected an integer, got {token!r}")
+        return integer(token)
+    except ValueError as exc:
+        raise MonoParseError(line, f"{what}: {exc}")
 
 
 def parse_mono(text: str) -> Factorization:
     """Parse a .mono document into a Factorization."""
     genus: int | None = None
     spec: SurfaceSpec | None = None
-    curves: list[CurveClass] = []
-    curve_names: set[str] = set()
+    curves: dict[str, CurveClass] = {}
     letters: list[TwistLetter] = []
     target: Target | None = None
     stage = "genus"  # genus -> boundary -> curves -> twists -> done
@@ -87,10 +89,9 @@ def parse_mono(text: str) -> Factorization:
                     "curve lines belong after the header and before twists",
                 )
             curve = _parse_curve(rest, spec, lineno)
-            if curve.name in curve_names:
+            if curve.name in curves:
                 raise MonoParseError(lineno, f"duplicate curve name {curve.name!r}")
-            curve_names.add(curve.name)
-            curves.append(curve)
+            curves[curve.name] = curve
         elif head == "twist":
             if stage not in ("curves", "twists"):
                 raise MonoParseError(lineno, "twist lines belong before the target")
@@ -98,7 +99,7 @@ def parse_mono(text: str) -> Factorization:
             if not rest or len(rest) > 2:
                 raise MonoParseError(lineno, "usage: twist <NAME> [+|-]")
             name = rest[0]
-            if name not in curve_names:
+            if name not in curves:
                 raise MonoParseError(
                     lineno, f"twist references undeclared curve {name!r}"
                 )
@@ -124,15 +125,8 @@ def parse_mono(text: str) -> Factorization:
         raise MonoParseError(lineno + 1, "missing boundary directive")
     if target is None:
         raise MonoParseError(lineno + 1, "missing target directive")
-    try:
-        return Factorization(
-            spec=spec,
-            curves=tuple(curves),
-            letters=tuple(letters),
-            target=target,
-        )
-    except ValueError as exc:  # residual cross-line inconsistency
-        raise MonoParseError(lineno, str(exc))
+    # every line was checked as it was read
+    return Factorization._checked(spec, curves, tuple(letters), target)
 
 
 def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
@@ -170,11 +164,11 @@ def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
             raise MonoParseError(
                 lineno, f"hom needs {rank} integers (basis a1 b1 ... ag bg)"
             )
-        coords = tuple(
-            _int(rest[pos + k], lineno, "hom coordinate") for k in range(rank)
-        )
+        try:  # hom clauses hold most of a file's integers: one call per token
+            homology = HomologyClass(tuple(map(integer, rest[pos : pos + rank])))
+        except ValueError as exc:
+            raise MonoParseError(lineno, f"hom coordinate: {exc}")
         pos += rank
-        homology = HomologyClass(coords)
 
     word = None
     if pos < len(rest) and rest[pos] == "word":
@@ -223,9 +217,7 @@ def _parse_target(rest: list[str], spec: SurfaceSpec, lineno: int) -> Target:
 
 def serialize_mono(f: Factorization, comment: str | None = None) -> str:
     """Render a Factorization as .mono text; byte-stable for equal inputs."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
+    lines = [f"# {line}" for line in comment.splitlines()] if comment else []
     lines.append(f"genus {f.spec.genus}")
     lines.append(f"boundary {f.spec.boundary_count}")
     for curve in f.curves:

@@ -108,6 +108,14 @@ def exact_ints(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {bad!r}") from None
 
 
+def integer(text: str) -> int:
+    """The int spelled ``-?[0-9]+`` in ASCII digits; stricter than ``int()``."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isdecimal() and digits.isascii()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _check_same_rank(x: HomologyClass, y: HomologyClass) -> None:
     if len(x.coords) != len(y.coords):
         raise ValueError(
@@ -170,6 +178,7 @@ def classify_kind_from_word(word: Word, spec: SurfaceSpec) -> str:
 class CurveClass:
     """A named vanishing-cycle datum.
 
+    The name is one ``.mono`` token: non-empty, no whitespace, no ``#``.
     kind is NONSEP, SEP (with separating type ``h``), or BOUNDARY (with
     ``boundary_index``).  ``homology`` and ``word`` are optional algebraic
     data; separating and boundary-parallel curves must be null-homologous,
@@ -185,6 +194,11 @@ class CurveClass:
     word: Word | None = None
 
     def __post_init__(self) -> None:
+        name = self.name
+        if not isinstance(name, str) or name.split() != [name] or "#" in name:
+            raise ValueError(
+                f"curve name must be non-empty with no whitespace or '#', got {name!r}"
+            )
         for field in ("h", "boundary_index"):
             value = getattr(self, field)
             if value is not None:

@@ -94,6 +94,19 @@ class Factorization:
         object.__setattr__(self, "target", check_target(self.target, self.spec))
         object.__setattr__(self, "_index", index)
 
+    @classmethod
+    def _checked(cls, spec, index, letters, target) -> "Factorization":
+        """Build from parts already checked, skipping ``__post_init__``.
+
+        The caller vouches for those checks: ``index`` maps each name to
+        its curve in table order and each curve passed ``check_curve`` on
+        ``spec``; each letter names a key; ``target`` is ``check_target``'s.
+        """
+        out = object.__new__(cls)
+        vars(out).update(spec=spec, curves=tuple(index.values()), letters=letters,
+                         target=target, _index=index)
+        return out
+
     def curve(self, name: str) -> CurveClass:
         return self._index[name]
 
@@ -367,22 +380,14 @@ def _moved_factorization(
     a letter in this move can have become unused, so no other is pruned.
     """
     index = dict(f._index)
-    curves = f.curves
-    if moved.name not in index:
-        index[moved.name] = moved
-        curves += (moved,)
+    index.setdefault(moved.name, moved)
     if (
         displaced is not moved
         and _DERIVED_NAME.match(displaced.name)
         and all(letter.curve != displaced.name for letter in letters)
     ):
         del index[displaced.name]
-        curves = tuple(c for c in curves if c is not displaced)
-    out = object.__new__(Factorization)
-    vars(out).update(
-        spec=f.spec, curves=curves, letters=letters, target=f.target, _index=index
-    )
-    return out
+    return Factorization._checked(f.spec, index, letters, f.target)
 
 
 def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factorization:

@@ -153,7 +153,8 @@ def test_invariants_infeasible_betti(capsys):
 
 @pytest.mark.parametrize("spec", [
     "mats:3", "block", "block:x", "block:", "foo*1", "sep*x", "sep*", "a*b*c",
-    "", "mats*1,,sep*1", "mats*1.5", "block:1.5",
+    "", "mats*1,,sep*1", "mats*1.5", "block:1.5", "block:1_0", "mats* 1", "sep*+1",
+    "block:\u0661",
 ])
 def test_invariants_malformed_ledger_exit_2(capsys, spec):
     code, out, err = run(
@@ -162,6 +163,20 @@ def test_invariants_malformed_ledger_exit_2(capsys, spec):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--genus", "1_0", "--n", "40", "--hyperelliptic"),
+    ("invariants", "--genus", "4", "--n", "+18", "--hyperelliptic"),
+    ("invariants", "--genus", "4", "--n", "18", "--s1", "\u0665", "--hyperelliptic"),
+    ("enumerate", "--genus", "2", "--max-fibers", " 14", "--hyperelliptic"),
+    ("pi1", "W1", "--max-cosets", "1_000"),
+    ("bounds", "--genus", "+4"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid integer value" in err
 
 
 def test_invariants_ledger_multiplicity_defaults_to_one(capsys):

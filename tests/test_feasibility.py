@@ -16,6 +16,7 @@ from lefschetz.feasibility import (
     REJECT_SIGMA_INTEGRAL,
     REJECT_TOTAL,
     ConstraintProfile,
+    _hyperelliptic_floor,
     check_counts,
     enumerate_feasible,
     min_fiber_bounds,
@@ -378,6 +379,23 @@ def test_bounds_floor_notes_match_enumerator(g):
         assert vectors == [] and admitted == []
 
 
+@pytest.mark.parametrize("g", range(1, 7))
+def test_hyperelliptic_floor_matches_enumerator(g):
+    # Below the enumeration bound only the total stage depends on it, so
+    # one enumeration gives the admitted rows below every witness w.
+    top = 4 * g + 8
+    rows = enumerate_feasible(ConstraintProfile(g, top))
+    totals = [r.counts.total for r in rows if r.admitted]
+    for w in range(1, top + 1):
+        assert _hyperelliptic_floor(g, w) == min((t for t in totals if t < w), default=w)
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         min_fiber_bounds(0)
+
+
+@pytest.mark.parametrize("g", [4.0, 7.5, "4"])
+def test_bounds_genus_must_be_an_integer(g):
+    with pytest.raises(ValueError, match=f"genus values must be integers, got {g!r}"):
+        min_fiber_bounds(g)

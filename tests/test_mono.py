@@ -1,8 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lefschetz.catalog import load_catalog
+from lefschetz import mono, twists
+from lefschetz.catalog import get_entry, load_catalog
 from lefschetz.mono import MonoParseError, parse_mono, serialize_mono
-from lefschetz.surface import BOUNDARY, NONSEP, SEP, HomologyClass
+from lefschetz.surface import (
+    BOUNDARY,
+    NONSEP,
+    SEP,
+    CurveClass,
+    HomologyClass,
+    SurfaceSpec,
+)
+from lefschetz.twists import Factorization, TwistLetter
+from lefschetz.words import invert_word
 
 MINIMAL = """\
 genus 1
@@ -77,6 +89,13 @@ def test_boundary_curves_and_targets():
         ("genus 1\nboundary 0\ncurve c kind boundary 1\n", "out of range"),
         ("genus 1\nboundary 0\ncurve c kind nonsep hom 1\n", "hom needs 2"),
         ("genus x\nboundary 0\n", "expected an integer"),
+        ("genus 1_0\nboundary 0\n", "genus: expected an integer, got '1_0'"),
+        ("genus 1\nboundary +1\n", "boundary: expected an integer, got '\\+1'"),
+        ("genus \u0661\nboundary 0\n", "genus: expected an integer, got '\u0661'"),
+        (
+            "genus 1\nboundary 0\ncurve c kind nonsep hom 1_0 1\n",
+            "hom coordinate: expected an integer",
+        ),
         ("genus 1\nboundary 0\ntarget identity\ngenus 1\n", "after target"),
         ("genus 1\nboundary 0\ntarget boundary 1 1\n", "out of range"),
         ("genus 1\nboundary 1\ntarget boundary 1 1 boundary 1 2\n", "repeated"),
@@ -152,3 +171,89 @@ def test_serialize_comment_ignored_by_parser():
     entry = load_catalog()[0]
     with_comment = serialize_mono(entry.factorization, comment="hello")
     assert parse_mono(with_comment) == entry.factorization
+
+
+def test_serialize_multiline_comment_stays_comment():
+    f = parse_mono(MINIMAL)
+    text = serialize_mono(f, comment="first\nsecond\r\nthird")
+    assert text.startswith("# first\n# second\n# third\ngenus 1\n")
+    assert parse_mono(text) == f
+
+
+def test_parse_checks_each_curve_once(monkeypatch):
+    calls = []
+
+    def counting(curve, spec):
+        calls.append(curve.name)
+        return check_curve(curve, spec)
+
+    check_curve = twists.check_curve
+    monkeypatch.setattr(mono, "check_curve", counting)
+    monkeypatch.setattr(twists, "check_curve", counting)
+    w1 = get_entry("W1").factorization
+    assert parse_mono(serialize_mono(w1)) == w1
+    assert sorted(calls) == sorted(c.name for c in w1.curves)
+    assert len(calls) == 23
+
+
+# -- round trip over random factorizations --------------------------------------
+
+NAME = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="#"),
+    min_size=1, max_size=4,
+).filter(lambda name: name.split() == [name])
+
+
+@st.composite
+def curve_data(draw, spec, name):
+    """A valid curve: its word, when it has one, abelianizes to its class."""
+    g = spec.genus
+    kinds = [NONSEP] + [SEP] * (g >= 2) + [BOUNDARY] * (spec.boundary_count > 0)
+    kind = draw(st.sampled_from(kinds))
+    h = draw(st.integers(1, g // 2)) if kind == SEP else None
+    index = draw(st.integers(1, spec.boundary_count)) if kind == BOUNDARY else None
+    coords = [0] * (2 * g)
+    if kind == NONSEP:
+        k = draw(st.integers(0, 2 * g - 1))
+        coords[k] = draw(st.sampled_from((1, -1)))
+        for j in range(2 * g):
+            if j != k:
+                coords[j] = draw(st.integers(-3, 3))
+    gens = [f"{ab}{i}" for i in range(1, g + 1) for ab in "ab"]
+    core = tuple(
+        (gens[j], 1 if c > 0 else -1) for j, c in enumerate(coords) for _ in range(abs(c))
+    )
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    noise = tuple(draw(st.lists(letter, max_size=4)))
+    homology = HomologyClass(tuple(coords)) if draw(st.booleans()) else None
+    word = None
+    if draw(st.booleans()):
+        # with a class the word must abelianize to it; without one, anything goes
+        tail = draw(st.lists(letter, max_size=3)) if homology is None else invert_word(noise)
+        word = noise + core + tuple(tail)
+    return CurveClass(name, kind, h=h, boundary_index=index, homology=homology, word=word)
+
+
+@st.composite
+def factorizations(draw):
+    spec = SurfaceSpec(draw(st.integers(1, 4)), draw(st.integers(0, 2)))
+    names = draw(st.lists(NAME, max_size=4, unique=True))
+    curves = tuple(draw(curve_data(spec, name)) for name in names)
+    letters = ()
+    if curves:
+        letter = st.builds(TwistLetter, st.sampled_from(names), st.sampled_from((1, -1)))
+        letters = tuple(draw(st.lists(letter, max_size=6)))
+    indices = draw(st.permutations(range(1, spec.boundary_count + 1)))
+    indices = indices[: draw(st.integers(0, len(indices)))]
+    target = tuple((i, draw(st.integers(-3, 3))) for i in indices)
+    return Factorization(spec, curves, letters, target)
+
+
+@given(factorizations(), st.none() | st.text(max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_round_trip_random_factorizations(f, comment):
+    parsed = parse_mono(serialize_mono(f, comment=comment))
+    assert parsed == f
+    # the unchecked result is what the checking constructor builds
+    rebuilt = Factorization(parsed.spec, parsed.curves, parsed.letters, parsed.target)
+    assert vars(parsed) == vars(rebuilt)

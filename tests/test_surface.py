@@ -15,6 +15,7 @@ from lefschetz.surface import (
     SurfaceSpec,
     classify_kind_from_word,
     homology_of_word,
+    integer,
     pairing_matrix,
     symplectic_pairing,
 )
@@ -206,6 +207,12 @@ def test_curve_nonsep_requires_primitive_class():
         CurveClass("c", NONSEP, homology=cls(0, 0))
 
 
+@pytest.mark.parametrize("name", ["a b", "a#b", "", "x\ny", "\u2028", None])
+def test_curve_name_must_be_one_mono_token(name):
+    with pytest.raises(ValueError, match=re.escape(f"got {name!r}")):
+        CurveClass(name, NONSEP)
+
+
 def test_curve_separating_must_be_null_homologous():
     CurveClass("d", SEP, h=1, homology=cls(0, 0))
     with pytest.raises(ValueError):
@@ -219,3 +226,17 @@ def test_surface_spec_validation():
         SurfaceSpec(-1)
     assert SurfaceSpec(3, 2).homology_rank == 6
     assert SurfaceSpec(3, 2).capped() == SurfaceSpec(3, 0)
+
+
+# -- integer text ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("-0", 0), ("007", 7), ("-12", -12)])
+def test_integer_reads_ascii_digits(text, value):
+    assert integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0661", " 1", "1 ", "", "-", "1.0", "0x1"])
+def test_integer_rejects_other_text(text):
+    with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {text!r}")):
+        integer(text)
