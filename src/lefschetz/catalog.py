@@ -185,15 +185,9 @@ _W2_WORDS = {
 
 
 def _audit(entry: CatalogEntry) -> CatalogEntry:
-    f = entry.factorization
-    if len(f.letters) != entry.counts.total:
-        raise CatalogError(
-            f"{entry.name}: {len(f.letters)} letters vs declared total "
-            f"{entry.counts.total}"
-        )
-    # Boundary-parallel letters tally as nothing, so with the total check
-    # above they also surface here as a mismatch.
-    tally = letter_counts(f)
+    # Every catalog letter is nonsep or sep (default_kind_for_name), so the
+    # tally counts each one and also checks the letter total.
+    tally = letter_counts(entry.factorization)
     if tally != entry.counts:
         raise CatalogError(
             f"{entry.name}: letter tally ({tally.n}, {tally.s}) vs declared "

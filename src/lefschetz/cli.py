@@ -283,12 +283,13 @@ def _cmd_pi1(args) -> int:
         f, label = _load_mono(source), source
     else:
         f, label = entry.factorization, f"catalog entry {entry.name}"
+    f = cap_boundary(f)  # capped once: the builder below returns it as is
     try:
         presentation = cat.presentation_from_factorization(f)
     except cat.NoWordData as exc:
         raise UsageError(f"{label}: {exc}")
     # one surface relator, then one relator per worded letter curve
-    distinct = {letter.curve for letter in cap_boundary(f).letters}
+    distinct = {letter.curve for letter in f.letters}
     worded = (
         f"{len(presentation.relators) - 1}/{len(distinct)} distinct letter "
         "curves carry words"
@@ -358,7 +359,7 @@ def _cmd_catalog(args) -> int:
     try:
         entry = cat.get_entry(args.name)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])
     if args.action == "export":
         text = serialize_mono(entry.factorization, comment=f"catalog entry {entry.name}")
         _emit(args, {"command": "catalog", "name": entry.name, "mono": text}, text)
@@ -515,14 +516,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def console_entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_entry()

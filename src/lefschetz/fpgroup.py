@@ -24,6 +24,7 @@ Enumeration is single-threaded per call; distinct calls share no state.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -93,12 +94,7 @@ class AbelianInvariants:
 
     @property
     def order(self) -> int | None:
-        if 0 in self.divisors:
-            return None
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
+        return None if 0 in self.divisors else math.prod(self.divisors)
 
 
 def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:

@@ -12,7 +12,8 @@ comment running to the end of the line.  Sections appear in order:
     target (boundary <INT> <INT>)+             # exactly one target line
 
 <INT> is ``-?[0-9]+`` in ASCII digits (no ``+``, no ``_``) and <NAME> is
-any non-empty token without whitespace or ``#``.  ``hom`` takes 2g
+any non-empty token without whitespace or ``#``.  The kind token is the
+kind's name (``surface.NONSEP``, ``SEP``, ``BOUNDARY``).  ``hom`` takes 2g
 integers over the ordered basis a1 b1 a2 b2 ... ag bg.  Word tokens are
 a<k> / b<k> with a ``~`` suffix for inverses; [x,y] expands to the
 commutator x y x~ y~.
@@ -44,13 +45,24 @@ def _int(token: str, line: int, what: str) -> int:
         raise MonoParseError(line, f"{what}: {exc}")
 
 
+# The header directives in order, each with the rule that places it.
+_HEADER = {"genus": "be the first directive", "boundary": "come second, after genus"}
+
+# Curve kinds whose token takes an <INT>: the CurveClass field it fills,
+# its name in messages, and what the kind is said to need.
+_KIND_INT = {
+    SEP: ("h", "separating type", "a type"),
+    BOUNDARY: ("boundary_index", "boundary index", "an index"),
+}
+
+
 def parse_mono(text: str) -> Factorization:
     """Parse a .mono document into a Factorization."""
-    genus: int | None = None
+    header: dict[str, int] = {}
     spec: SurfaceSpec | None = None
     curves: dict[str, CurveClass] = {}
     letters: list[TwistLetter] = []
-    target: Target | None = None
+    target: Target = ()
     stage = "genus"  # genus -> boundary -> curves -> twists -> done
     lineno = 0
 
@@ -61,27 +73,18 @@ def parse_mono(text: str) -> Factorization:
         head, rest = tokens[0], tokens[1:]
         if stage == "done":
             raise MonoParseError(lineno, f"directive {head!r} after target")
-        if head == "genus":
-            if stage != "genus":
-                raise MonoParseError(lineno, "genus must be the first directive")
+        if head in _HEADER:
+            if stage != head:
+                raise MonoParseError(lineno, f"{head} must {_HEADER[head]}")
             if len(rest) != 1:
-                raise MonoParseError(lineno, "usage: genus <INT>")
-            genus = _int(rest[0], lineno, "genus")
-            if genus < 0:
-                raise MonoParseError(lineno, "genus must be >= 0")
-            stage = "boundary"
-        elif head == "boundary":
-            if stage != "boundary":
-                raise MonoParseError(
-                    lineno, "boundary must come second, after genus"
-                )
-            if len(rest) != 1:
-                raise MonoParseError(lineno, "usage: boundary <INT>")
-            boundary = _int(rest[0], lineno, "boundary")
-            if boundary < 0:
-                raise MonoParseError(lineno, "boundary must be >= 0")
-            spec = SurfaceSpec(genus, boundary)
-            stage = "curves"
+                raise MonoParseError(lineno, f"usage: {head} <INT>")
+            value = header[head] = _int(rest[0], lineno, head)
+            if value < 0:
+                raise MonoParseError(lineno, f"{head} must be >= 0")
+            if head == "genus":
+                stage = "boundary"
+            else:
+                stage, spec = "curves", SurfaceSpec(header["genus"], value)
         elif head == "curve":
             if stage != "curves":
                 raise MonoParseError(
@@ -94,7 +97,9 @@ def parse_mono(text: str) -> Factorization:
             curves[curve.name] = curve
         elif head == "twist":
             if stage not in ("curves", "twists"):
-                raise MonoParseError(lineno, "twist lines belong before the target")
+                raise MonoParseError(
+                    lineno, "twist lines belong after the header and before the target"
+                )
             stage = "twists"
             if not rest or len(rest) > 2:
                 raise MonoParseError(lineno, "usage: twist <NAME> [+|-]")
@@ -113,18 +118,15 @@ def parse_mono(text: str) -> Factorization:
             letters.append(TwistLetter(name, sign))
         elif head == "target":
             if stage not in ("curves", "twists"):
-                raise MonoParseError(lineno, "target must follow the twist section")
+                raise MonoParseError(lineno, "target must follow the header")
             target = _parse_target(rest, spec, lineno)
             stage = "done"
         else:
             raise MonoParseError(lineno, f"unknown directive {head!r}")
 
-    if genus is None:
-        raise MonoParseError(lineno + 1, "missing genus directive")
-    if spec is None:
-        raise MonoParseError(lineno + 1, "missing boundary directive")
-    if target is None:
-        raise MonoParseError(lineno + 1, "missing target directive")
+    if stage != "done":  # a header directive or the target never came
+        missing = stage if stage in _HEADER else "target"
+        raise MonoParseError(lineno + 1, f"missing {missing} directive")
     # every line was checked as it was read
     return Factorization._checked(spec, curves, tuple(letters), target)
 
@@ -134,27 +136,17 @@ def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
         raise MonoParseError(
             lineno, "usage: curve <NAME> kind (nonsep | sep <INT> | boundary <INT>) ..."
         )
-    name = rest[0]
-    kind_token = rest[2]
+    name, kind = rest[0], rest[2]
     pos = 3
-    h = None
-    boundary_index = None
-    if kind_token == "nonsep":
-        kind = NONSEP
-    elif kind_token == "sep":
-        kind = SEP
+    fields = {}
+    if kind in _KIND_INT:
+        field, what, needs = _KIND_INT[kind]
         if pos >= len(rest):
-            raise MonoParseError(lineno, "sep needs a type: sep <INT>")
-        h = _int(rest[pos], lineno, "separating type")
+            raise MonoParseError(lineno, f"{kind} needs {needs}: {kind} <INT>")
+        fields[field] = _int(rest[pos], lineno, what)
         pos += 1
-    elif kind_token == "boundary":
-        kind = BOUNDARY
-        if pos >= len(rest):
-            raise MonoParseError(lineno, "boundary needs an index: boundary <INT>")
-        boundary_index = _int(rest[pos], lineno, "boundary index")
-        pos += 1
-    else:
-        raise MonoParseError(lineno, f"unknown curve kind {kind_token!r}")
+    elif kind != NONSEP:
+        raise MonoParseError(lineno, f"unknown curve kind {kind!r}")
 
     homology = None
     if pos < len(rest) and rest[pos] == "hom":
@@ -183,10 +175,7 @@ def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
         )
 
     try:
-        curve = CurveClass(
-            name=name, kind=kind, h=h, boundary_index=boundary_index,
-            homology=homology, word=word,
-        )
+        curve = CurveClass(name, kind, homology=homology, word=word, **fields)
         check_curve(curve, spec)
         return curve
     except ValueError as exc:
@@ -221,13 +210,9 @@ def serialize_mono(f: Factorization, comment: str | None = None) -> str:
     lines.append(f"genus {f.spec.genus}")
     lines.append(f"boundary {f.spec.boundary_count}")
     for curve in f.curves:
-        parts = [f"curve {curve.name} kind"]
-        if curve.kind == NONSEP:
-            parts.append("nonsep")
-        elif curve.kind == SEP:
-            parts.append(f"sep {curve.h}")
-        else:
-            parts.append(f"boundary {curve.boundary_index}")
+        parts = [f"curve {curve.name} kind {curve.kind}"]
+        if curve.kind in _KIND_INT:
+            parts.append(str(getattr(curve, _KIND_INT[curve.kind][0])))
         if curve.homology is not None:
             parts.append("hom " + " ".join(str(c) for c in curve.homology.coords))
         if curve.word is not None:

@@ -83,10 +83,6 @@ class HomologyClass:
         coords[generator_index(name, genus)] = 1
         return cls(tuple(coords))
 
-    @property
-    def genus(self) -> int:
-        return len(self.coords) // 2
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 

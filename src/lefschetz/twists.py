@@ -297,15 +297,13 @@ def verify_homological_relator(
 ) -> VerificationReport:
     """Check the word against the identity in the homology representation.
 
-    Boundary targets are capped first, so the check always compares the
-    letter product with the identity.  When ``hyperelliptic`` is set the
-    twist-count congruence is evaluated as a second necessary condition.
+    Boundary letters act as the identity and tally as nothing, so the
+    check always compares the letter product with the identity, as if the
+    boundary were capped.  When ``hyperelliptic`` is set the twist-count
+    congruence is evaluated as a second necessary condition.
     """
-    capped = cap_boundary(f)
-    counts = letter_counts(capped)
-    matrix_ok = factorization_matrix(capped) == identity_matrix(
-        capped.spec.homology_rank
-    )
+    counts = letter_counts(f)
+    matrix_ok = factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
     congruence_ok = twist_count_congruence(counts) if hyperelliptic else None
     kinds = tuple(
         (letter.curve, f.curve(letter.curve).kind_label()) for letter in f.letters

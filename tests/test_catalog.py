@@ -1,6 +1,7 @@
 import pytest
 
 from lefschetz.catalog import (
+    CatalogError,
     NoWordData,
     default_kind_for_name,
     get_entry,
@@ -154,6 +155,8 @@ def test_default_kind_families():
     assert default_kind_for_name("f") == SEP
     assert default_kind_for_name("C") == SEP
     assert default_kind_for_name("Cpp") == SEP
+    with pytest.raises(CatalogError, match="no kind family for curve name 'q1'"):
+        default_kind_for_name("q1")
 
 
 def test_catalog_loads_are_cached_and_identical():

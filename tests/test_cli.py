@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,9 @@ import pytest
 from lefschetz.cli import main
 from lefschetz.feasibility import REJECT_CHI_H, ConstraintProfile, enumerate_feasible
 
-CLI_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli.json"
+ROOT = Path(__file__).resolve().parents[1]
+CLI_REFS = ROOT / "bench" / "refs" / "cli.json"
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -186,6 +191,14 @@ def test_invariants_ledger_multiplicity_defaults_to_one(capsys):
     assert bare == run(capsys, *argv, "--ledger", "block:-6*1")
 
 
+def test_invariants_s_flag_above_genus_exit_2(capsys):
+    code, out, err = run(
+        capsys, "invariants", "--genus", "4", "--n", "18", "--s3", "1", "--hyperelliptic"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --s3 is out of range for genus 4 (types run 1..2)\n"
+
+
 # -- pi1 ---------------------------------------------------------------------------
 
 
@@ -267,6 +280,13 @@ def test_catalog_show_unknown(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("action", ["show", "export"])
+def test_catalog_unknown_entry_message(capsys, action):
+    assert run(capsys, "catalog", action, "Nope") == (
+        2, "", "error: no catalog entry named 'Nope'\n"
+    )
+
+
 def test_catalog_export_verify_loop(tmp_path, capsys):
     # export then verify must never error for any shipped entry
     for name in ("T", "V2", "V4", "W", "W1", "W2"):
@@ -312,6 +332,19 @@ def test_verify_negative(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "matrix identity  False" in out
+
+
+def test_verify_hyperelliptic_text_has_congruence_line(tmp_path, capsys):
+    path = tmp_path / "t.mono"
+    path.write_text(
+        "genus 1\nboundary 0\n"
+        "curve u kind nonsep hom 1 0\ncurve v kind nonsep hom 0 1\n"
+        + "twist u\ntwist v\n" * 6
+        + "target identity\n"
+    )
+    code, out, _ = run(capsys, "verify", str(path), "--hyperelliptic")
+    assert code == 0
+    assert "\ncongruence       True\n" in out
 
 
 def test_verify_parse_error_exit_2(tmp_path, capsys):
@@ -370,6 +403,16 @@ def test_bad_subcommand_exit_2(capsys):
 
 def test_no_subcommand_exit_2(capsys):
     assert main([]) == 2
+
+
+def test_module_entry_point(capsys):
+    # python -m lefschetz runs __main__.py, the only module entry point
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lefschetz", "catalog", "list", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == run(capsys, "catalog", "list", "--json")[:2]
 
 
 # -- golden replay ------------------------------------------------------------------

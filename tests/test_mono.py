@@ -117,6 +117,42 @@ def test_boundary_curves_and_targets():
             "genus 1\nboundary 0\ncurve c kind nonsep hom 0 0\n",
             "nonzero with coordinate gcd 1",
         ),
+        ("genus 1\ngenus 1\n", "line 2: genus must be the first directive"),
+        ("genus\n", "usage: genus <INT>"),
+        ("genus -1\nboundary 0\n", "genus must be >= 0"),
+        ("genus 1\nboundary 0 1\n", "usage: boundary <INT>"),
+        ("genus 1\nboundary -2\n", "boundary must be >= 0"),
+        (
+            "genus 1\nboundary 0\ncurve c kind nonsep\ntwist c + +\n",
+            r"usage: twist <NAME> \[\+\|-\]",
+        ),
+        (
+            "genus 1\nboundary 0\ncurve c kind nonsep\ntwist c *\n",
+            r"twist sign must be \+ or -, got '\*'",
+        ),
+        ("# empty\n", "line 2: missing genus directive"),
+        ("genus 1\n", "line 2: missing boundary directive"),
+        ("genus 1\nboundary 0\ncurve c kind\n", "usage: curve <NAME> kind"),
+        ("genus 2\nboundary 0\ncurve d kind sep\n", "sep needs a type: sep <INT>"),
+        (
+            "genus 1\nboundary 1\ncurve p kind boundary\n",
+            "boundary needs an index: boundary <INT>",
+        ),
+        (
+            "genus 1\nboundary 0\ncurve c kind nonsep word a1 %\n",
+            "bad generator token '%'",
+        ),
+        (
+            "genus 1\nboundary 0\ncurve c kind nonsep hom 1 0 extra\n",
+            "unexpected trailing tokens 'extra'",
+        ),
+        ("genus 1\nboundary 0\ntarget\n", r"usage: target identity \| target"),
+        ("genus 1\nboundary 1\ntarget delta 1 1\n", "expected 'boundary', got 'delta'"),
+        (
+            "genus 1\ntwist c\n",
+            "line 2: twist lines belong after the header and before the target",
+        ),
+        ("genus 1\ntarget identity\n", "line 2: target must follow the header"),
     ],
 )
 def test_positioned_errors(text, fragment):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz.fpgroup import surface_group, todd_coxeter
-from lefschetz.invariants import LedgerEntry
+from lefschetz.feasibility import ConstraintProfile
+from lefschetz.fpgroup import GroupPresentation, surface_group, todd_coxeter
+from lefschetz.invariants import FiberCounts, LedgerEntry
 from lefschetz.surface import (
     BOUNDARY,
     NONSEP,
@@ -19,7 +20,13 @@ from lefschetz.surface import (
     pairing_matrix,
     symplectic_pairing,
 )
-from lefschetz.twists import Factorization, TwistLetter, twist_matrix
+from lefschetz.twists import (
+    Factorization,
+    TwistLetter,
+    check_curve,
+    hurwitz_move,
+    twist_matrix,
+)
 from lefschetz.words import parse_word
 
 
@@ -92,6 +99,58 @@ NON_INTEGER_CASES = {
 def test_integer_fields_reject_non_integers(case):
     build, bad = NON_INTEGER_CASES[case]
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        build()
+
+
+TWO_LETTERS = Factorization(
+    SurfaceSpec(1), (CurveClass("c", NONSEP),), (TwistLetter("c"),) * 2
+)
+
+# Each builder gets one value or shape that its rule forbids; the
+# ValueError must say which rule.
+REJECTED_VALUE_CASES = {
+    "surface boundary negative": (
+        lambda: SurfaceSpec(1, -1), "boundary_count must be >= 0, got -1"
+    ),
+    "homology odd length": (
+        lambda: cls(1, 0, 1), "homology coordinates must have even length 2g"
+    ),
+    "curve unknown kind": (
+        lambda: CurveClass("c", "funny"), "curve 'c': unknown kind 'funny'"
+    ),
+    "curve h on nonsep": (
+        lambda: CurveClass("c", NONSEP, h=1), "type h only applies to kind sep"
+    ),
+    "curve boundary without index": (
+        lambda: CurveClass("p", BOUNDARY),
+        "boundary-parallel curves need an index >= 1",
+    ),
+    "curve index on nonsep": (
+        lambda: CurveClass("c", NONSEP, boundary_index=1),
+        "boundary index only applies to kind boundary",
+    ),
+    "check_curve rank": (
+        lambda: check_curve(CurveClass("c", NONSEP, homology=cls(1, 0)), SurfaceSpec(2)),
+        "homology rank 2 does not match 2g = 4",
+    ),
+    "hurwitz direction": (
+        lambda: hurwitz_move(TWO_LETTERS, 1, "up"),
+        "direction must be 'right' or 'left', got 'up'",
+    ),
+    "presentation duplicate generator": (
+        lambda: GroupPresentation(("a", "a"), ()), "duplicate generator names"
+    ),
+    "surface group genus 0": (lambda: surface_group(0), "genus must be >= 1, got 0"),
+    "fiber counts genus 0": (lambda: FiberCounts(0, 1), "genus must be >= 1, got 0"),
+    "profile genus 0": (lambda: ConstraintProfile(0, 5), "genus must be >= 1, got 0"),
+    "profile bound 0": (lambda: ConstraintProfile(2, 0), "max_total_fibers must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_VALUE_CASES))
+def test_rejected_values_name_the_rule(case):
+    build, message = REJECTED_VALUE_CASES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
         build()
 
 
