@@ -151,15 +151,15 @@ def _cmd_verify(args) -> int:
 def _cmd_invariants(args) -> int:
     counts = _counts_from_args(args)
     e = euler_characteristic(counts)
+    head = {
+        "command": "invariants",
+        "genus": counts.genus, "n": counts.n, "s": list(counts.s), "e": e,
+    }
     routes: dict[str, int] = {}
     if args.hyperelliptic:
         sigma, integral = hyperelliptic_signature(counts)
         if not integral:
-            doc = {
-                "command": "invariants",
-                "genus": counts.genus, "n": counts.n, "s": list(counts.s),
-                "e": e, "sigma": str(sigma), "sigma_integral": False,
-            }
+            doc = {**head, "sigma": str(sigma), "sigma_integral": False}
             _emit(args, doc,
                   f"e      {e}\nsigma  {sigma} (not an integer: these counts "
                   "cannot arise from a hyperelliptic fibration)")
@@ -181,9 +181,7 @@ def _cmd_invariants(args) -> int:
     sigma = next(iter(routes.values()))
     report = chi_and_betti(e, sigma)
     doc = {
-        "command": "invariants",
-        "genus": counts.genus, "n": counts.n, "s": list(counts.s),
-        "e": report.e,
+        **head,
         "sigma": report.sigma,
         "sigma_route": sorted(routes),
         "chi_h": str(report.chi_h),

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .surface import exact_ints
-from .words import Word, free_reduce, parse_word
+from .words import Word, exponent_sums, free_reduce, parse_word
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,8 @@ def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
 
 def abelianization(p: GroupPresentation) -> AbelianInvariants:
     """Divisor chain of the cokernel of the relator exponent matrix."""
-    index = {name: k for k, name in enumerate(p.generators)}
-    rows = []
-    for relator in p.relators:
-        row = [0] * len(p.generators)
-        for name, sign in relator:
-            row[index[name]] += sign
-        rows.append(row)
+    sums = map(exponent_sums, p.relators)
+    rows = [[row.get(name, 0) for name in p.generators] for row in sums]
     diagonal = _smith_diagonal(rows, len(p.generators))
     torsion = tuple(d for d in diagonal if d > 1)
     free_rank = len(p.generators) - len(diagonal)
@@ -287,8 +282,14 @@ class _CosetTable:
                 return
             self.define(f, word[i])
 
-    def is_alive(self, k: int) -> bool:
-        return self.p[k] == k
+    def scan_relators(self, alpha: int, relators, fill: bool) -> bool:
+        """Scan each relator at coset alpha while it lives; whether it still does."""
+        p = self.p
+        for relator in relators:
+            if p[alpha] != alpha:
+                return False
+            self.scan(alpha, relator, fill)
+        return p[alpha] == alpha
 
 
 def _relator_columns(p: GroupPresentation) -> list[tuple[int, ...]]:
@@ -322,17 +323,8 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
 
     alpha = 0
     while alpha < len(table.table):
-        if not table.is_alive(alpha):
-            alpha += 1
-            continue
         try:
-            dead = False
-            for relator in relators:
-                table.scan(alpha, relator, fill=True)
-                if not table.is_alive(alpha):
-                    dead = True
-                    break
-            if not dead:
+            if table.scan_relators(alpha, relators, fill=True):
                 row = table.table[alpha]
                 for x in range(table.ncols):
                     if row[x] is None:
@@ -340,11 +332,7 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
         except _TableFull:
             before = table.live
             for gamma in range(len(table.table)):
-                if table.is_alive(gamma):
-                    for relator in relators:
-                        table.scan(gamma, relator, fill=False)
-                        if not table.is_alive(gamma):
-                            break
+                table.scan_relators(gamma, relators, fill=False)
             if table.live >= before or table.live >= max_cosets:
                 return EnumerationResult(
                     order=None,

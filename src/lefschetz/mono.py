@@ -24,7 +24,7 @@ MonoParseError carrying the offending line number.
 
 from __future__ import annotations
 
-from .surface import BOUNDARY, NONSEP, SEP, CurveClass, HomologyClass, SurfaceSpec
+from .surface import KIND_INT, NONSEP, CurveClass, HomologyClass, SurfaceSpec
 from .surface import integer
 from .twists import Factorization, Target, TwistLetter, check_curve, check_target
 from .words import WordSyntaxError, format_word, parse_word
@@ -47,13 +47,6 @@ def _int(token: str, line: int, what: str) -> int:
 
 # The header directives in order, each with the rule that places it.
 _HEADER = {"genus": "be the first directive", "boundary": "come second, after genus"}
-
-# Curve kinds whose token takes an <INT>: the CurveClass field it fills,
-# its name in messages, and what the kind is said to need.
-_KIND_INT = {
-    SEP: ("h", "separating type", "a type"),
-    BOUNDARY: ("boundary_index", "boundary index", "an index"),
-}
 
 
 def parse_mono(text: str) -> Factorization:
@@ -139,11 +132,11 @@ def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
     name, kind = rest[0], rest[2]
     pos = 3
     fields = {}
-    if kind in _KIND_INT:
-        field, what, needs = _KIND_INT[kind]
+    if kind in KIND_INT:
+        field, noun, _top = KIND_INT[kind]
         if pos >= len(rest):
-            raise MonoParseError(lineno, f"{kind} needs {needs}: {kind} <INT>")
-        fields[field] = _int(rest[pos], lineno, what)
+            raise MonoParseError(lineno, f"{kind} needs a {noun}: {kind} <INT>")
+        fields[field] = _int(rest[pos], lineno, noun)
         pos += 1
     elif kind != NONSEP:
         raise MonoParseError(lineno, f"unknown curve kind {kind!r}")
@@ -211,8 +204,8 @@ def serialize_mono(f: Factorization, comment: str | None = None) -> str:
     lines.append(f"boundary {f.spec.boundary_count}")
     for curve in f.curves:
         parts = [f"curve {curve.name} kind {curve.kind}"]
-        if curve.kind in _KIND_INT:
-            parts.append(str(getattr(curve, _KIND_INT[curve.kind][0])))
+        if curve.kind in KIND_INT:
+            parts.append(str(getattr(curve, KIND_INT[curve.kind][0])))
         if curve.homology is not None:
             parts.append("hom " + " ".join(str(c) for c in curve.homology.coords))
         if curve.word is not None:

@@ -32,6 +32,13 @@ NONSEP = "nonsep"
 SEP = "sep"
 BOUNDARY = "boundary"
 
+# Curve kinds that carry an integer: the CurveClass field holding it, its
+# noun in messages, and its largest value on a SurfaceSpec (the least is 1).
+KIND_INT = {
+    SEP: ("h", "separating type", lambda spec: spec.genus // 2),
+    BOUNDARY: ("boundary_index", "boundary index", lambda spec: spec.boundary_count),
+}
+
 _GENERATOR = re.compile(r"([ab])([1-9][0-9]*)\Z")
 
 
@@ -195,29 +202,22 @@ class CurveClass:
             raise ValueError(
                 f"curve name must be non-empty with no whitespace or '#', got {name!r}"
             )
-        for field in ("h", "boundary_index"):
+        if self.kind not in (NONSEP, *KIND_INT):
+            raise ValueError(f"curve {self.name!r}: unknown kind {self.kind!r}")
+        for kind, (field, noun, _top) in KIND_INT.items():
             value = getattr(self, field)
             if value is not None:
                 (value,) = exact_ints((value,), f"curve {self.name!r}: {field} values")
                 object.__setattr__(self, field, value)
-        if self.kind not in (NONSEP, SEP, BOUNDARY):
-            raise ValueError(f"curve {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == SEP:
-            if self.h is None or self.h < 1:
+            if kind != self.kind:
+                if value is not None:
+                    raise ValueError(
+                        f"curve {self.name!r}: {noun} only applies to kind {kind}"
+                    )
+            elif value is None or value < 1:
                 raise ValueError(
-                    f"curve {self.name!r}: separating curves need a type h >= 1"
+                    f"curve {self.name!r}: {kind} curves need a {noun} >= 1"
                 )
-        elif self.h is not None:
-            raise ValueError(f"curve {self.name!r}: type h only applies to kind sep")
-        if self.kind == BOUNDARY:
-            if self.boundary_index is None or self.boundary_index < 1:
-                raise ValueError(
-                    f"curve {self.name!r}: boundary-parallel curves need an index >= 1"
-                )
-        elif self.boundary_index is not None:
-            raise ValueError(
-                f"curve {self.name!r}: boundary index only applies to kind boundary"
-            )
         if self.homology is not None:
             if self.kind == NONSEP:
                 if not self.homology.is_primitive():
@@ -231,8 +231,6 @@ class CurveClass:
                 )
 
     def kind_label(self) -> str:
-        if self.kind == SEP:
-            return f"sep({self.h})"
-        if self.kind == BOUNDARY:
-            return f"boundary({self.boundary_index})"
-        return "nonsep"
+        if self.kind in KIND_INT:
+            return f"{self.kind}({getattr(self, KIND_INT[self.kind][0])})"
+        return self.kind

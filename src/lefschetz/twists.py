@@ -31,12 +31,14 @@ from dataclasses import dataclass, replace
 from .invariants import FiberCounts, twist_count_congruence
 from .surface import (
     BOUNDARY,
+    KIND_INT,
     NONSEP,
     SEP,
     CurveClass,
     HomologyClass,
     SurfaceSpec,
     exact_ints,
+    generator_index,
     homology_of_word,
     pair_coords,
 )
@@ -127,28 +129,28 @@ def check_curve(curve: CurveClass, spec: SurfaceSpec) -> None:
     abelianization of the word.
     """
     g = spec.genus
-    if curve.kind == SEP and curve.h > g // 2:
-        raise ValueError(
-            f"curve {curve.name!r}: separating type {curve.h} out of range "
-            f"1..{g // 2} for genus {g}"
-        )
-    if curve.kind == BOUNDARY and curve.boundary_index > spec.boundary_count:
-        raise ValueError(
-            f"curve {curve.name!r}: boundary index {curve.boundary_index} "
-            f"out of range 1..{spec.boundary_count}"
-        )
+    if curve.kind in KIND_INT:
+        field, noun, top = KIND_INT[curve.kind]
+        value = getattr(curve, field)
+        if value > top(spec):
+            raise ValueError(
+                f"curve {curve.name!r}: {noun} {value} out of range 1..{top(spec)}"
+            )
     if curve.homology is not None and len(curve.homology.coords) != 2 * g:
         raise ValueError(
             f"curve {curve.name!r}: homology rank "
             f"{len(curve.homology.coords)} does not match 2g = {2 * g}"
         )
-    if curve.word is not None:
-        abelianized = homology_of_word(curve.word, spec.capped())
-        if curve.homology is not None and curve.homology != abelianized:
-            raise ValueError(
-                f"curve {curve.name!r}: homology does not match the "
-                "abelianization of its word"
-            )
+    if curve.word is None:
+        return
+    if curve.homology is None:  # letters only: no 2g-entry vector to build
+        for name, _sign in curve.word:
+            generator_index(name, g)
+    elif curve.homology != homology_of_word(curve.word, spec):
+        raise ValueError(
+            f"curve {curve.name!r}: homology does not match the "
+            "abelianization of its word"
+        )
 
 
 def check_target(target: Target, spec: SurfaceSpec) -> Target:

@@ -128,6 +128,18 @@ def test_invariants_nonintegral_sigma(capsys):
     assert "not an integer" in out
 
 
+def test_invariants_nonintegral_sigma_json_bytes(capsys):
+    code, out, err = run(
+        capsys, "invariants", "--genus", "2", "--n", "7", "--hyperelliptic", "--json"
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        '{\n  "command": "invariants",\n  "genus": 2,\n  "n": 7,\n'
+        '  "s": [\n    0\n  ],\n  "e": 3,\n  "sigma": "-21/5",\n'
+        '  "sigma_integral": false\n}\n'
+    )
+
+
 def test_invariants_agreeing_routes(capsys):
     code, out, _ = run(
         capsys, "invariants", "--genus", "3", "--n", "12", "--s1", "6",

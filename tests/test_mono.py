@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,10 +135,13 @@ def test_boundary_curves_and_targets():
         ("# empty\n", "line 2: missing genus directive"),
         ("genus 1\n", "line 2: missing boundary directive"),
         ("genus 1\nboundary 0\ncurve c kind\n", "usage: curve <NAME> kind"),
-        ("genus 2\nboundary 0\ncurve d kind sep\n", "sep needs a type: sep <INT>"),
+        (
+            "genus 2\nboundary 0\ncurve d kind sep\n",
+            "sep needs a separating type: sep <INT>",
+        ),
         (
             "genus 1\nboundary 1\ncurve p kind boundary\n",
-            "boundary needs an index: boundary <INT>",
+            "boundary needs a boundary index: boundary <INT>",
         ),
         (
             "genus 1\nboundary 0\ncurve c kind nonsep word a1 %\n",
@@ -230,6 +235,20 @@ def test_parse_checks_each_curve_once(monkeypatch):
     assert parse_mono(serialize_mono(w1)) == w1
     assert sorted(calls) == sorted(c.name for c in w1.curves)
     assert len(calls) == 23
+
+
+def test_worded_curve_without_class_does_not_grow_with_genus():
+    # A curve with a word but no class has nothing to compare, so its
+    # check must not build a 2g-entry abelianization.
+    text = "genus 1000000\nboundary 0\ncurve c kind nonsep word a1\ntarget identity\n"
+    tracemalloc.start()
+    try:
+        f = parse_mono(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.curve("c").word == (("a1", 1),)
+    assert peak < 2**20
 
 
 # -- round trip over random factorizations --------------------------------------

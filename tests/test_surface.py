@@ -119,15 +119,30 @@ REJECTED_VALUE_CASES = {
         lambda: CurveClass("c", "funny"), "curve 'c': unknown kind 'funny'"
     ),
     "curve h on nonsep": (
-        lambda: CurveClass("c", NONSEP, h=1), "type h only applies to kind sep"
+        lambda: CurveClass("c", NONSEP, h=1),
+        "curve 'c': separating type only applies to kind sep",
+    ),
+    "curve sep without type": (
+        lambda: CurveClass("d", SEP),
+        "curve 'd': sep curves need a separating type >= 1",
     ),
     "curve boundary without index": (
         lambda: CurveClass("p", BOUNDARY),
-        "boundary-parallel curves need an index >= 1",
+        "curve 'p': boundary curves need a boundary index >= 1",
     ),
     "curve index on nonsep": (
         lambda: CurveClass("c", NONSEP, boundary_index=1),
         "boundary index only applies to kind boundary",
+    ),
+    "check_curve sep range": (
+        lambda: check_curve(CurveClass("d", SEP, h=3), SurfaceSpec(4)),
+        "curve 'd': separating type 3 out of range 1..2",
+    ),
+    "check_curve boundary range": (
+        lambda: check_curve(
+            CurveClass("p", BOUNDARY, boundary_index=2), SurfaceSpec(1, 1)
+        ),
+        "curve 'p': boundary index 2 out of range 1..1",
     ),
     "check_curve rank": (
         lambda: check_curve(CurveClass("c", NONSEP, homology=cls(1, 0)), SurfaceSpec(2)),
