@@ -286,12 +286,9 @@ def _cmd_pi1(args) -> int:
         presentation = cat.presentation_from_factorization(f)
     except cat.NoWordData as exc:
         raise UsageError(f"{label}: {exc}")
-    # one surface relator, then one relator per worded letter curve
     distinct = {letter.curve for letter in f.letters}
-    worded = (
-        f"{len(presentation.relators) - 1}/{len(distinct)} distinct letter "
-        "curves carry words"
-    )
+    carried = sum(f.curve(name).word is not None for name in distinct)
+    worded = f"{carried}/{len(distinct)} distinct letter curves carry words"
 
     result = todd_coxeter(presentation, max_cosets=args.max_cosets)
     invariants = abelianization(presentation)

@@ -7,7 +7,8 @@ ch. 5 for the textbook formulation).  The strategy is frozen so results
 and coset counts are reproducible:
 
 * cosets are defined at the leftmost undefined position of the current
-  relator scan, relators processed in presentation order;
+  relator scan, relators processed in presentation order; a scan resumes
+  its forward and backward paths after each definition;
 * after relator scans, remaining row entries are filled in alphabet
   order (g1, g1^-1, g2, ...);
 * coincidences merge toward the smaller coset number;
@@ -15,9 +16,9 @@ and coset counts are reproducible:
   relator at every live coset without defining; enumeration resumes
   only if the pass freed space.
 
-Abelianization runs an integer Smith normal form with exact big-integer
-arithmetic, pivoting on the entry of smallest nonzero absolute value to
-bound coefficient growth.
+Abelianization takes the integer Smith normal form in exact arithmetic:
+pivot on an entry of least absolute value, clear its row and column,
+then sort the diagonal into a divisor chain by pairwise gcd/lcm swaps.
 
 Enumeration is single-threaded per call; distinct calls share no state.
 """
@@ -55,6 +56,7 @@ def surface_group(g: int) -> GroupPresentation:
     The single relator is the chain form
     bg~ ... b1~ (a1 b1 a1~)(a2 b2 a2~) ... (ag bg ag~).
     """
+    (g,) = exact_ints((g,), "genus")
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     head = " ".join(f"b{i}~" for i in range(g, 0, -1))
@@ -97,64 +99,49 @@ class AbelianInvariants:
         return None if 0 in self.divisors else math.prod(self.divisors)
 
 
-def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
-    """Positive diagonal d1 | d2 | ... of the Smith normal form."""
+def _smith_diagonal(rows: list[list[int]]) -> list[int]:
+    """Positive diagonal d1 | d2 | ... of the Smith normal form.
+
+    A remainder left by clearing is smaller than its pivot, so it becomes
+    a later pivot and the rounds end.  diag(a, b) and diag(gcd, lcm) have
+    the same cokernel and the Smith form is unique, so the swaps give it.
+    """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    t = 0
-    while t < nrows and t < ncols:
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, nrows):
-                row = m[i]
-                for j in range(t, ncols):
-                    v = abs(row[j])
-                    if v and (best is None or v < best):
-                        best, pivot = v, (i, j)
-            if pivot is None:
-                return [m[i][i] for i in range(t)]
-            i0, j0 = pivot
-            m[t], m[i0] = m[i0], m[t]
-            if j0 != t:
+    diagonal = []
+    while True:
+        nonzero = [
+            (abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v
+        ]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        pivot = m[i][j]
+        for k, row in enumerate(m):
+            q = row[j] // pivot
+            if q and k != i:
+                m[k] = [a - q * b for a, b in zip(row, m[i])]
+        for col, v in enumerate(m[i]):
+            q = v // pivot
+            if q and col != j:
                 for row in m:
-                    row[t], row[j0] = row[j0], row[t]
-            if m[t][t] < 0:
-                m[t] = [-v for v in m[t]]
-            d = m[t][t]
-            for i in range(t + 1, nrows):
-                q = m[i][t] // d
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-            if any(m[i][t] for i in range(t + 1, nrows)):
-                continue  # a remainder smaller than the pivot appeared
-            for j in range(t + 1, ncols):
-                q = m[t][j] // d
-                if q:
-                    for i in range(t, nrows):
-                        m[i][j] -= q * m[i][t]
-            if any(m[t][j] for j in range(t + 1, ncols)):
-                continue
-            violation = next(
-                (
-                    i
-                    for i in range(t + 1, nrows)
-                    if any(m[i][j] % d for j in range(t + 1, ncols))
-                ),
-                None,
-            )
-            if violation is None:
-                break
-            m[t] = [a + b for a, b in zip(m[t], m[violation])]
-        t += 1
-    return [m[i][i] for i in range(t)]
+                    row[col] -= q * row[j]
+        if sum(map(bool, m[i])) == 1 and sum(bool(row[j]) for row in m) == 1:
+            diagonal.append(abs(pivot))
+            del m[i]
+            for row in m:
+                del row[j]
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            d = math.gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = d, diagonal[a] * diagonal[b] // d
+    return diagonal
 
 
 def abelianization(p: GroupPresentation) -> AbelianInvariants:
     """Divisor chain of the cokernel of the relator exponent matrix."""
     sums = map(exponent_sums, p.relators)
     rows = [[row.get(name, 0) for name in p.generators] for row in sums]
-    diagonal = _smith_diagonal(rows, len(p.generators))
+    diagonal = _smith_diagonal(rows)
     torsion = tuple(d for d in diagonal if d > 1)
     free_rank = len(p.generators) - len(diagonal)
     return AbelianInvariants(torsion + (0,) * free_rank)
@@ -253,30 +240,28 @@ class _CosetTable:
                     self.table[nu][x ^ 1] = mu
 
     def scan(self, alpha: int, word: tuple[int, ...], fill: bool) -> None:
-        """Scan ``word`` at coset alpha; with fill, define cosets at gaps."""
+        """Scan ``word`` at coset alpha; with fill, define cosets at gaps.
+
+        f is alpha word[:i] and b is alpha word[j+1:]^-1.  A ``define`` only
+        adds entries, so each pass resumes both paths where the last stopped.
+        """
+        table = self.table
+        f, i, b, j = alpha, 0, alpha, len(word) - 1
         while True:
-            f = alpha
-            i = 0
-            j = len(word) - 1
-            while i <= j and self.table[f][word[i]] is not None:
-                f = self.table[f][word[i]]
+            while i <= j and table[f][word[i]] is not None:
+                f = table[f][word[i]]
                 i += 1
-            if i > j:
-                # complete forward scan; the relator must fix alpha
-                if f != alpha:
-                    self.coincidence(f, alpha)
-                return
-            b = alpha
-            while j >= i and self.table[b][word[j] ^ 1] is not None:
-                b = self.table[b][word[j] ^ 1]
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
                 j -= 1
             if j < i:
-                self.coincidence(f, b)
+                if f != b:
+                    self.coincidence(f, b)
                 return
             if i == j:
                 # deduction: one gap closes without a new coset
-                self.table[f][word[i]] = b
-                self.table[b][word[i] ^ 1] = f
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
                 return
             if not fill:
                 return
@@ -293,18 +278,12 @@ class _CosetTable:
 
 
 def _relator_columns(p: GroupPresentation) -> list[tuple[int, ...]]:
-    index = {name: k for k, name in enumerate(p.generators)}
-    relators = []
-    for relator in p.relators:
-        reduced = free_reduce(relator)
-        if reduced:
-            relators.append(
-                tuple(
-                    2 * index[name] + (0 if sign > 0 else 1)
-                    for name, sign in reduced
-                )
-            )
-    return relators
+    column = {name: 2 * k for k, name in enumerate(p.generators)}
+    return [
+        tuple(column[name] + (sign < 0) for name, sign in reduced)
+        for reduced in map(free_reduce, p.relators)
+        if reduced
+    ]
 
 
 def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationResult:

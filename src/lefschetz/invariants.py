@@ -201,6 +201,7 @@ def signature_bound_check(c: FiberCounts, sigma: int, b1: int = 0) -> bool:
 
 def min_nonseparating_bound(g: int) -> int:
     """Least possible n for a fibration on a simply-connected 4-manifold: 4g."""
+    (g,) = exact_ints((g,), "genus")
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     return 4 * g

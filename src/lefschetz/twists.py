@@ -250,16 +250,22 @@ def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
 def factorization_matrix(f: Factorization) -> Matrix:
     """Product of the letter transvections in composition order.
 
-    Letter classes are resolved left to right first, so MissingHomology
-    names the leftmost letter without one.  Boundary targets play no role
-    here: boundary twists are homologically trivial after capping, so the
-    product is compared against the identity regardless of target.
+    Boundary targets play no role here: boundary twists are homologically
+    trivial after capping, so the product is compared against the identity
+    regardless of target.
     """
-    twists = [
-        (effective_class(f.curve(letter.curve), f.spec).coords, letter.sign)
+    return _twist_product(f.spec.homology_rank, _nonsep_twists(f))
+
+
+def _nonsep_twists(f: Factorization) -> list[tuple[tuple[int, ...], int]]:
+    """(class, sign) of each nonseparating letter, left to right, so
+    MissingHomology names the leftmost one without a class.  The other
+    letters act trivially and are skipped before any vector is built."""
+    return [
+        (effective_class(curve, f.spec).coords, letter.sign)
         for letter in f.letters
+        if (curve := f.curve(letter.curve)).kind == NONSEP
     ]
-    return _twist_product(f.spec.homology_rank, twists)
 
 
 # -- verification ----------------------------------------------------------
@@ -303,9 +309,19 @@ def verify_homological_relator(
     check always compares the letter product with the identity, as if the
     boundary were capped.  When ``hyperelliptic`` is set the twist-count
     congruence is evaluated as a second necessary condition.
+
+    A twist moves only the handles its class touches, so the product is
+    compared with the identity on the touched handles alone: the cost
+    follows the letters, not the square of the genus.
     """
     counts = letter_counts(f)
-    matrix_ok = factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
+    twists = _nonsep_twists(f)
+    classes = {a for a, _ in twists}
+    handles = sorted({i // 2 for a in classes for i, x in enumerate(a) if x})
+    keep = [k for h in handles for k in (2 * h, 2 * h + 1)]
+    if len(keep) < f.spec.homology_rank:
+        twists = [(tuple(a[k] for k in keep), sign) for a, sign in twists]
+    matrix_ok = _twist_product(len(keep), twists) == identity_matrix(len(keep))
     congruence_ok = twist_count_congruence(counts) if hyperelliptic else None
     kinds = tuple(
         (letter.curve, f.curve(letter.curve).kind_label()) for letter in f.letters

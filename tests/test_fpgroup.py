@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz.catalog import pi1_presentation
 from lefschetz.fpgroup import (
     AbelianInvariants,
     GroupPresentation,
@@ -101,8 +102,8 @@ def _sympy_divisors(rows, ncols):
 
 
 @given(
-    st.integers(1, 4),
-    st.integers(0, 5),
+    st.integers(1, 6),
+    st.integers(0, 7),
     st.data(),
 )
 @settings(max_examples=120, deadline=None)
@@ -111,7 +112,7 @@ def test_smith_form_against_sympy(ncols, nrows, data):
         [data.draw(st.integers(-12, 12)) for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    diagonal = _smith_diagonal([list(r) for r in rows], ncols)
+    diagonal = _smith_diagonal([list(r) for r in rows])
     # chain property
     for a, b in zip(diagonal, diagonal[1:]):
         assert a > 0 and b % a == 0
@@ -208,3 +209,50 @@ def test_abelian_invariants_order_helper():
     assert AbelianInvariants((2, 4)).order == 8
     assert AbelianInvariants((0,)).order is None
     assert AbelianInvariants(()).order == 1
+
+
+def coxeter(n):
+    """The Coxeter presentation of S_n on generators s1..s(n-1)."""
+    names = [f"s{i}" for i in range(1, n)]
+    relators = [f"{x} {x}" for x in names]
+    relators += [f"{x} {y} {x} {y} {x} {y}" for x, y in zip(names, names[1:])]
+    relators += [
+        f"{x} {y} {x} {y}" for i, x in enumerate(names) for y in names[i + 2:]
+    ]
+    return pres(" ".join(names), *relators)
+
+
+PRESENTATIONS = {
+    "W1": lambda: pi1_presentation("W1"),
+    "W2": lambda: pi1_presentation("W2"),
+    **{f"S{n}": (lambda n=n: coxeter(n)) for n in range(4, 8)},
+    "surface1": lambda: surface_group(1),
+}
+
+# Exact (order, cosets_defined) of the frozen HLT strategy.  Every row
+# whose limit is below its cosets_defined hits the limit and runs
+# lookahead; a change to scanning, filling or lookahead moves some of
+# these counts.
+PINNED_ENUMERATIONS = [
+    ("W1", 50, 1, 91),
+    ("W1", 100, 1, 140),
+    ("W1", 150, 1, 242),
+    ("W1", 10**6, 1, 422),
+    ("W2", 50, 1, 74),
+    ("W2", 100, 1, 105),
+    ("W2", 150, 1, 161),
+    ("W2", 10**6, 1, 300),
+    ("S4", 10**6, 24, 35),
+    ("S5", 10**6, 120, 220),
+    ("S6", 10**6, 720, 1513),
+    ("S7", 10**6, 5040, 12145),
+    ("S5", 50, None, 62),
+    ("S6", 200, None, 281),
+    ("surface1", 2 * 10**3, None, 2351),
+]
+
+
+@pytest.mark.parametrize("name,limit,order,defined", PINNED_ENUMERATIONS)
+def test_pinned_coset_counts(name, limit, order, defined):
+    result = todd_coxeter(PRESENTATIONS[name](), limit)
+    assert (result.order, result.cosets_defined) == (order, defined)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lefschetz.feasibility import ConstraintProfile
 from lefschetz.fpgroup import GroupPresentation, surface_group, todd_coxeter
-from lefschetz.invariants import FiberCounts, LedgerEntry
+from lefschetz.invariants import FiberCounts, LedgerEntry, min_nonseparating_bound
 from lefschetz.surface import (
     BOUNDARY,
     NONSEP,
@@ -92,6 +92,8 @@ NON_INTEGER_CASES = {
     "ledger multiplicity": (lambda: LedgerEntry("mats", 1.5), 1.5),
     "ledger value": (lambda: LedgerEntry("block", 1, value=-6.0), -6.0),
     "coset limit": (lambda: todd_coxeter(surface_group(1), 10.5), 10.5),
+    "surface group genus": (lambda: surface_group(2.0), 2.0),
+    "n lower bound genus": (lambda: min_nonseparating_bound(2.5), 2.5),
 }
 
 

@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lefschetz.invariants import FiberCounts
+from lefschetz.mono import parse_mono
 from lefschetz.surface import (
     BOUNDARY,
     NONSEP,
@@ -192,9 +195,12 @@ def test_missing_homology_error_names_curve():
         CurveClass("late", NONSEP),
     )
     letters = tuple(TwistLetter(n) for n in ("ta", "early", "ta", "late"))
+    f = Factorization(SurfaceSpec(1), curves, letters)
     with pytest.raises(MissingHomology, match="'early'") as info:
-        factorization_matrix(Factorization(SurfaceSpec(1), curves, letters))
+        factorization_matrix(f)
     assert info.value.curve_name == "early"
+    with pytest.raises(MissingHomology, match="'early'"):
+        verify_homological_relator(f)
 
 
 def sparse_primitive_classes(genus):
@@ -284,6 +290,32 @@ def test_verify_caps_boundary_targets():
     )
     # capping ignores the boundary target and checks the letter product
     assert verify_homological_relator(f).matrix_ok
+
+
+@given(mixed_words(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_verify_matches_full_matrix(f, closed):
+    # verify compares only the touched handles; w w^-1 makes both outcomes
+    # occur.  Boundary letters alone make no fibration, which verify rejects.
+    assume(any(f.curve(t.curve).kind != BOUNDARY for t in f.letters))
+    if closed:
+        inverse = tuple(TwistLetter(t.curve, -t.sign) for t in reversed(f.letters))
+        f = replace(f, letters=f.letters + inverse)
+    full = factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
+    assert verify_homological_relator(f).matrix_ok == full
+
+
+def test_verify_does_not_grow_with_genus():
+    # one separating letter at genus 500: nothing to multiply, no 2g x 2g matrix
+    f = parse_mono("genus 500\nboundary 0\ncurve d kind sep 1\ntwist d\ntarget identity\n")
+    tracemalloc.start()
+    try:
+        report = verify_homological_relator(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.matrix_ok
+    assert peak < 2**20
 
 
 def test_verify_hyperelliptic_congruence_flag():
