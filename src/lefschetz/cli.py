@@ -16,7 +16,12 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .feasibility import ConstraintProfile, enumerate_feasible, min_fiber_bounds
+from .feasibility import (
+    ConstraintProfile,
+    enumerate_feasible,
+    min_fiber_bounds,
+    row_count,
+)
 from .fpgroup import abelianization, todd_coxeter
 from .invariants import (
     FiberCounts,
@@ -41,6 +46,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 _MAX_S_FLAGS = 8  # supports genus up to 17
+ENUMERATE_WARN_ROWS = 10**6  # above this many rows, enumerate warns first
 
 
 def _emit(args, document: dict, human: str) -> None:
@@ -129,7 +135,9 @@ def _cmd_verify(args) -> int:
         "matrix_ok": report.matrix_ok,
         "congruence_ok": report.congruence_ok,
         "all_positive": report.all_positive,
-        "counts": {"genus": counts.genus, "n": counts.n, "s": list(counts.s)},
+        "counts": None if counts is None else {
+            "genus": counts.genus, "n": counts.n, "s": list(counts.s)
+        },
         "letters": [
             {"name": name, "kind": kind} for name, kind in report.letter_kinds
         ],
@@ -137,7 +145,8 @@ def _cmd_verify(args) -> int:
     }
     lines = [
         f"letters          {len(report.letter_kinds)}",
-        f"counts           genus {counts.genus}, n = {counts.n}, s = {counts.s}",
+        "counts           none (no fiber letters)" if counts is None
+        else f"counts           genus {counts.genus}, n = {counts.n}, s = {counts.s}",
         f"all positive     {report.all_positive}",
         f"matrix identity  {report.matrix_ok}",
     ]
@@ -228,6 +237,13 @@ def _cmd_enumerate(args) -> int:
     profile = ConstraintProfile(
         genus=args.genus, max_total_fibers=args.max_fibers, hyperelliptic=True
     )
+    expected = row_count(profile)
+    if expected > ENUMERATE_WARN_ROWS:
+        print(
+            f"warning: evaluating {expected:,} count vectors "
+            f"(more than {ENUMERATE_WARN_ROWS:,}); this may take minutes",
+            file=sys.stderr,
+        )
     rows = enumerate_feasible(profile)
     admitted = [r for r in rows if r.admitted]
     pre_chi = [r for r in rows if r.pre_chi_survivor]

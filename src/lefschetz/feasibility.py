@@ -24,12 +24,17 @@ meaningful; the operations below therefore require a hyperelliptic
 profile and the nonhyperelliptic lower bounds in ``min_fiber_bounds``
 use n >= 4g directly.
 
-One integer kernel, ``_verdict``, decides every row for both
-``check_counts`` and ``enumerate_feasible``; a row's ``Fraction`` values
-(sigma, chi_h) come from the closed forms in ``invariants`` when read.
-The enumerator steps n upwards and, for each n, the compositions s with
-sum(s) <= max_total_fibers - 1 - n in lexicographic order, so it visits
-only the rows it returns.
+One integer kernel, ``_verdict``, decides every row for
+``check_counts``, ``enumerate_feasible`` and the hyperelliptic floor; it
+takes the s-only sums from ``_s_terms`` and adds the parts that depend on
+n.  A row's ``Fraction`` values (sigma, chi_h) come from the closed forms
+in ``invariants`` when read.  The enumerator builds the compositions s
+with sum(s) <= max_total_fibers - 1, in lexicographic order and each with
+its s-only sums, once per call; stepping n upwards it drops those with
+sum(s) > max_total_fibers - 1 - n, which keeps the order.  Rows are built
+without re-validation (``FiberCounts._trusted``): every count is an exact
+int from ``range``, s has width floor(g/2), and the trivial vector at
+n = 0 is skipped, so each check of ``FiberCounts`` holds by construction.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from math import comb
 
 from .invariants import (
     FiberCounts,
@@ -117,22 +122,30 @@ def _require_hyperelliptic(p: ConstraintProfile) -> None:
         )
 
 
-def _verdict(g: int, n: int, s: tuple[int, ...], bound: int) -> str:
-    """The first failing stage for (n, s) at genus g below ``bound``, in integers."""
-    s_total = sum(s)
+def _s_terms(g: int, s: tuple[int, ...]) -> tuple[int, int, int]:
+    """The s-only parts of the chain at genus g: sum(s), the congruence
+    weight sum_h 2h(4h+2) s_h and the signature part sum_h (4h(g-h) - q) s_h."""
+    q = 2 * g + 1
+    weighted = sigma_q = 0
+    for h, count in enumerate(s, start=1):
+        weighted += 2 * h * (4 * h + 2) * count
+        sigma_q += (4 * h * (g - h) - q) * count
+    return sum(s), weighted, sigma_q
+
+
+def _verdict(g: int, n: int, terms: tuple[int, int, int], bound: int) -> str:
+    """The first failing stage for (n, s) at genus g below ``bound``, in
+    integers; ``terms`` is ``_s_terms(g, s)``, so only n's parts are added."""
+    s_total, s_weighted, s_sigma_q = terms
     total = n + s_total
     if total >= bound:
         return REJECT_TOTAL
     if n < 4 * g:
         return REJECT_N_LOWER
     q = 2 * g + 1
-    weighted = n
-    sigma_q = -(g + 1) * n
-    for h, count in enumerate(s, start=1):
-        weighted += 2 * h * (4 * h + 2) * count
-        sigma_q += (4 * h * (g - h) - q) * count
-    if weighted % ((4 if g % 2 else 2) * q):
+    if (n + s_weighted) % ((4 if g % 2 else 2) * q):
         return REJECT_CONGRUENCE
+    sigma_q = s_sigma_q - (g + 1) * n
     if sigma_q % q:
         return REJECT_SIGMA_INTEGRAL
     if sigma_q > (n - s_total - 4 * g) * q:
@@ -148,17 +161,33 @@ def check_counts(c: FiberCounts, p: ConstraintProfile) -> FeasibilityRow:
     _require_hyperelliptic(p)
     if c.genus != p.genus:
         raise ValueError(f"counts are genus {c.genus}, profile genus {p.genus}")
-    return FeasibilityRow(c, _verdict(c.genus, c.n, c.s, p.max_total_fibers))
+    return FeasibilityRow(
+        c, _verdict(c.genus, c.n, _s_terms(c.genus, c.s), p.max_total_fibers)
+    )
 
 
-def _compositions(width: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative ``width``-tuples with sum <= ``budget``, lexicographically."""
-    if width == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _compositions(width - 1, budget - first):
-            yield (first, *rest)
+def _compositions(
+    g: int, budget: int
+) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
+    """Each s of width floor(g/2) with entries >= 0 and sum(s) <= ``budget``,
+    in lexicographic order, paired with ``_s_terms(g, s)``.
+
+    Prefixes grow one entry at a time, each extended by 0, 1, ... up to
+    what the budget leaves, so every level stays in lexicographic order.
+    """
+    level: list[tuple[int, ...]] = [()] if budget >= 0 else []
+    for _ in range(g // 2):
+        level = [s + (x,) for s in level for x in range(budget - sum(s) + 1)]
+    return [(s, _s_terms(g, s)) for s in level]
+
+
+def row_count(p: ConstraintProfile) -> int:
+    """How many rows ``enumerate_feasible(p)`` returns, without building them.
+
+    The vectors (n, s) of width w + 1, w = floor(g/2), with total <= B - 1
+    number C(B + w, w + 1); the trivial vector is not a row.
+    """
+    return comb(p.max_total_fibers + p.genus // 2, p.genus // 2 + 1) - 1
 
 
 def enumerate_feasible(p: ConstraintProfile) -> tuple[FeasibilityRow, ...]:
@@ -171,13 +200,14 @@ def enumerate_feasible(p: ConstraintProfile) -> tuple[FeasibilityRow, ...]:
     _require_hyperelliptic(p)
     g = p.genus
     bound = p.max_total_fibers
+    trusted = FiberCounts._trusted
     rows = []
+    vectors = _compositions(g, bound - 1)
     for n in range(bound):
-        vectors = _compositions(g // 2, bound - 1 - n)
-        if n == 0:
-            next(vectors)  # s = 0: the trivial fibration, not a row
-        for s in vectors:
-            rows.append(FeasibilityRow(FiberCounts(g, n, s), _verdict(g, n, s, bound)))
+        # Each step drops the s whose sum no longer fits beside n.
+        vectors = [v for v in vectors if v[1][0] < bound - n]
+        for s, terms in vectors[1:] if n == 0 else vectors:  # n = 0: skip s = 0
+            rows.append(FeasibilityRow(trusted(g, n, s), _verdict(g, n, terms, bound)))
     return tuple(rows)
 
 
@@ -253,9 +283,11 @@ def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
     which covers every row the enumerator could admit.  The first admitted
     total is the floor; when there is none the witness is optimal.
     """
+    vectors = _compositions(g, witness_fibers - 1 - 4 * g)
     for t in range(4 * g, witness_fibers):
-        for s in _compositions(g // 2, t - 4 * g):
-            if _verdict(g, t - sum(s), s, witness_fibers) == ADMITTED:
+        for _, terms in vectors:
+            n = t - terms[0]
+            if n >= 4 * g and _verdict(g, n, terms, witness_fibers) == ADMITTED:
                 return t
     return witness_fibers
 

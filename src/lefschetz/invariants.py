@@ -73,6 +73,26 @@ class FiberCounts:
             raise ValueError("a nontrivial fibration needs at least one fiber")
 
     @classmethod
+    def _trusted(cls, genus: int, n: int, s: tuple[int, ...]) -> "FiberCounts":
+        """Build from values the caller vouches for, skipping ``__post_init__``.
+
+        For ``feasibility.enumerate_feasible``, where every check holds by
+        construction: genus is a checked ``ConstraintProfile`` genus, an
+        exact int >= 1; n and each s_h are exact ints drawn from ``range``
+        and are >= 0; s has width g // 2 because the compositions are built
+        that wide; and the one vector with total 0, s = 0 at n = 0, is
+        skipped.  Fields are set with ``object.__setattr__`` as a frozen
+        dataclass does: filling ``__dict__`` in one update would turn the
+        shared-key instance dict into a combined one and double the memory
+        each row holds.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "genus", genus)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "s", s)
+        return out
+
+    @classmethod
     def of(cls, genus: int, n: int, *s: int) -> "FiberCounts":
         """Build counts, padding the separating vector with zeros."""
         padded = tuple(s) + (0,) * (genus // 2 - len(s))

@@ -280,7 +280,7 @@ NECESSITY_NOTE = (
 class VerificationReport:
     matrix_ok: bool
     congruence_ok: bool | None
-    counts: FiberCounts
+    counts: FiberCounts | None  # None: the word has no fiber letter
     letter_kinds: tuple[tuple[str, str], ...]
     all_positive: bool
     note: str = NECESSITY_NOTE
@@ -308,13 +308,16 @@ def verify_homological_relator(
     Boundary letters act as the identity and tally as nothing, so the
     check always compares the letter product with the identity, as if the
     boundary were capped.  When ``hyperelliptic`` is set the twist-count
-    congruence is evaluated as a second necessary condition.
+    congruence is evaluated as a second necessary condition.  A word with
+    no nonseparating or separating letter has no fibers: its counts and
+    congruence are None, and only the matrix is checked.
 
     A twist moves only the handles its class touches, so the product is
     compared with the identity on the touched handles alone: the cost
     follows the letters, not the square of the genus.
     """
-    counts = letter_counts(f)
+    fibered = any(f.curve(letter.curve).kind != BOUNDARY for letter in f.letters)
+    counts = letter_counts(f) if fibered else None
     twists = _nonsep_twists(f)
     classes = {a for a, _ in twists}
     handles = sorted({i // 2 for a in classes for i, x in enumerate(a) if x})
@@ -322,7 +325,9 @@ def verify_homological_relator(
     if len(keep) < f.spec.homology_rank:
         twists = [(tuple(a[k] for k in keep), sign) for a, sign in twists]
     matrix_ok = _twist_product(len(keep), twists) == identity_matrix(len(keep))
-    congruence_ok = twist_count_congruence(counts) if hyperelliptic else None
+    congruence_ok = (
+        twist_count_congruence(counts) if hyperelliptic and fibered else None
+    )
     kinds = tuple(
         (letter.curve, f.curve(letter.curve).kind_label()) for letter in f.letters
     )

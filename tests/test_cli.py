@@ -45,6 +45,21 @@ def test_enumerate_g4_json(capsys):
     assert any("18,0,0" in n.replace(" ", "") for n in doc["notes"])
 
 
+def test_enumerate_warns_before_many_rows(capsys, monkeypatch):
+    argv = ("enumerate", "--genus", "4", "--max-fibers", "24", "--hyperelliptic")
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    # 2,599 rows = C(26, 3) - 1
+    monkeypatch.setattr("lefschetz.cli.ENUMERATE_WARN_ROWS", 2598)
+    assert run(capsys, *argv) == (
+        code, out,
+        "warning: evaluating 2,599 count vectors (more than 2,598); "
+        "this may take minutes\n",
+    )
+    monkeypatch.setattr("lefschetz.cli.ENUMERATE_WARN_ROWS", 2599)
+    assert run(capsys, *argv) == (code, out, "")
+
+
 def test_enumerate_g4_note_matches_rows(capsys):
     # The note is fixed text; recompute what it states from the rows.
     _, out, _ = run(
@@ -357,6 +372,24 @@ def test_verify_hyperelliptic_text_has_congruence_line(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--hyperelliptic")
     assert code == 0
     assert "\ncongruence       True\n" in out
+
+
+@pytest.mark.parametrize("twists", ["", "twist p\n"])
+def test_verify_fiberless_word(tmp_path, capsys, twists):
+    path = tmp_path / "b.mono"
+    path.write_text(
+        "genus 1\nboundary 1\ncurve p kind boundary 1\n" + twists + "target identity\n"
+    )
+    code, out, err = run(capsys, "verify", str(path), "--hyperelliptic")
+    assert (code, err) == (0, "")
+    assert "counts           none (no fiber letters)\n" in out
+    assert "matrix identity  True\n" in out and "congruence" not in out
+    code, out, err = run(capsys, "verify", str(path), "--hyperelliptic", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["matrix_ok"] is True
+    assert doc["counts"] is None and doc["congruence_ok"] is None
+    assert len(doc["letters"]) == len(twists.splitlines())
 
 
 def test_verify_parse_error_exit_2(tmp_path, capsys):

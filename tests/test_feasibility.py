@@ -20,6 +20,7 @@ from lefschetz.feasibility import (
     check_counts,
     enumerate_feasible,
     min_fiber_bounds,
+    row_count,
 )
 from lefschetz.invariants import (
     FiberCounts,
@@ -290,6 +291,27 @@ def test_enumerate_higher_genus(g, bound):
     assert bool(survivors) == (bound > 4 * g)
 
 
+@pytest.mark.parametrize(
+    "g,bound", [(1, 30), (2, 30), (3, 30), (4, 30), (5, 24), (6, 20), (8, 14)]
+)
+def test_trusted_rows_match_checking_constructor(g, bound):
+    # The enumerator builds counts without __post_init__; the public
+    # constructor, with every check, must give the same object.
+    p = ConstraintProfile(g, bound)
+    for row in enumerate_feasible(p):
+        checked = FiberCounts(g, row.counts.n, row.counts.s)
+        assert row.counts == checked
+        assert vars(row.counts) == vars(checked)
+        assert check_counts(checked, p).verdict == row.verdict
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_row_count_closed_form(g):
+    for bound in range(1, 16):
+        p = ConstraintProfile(g, bound)
+        assert row_count(p) == len(enumerate_feasible(p))
+
+
 def test_admitted_rows_have_consistent_betti_arithmetic():
     from lefschetz.invariants import chi_and_betti, euler_characteristic
 
@@ -379,7 +401,7 @@ def test_bounds_floor_notes_match_enumerator(g):
         assert vectors == [] and admitted == []
 
 
-@pytest.mark.parametrize("g", range(1, 7))
+@pytest.mark.parametrize("g", range(1, 8))
 def test_hyperelliptic_floor_matches_enumerator(g):
     # Below the enumeration bound only the total stage depends on it, so
     # one enumeration gives the admitted rows below every witness w.

@@ -4,7 +4,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.invariants import FiberCounts
@@ -296,13 +296,25 @@ def test_verify_caps_boundary_targets():
 @settings(max_examples=150, deadline=None)
 def test_verify_matches_full_matrix(f, closed):
     # verify compares only the touched handles; w w^-1 makes both outcomes
-    # occur.  Boundary letters alone make no fibration, which verify rejects.
-    assume(any(f.curve(t.curve).kind != BOUNDARY for t in f.letters))
+    # occur.  Boundary-only words are drawn too: they have no counts.
     if closed:
         inverse = tuple(TwistLetter(t.curve, -t.sign) for t in reversed(f.letters))
         f = replace(f, letters=f.letters + inverse)
     full = factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
     assert verify_homological_relator(f).matrix_ok == full
+
+
+@pytest.mark.parametrize("twists", ["", "twist p\n", "twist p\ntwist p -\n"])
+def test_verify_fiberless_word(twists):
+    # boundary letters cap away: no fibers, so no counts and no congruence
+    f = parse_mono(
+        "genus 1\nboundary 1\ncurve p kind boundary 1\n" + twists + "target identity\n"
+    )
+    for hyperelliptic in (False, True):
+        report = verify_homological_relator(f, hyperelliptic=hyperelliptic)
+        assert report.matrix_ok
+        assert report.counts is None
+        assert report.congruence_ok is None
 
 
 def test_verify_does_not_grow_with_genus():
