@@ -20,12 +20,12 @@ Six entries ship:
 Each entry is written as its twist word; the curve table is the word's
 letters in order of first appearance.  Letters without printed pi_1
 words are kind-only: their homology classes are defined by figures we do
-not reproduce, so they cannot be recovered from text.  Kinds follow the
-name families (x/y/z, A/B, alpha/beta, D nonseparating; d, e, f, C
-separating of type 1), and an entry's ``sep_types`` names any other
-separating type (the genus-4 Matsumoto curve C has type 2).  Any mismatch
-between the letter tally and the declared counts is a build-time error,
-which makes the transcription self-auditing.
+not reproduce, so they cannot be recovered from text.  Each entry's
+``sep`` map names its separating letters with their types (the genus-4
+Matsumoto curve C has type 2, every other one type 1); all other letters
+are nonseparating.  Any mismatch between the letter tally and the
+declared counts is a build-time error, which makes the transcription
+self-auditing.
 
 Name conventions: a trailing ``p`` is a prime (x1p = x1'), ``pp`` a
 double prime, and ``b`` an overbar (eb = e-bar).
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
 
 from .fpgroup import GroupPresentation, quotient_by_cycles, surface_group
 from .invariants import (
@@ -81,23 +80,6 @@ class CatalogEntry:
         return self.factorization.spec
 
 
-# Default kind by name family; prime/bar suffixes are stripped before the
-# lookup, so eb and dpp land on e and d.
-_NONSEP_FAMILIES = {"x", "y", "z", "A", "B", "D", "alpha", "beta"}
-_SEP_FAMILIES = {"d", "e", "f", "C"}
-
-
-def default_kind_for_name(name: str) -> str:
-    family = "".join(takewhile(str.isalpha, name))
-    while len(family) > 1 and family[-1] in "pb" and family not in _NONSEP_FAMILIES:
-        family = family[:-1]
-    if family in _NONSEP_FAMILIES:
-        return NONSEP
-    if family in _SEP_FAMILIES:
-        return SEP
-    raise CatalogError(f"no kind family for curve name {name!r}")
-
-
 def _entry(
     name: str,
     description: str,
@@ -107,9 +89,9 @@ def _entry(
     counts: tuple[int, ...],
     hyperelliptic: bool,
     *,
+    sep: dict[str, int],
     target: Target = (),
     words: dict[str, str] | None = None,
-    sep_types: dict[str, int] | None = None,
     ledger: tuple[LedgerEntry, ...] | None = None,
     notes: tuple[str, ...] = (),
     aliases: tuple[str, ...] = (),
@@ -117,22 +99,23 @@ def _entry(
     """A catalog entry from its twist word, written with positive letters.
 
     The curve table is the word's letters in order of first appearance.
-    Kinds follow ``default_kind_for_name``; separating curves have type 1
-    unless ``sep_types`` names another.  A curve with a printed pi_1 word
-    in ``words`` carries that word and its abelianization.  ``counts`` is
-    (n, s_1, ...), padded with zeros.
+    ``sep`` maps each separating letter to its type; every other letter
+    is nonseparating.  A curve with a printed pi_1 word in ``words``
+    carries that word and its abelianization.  ``counts`` is (n, s_1, ...),
+    padded with zeros.
     """
     words = words or {}
-    sep_types = sep_types or {}
+    table = dict.fromkeys(word.split())
+    if stray := sorted(sep.keys() - table.keys()):
+        raise CatalogError(f"{name}: sep names {stray} are not letters of the word")
     capped = SurfaceSpec(genus)
     curves = []
-    for curve in dict.fromkeys(word.split()):
-        kind = default_kind_for_name(curve)
+    for curve in table:
         pi1_word = parse_word(words[curve]) if curve in words else None
         curves.append(CurveClass(
             name=curve,
-            kind=kind,
-            h=sep_types.get(curve, 1) if kind == SEP else None,
+            kind=SEP if curve in sep else NONSEP,
+            h=sep.get(curve),
             homology=None if pi1_word is None else homology_of_word(pi1_word, capped),
             word=pi1_word,
         ))
@@ -185,8 +168,8 @@ _W2_WORDS = {
 
 
 def _audit(entry: CatalogEntry) -> CatalogEntry:
-    # Every catalog letter is nonsep or sep (default_kind_for_name), so the
-    # tally counts each one and also checks the letter total.
+    # Every catalog letter is nonsep or sep, so the tally counts each one
+    # and also checks the letter total.
     tally = letter_counts(entry.factorization)
     if tally != entry.counts:
         raise CatalogError(
@@ -203,12 +186,14 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
         _entry(
             "T", "smallest genus-2 fibration block; two (-1)-sections",
             2, 2, "e x1 x2 x3 d B2 C", (4, 3), True,
+            sep={"e": 1, "d": 1, "C": 1},
             target=((1, 1), (2, 1)),
             notes=("total space (T^2 x S^2) # 3 CP^2bar; not simply connected",),
         ),
         _entry(
             "V2", "even Matsumoto block, genus 2, as (B0 B1 B2 C)^2",
             2, 2, "B0 B1 B2 C B0 B1 B2 C", (6, 2), True,
+            sep={"C": 1},
             target=((1, 1), (2, 1)),
             notes=(
                 "equivalent rewritten shape: C^2 A0 A1 A2 B0 B1 B2 with "
@@ -218,8 +203,8 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
         _entry(
             "V4", "even Matsumoto block, genus 4, rewritten shape",
             4, 2, "C C A0 A1 A2 A3 A4 B0 B1 B2 B3 B4", (10, 0, 2), True,
+            sep={"C": 2},
             target=((1, 1), (2, 1)),
-            sep_types={"C": 2},
             notes=(
                 "C splits the genus-4 surface into two genus-2 halves, so it "
                 "is separating of type 2 (the name-family default of type 1 "
@@ -233,6 +218,7 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
             3, 2,
             "x1 x2 x3 d B2 ep x1p x2p x3p dp B2p Cp eb x1b x2b x3b db B2b",
             (12, 6), True,
+            sep={"d": 1, "ep": 1, "dp": 1, "Cp": 1, "eb": 1, "db": 1},
             target=((1, 1), (2, 2)),
             aliases=("W3",),
             notes=(
@@ -248,6 +234,7 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
             "A0pp A1pp A2pp B0pp B1pp B2pp eb x1b x2b x3b db B2b "
             "x1 x2 x3 d B2 ep x1p x2p x3p dp B2p",
             (18, 5, 0), False,
+            sep={"eb": 1, "db": 1, "d": 1, "ep": 1, "dp": 1},
             words=_W1_WORDS,
             ledger=(
                 LedgerEntry(LEDGER_MATSUMOTO_EVEN, 1),
@@ -270,6 +257,7 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
             "alpha0 alpha1 alpha2 alpha3 alpha4 beta0 beta1 beta2 beta3 beta4 "
             "f y1 y2 x3 d D2 C epp z1 z2 z3 dpp B2pp Cpp",
             (18, 6, 0), True,
+            sep={"f": 1, "d": 1, "C": 1, "epp": 1, "dpp": 1, "Cpp": 1},
             words=_W2_WORDS,
             notes=(
                 "the source twist word prints beta1 twice and omits beta2 in "
@@ -281,10 +269,6 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
             ),
         ),
     ))
-
-
-def entry_names() -> tuple[str, ...]:
-    return tuple(e.name for e in load_catalog())
 
 
 def get_entry(name: str) -> CatalogEntry:

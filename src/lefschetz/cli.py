@@ -51,7 +51,7 @@ ENUMERATE_WARN_ROWS = 10**6  # above this many rows, enumerate warns first
 
 def _emit(args, document: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(document, indent=2))
+        print(json.dumps({"command": args.subcommand, **document}, indent=2))
     else:
         print(human, end="" if human.endswith("\n") else "\n")
 
@@ -87,10 +87,12 @@ def _counts_from_args(args) -> FiberCounts:
     for k in range(1, _MAX_S_FLAGS + 1):
         value = getattr(args, f"s{k}", None)
         if value is not None:
-            if k > args.genus // 2:
+            top = args.genus // 2
+            if k > top:
                 raise UsageError(
-                    f"--s{k} is out of range for genus {args.genus} "
-                    f"(types run 1..{args.genus // 2})"
+                    f"--s{k} is out of range for genus {args.genus}"
+                    + (f" (types run 1..{top})" if top else
+                       ", which has no separating types")
                 )
             while len(s) < k:
                 s.append(0)
@@ -118,7 +120,6 @@ def _cmd_verify(args) -> int:
         report = verify_homological_relator(f, hyperelliptic=args.hyperelliptic)
     except MissingHomology as exc:
         doc = {
-            "command": "verify",
             "file": args.file,
             "matrix_ok": None,
             "reason": str(exc),
@@ -130,7 +131,6 @@ def _cmd_verify(args) -> int:
     counts = report.counts
     verified = report.matrix_ok and report.congruence_ok is not False
     doc = {
-        "command": "verify",
         "file": args.file,
         "matrix_ok": report.matrix_ok,
         "congruence_ok": report.congruence_ok,
@@ -160,10 +160,7 @@ def _cmd_verify(args) -> int:
 def _cmd_invariants(args) -> int:
     counts = _counts_from_args(args)
     e = euler_characteristic(counts)
-    head = {
-        "command": "invariants",
-        "genus": counts.genus, "n": counts.n, "s": list(counts.s), "e": e,
-    }
+    head = {"genus": counts.genus, "n": counts.n, "s": list(counts.s), "e": e}
     routes: dict[str, int] = {}
     if args.hyperelliptic:
         sigma, integral = hyperelliptic_signature(counts)
@@ -255,7 +252,6 @@ def _cmd_enumerate(args) -> int:
             "(chi_h = -1) although some published survivor lists omit it"
         )
     doc = {
-        "command": "enumerate",
         "genus": args.genus,
         "max_fibers": args.max_fibers,
         "hyperelliptic": True,
@@ -291,7 +287,8 @@ def _cmd_pi1(args) -> int:
     except KeyError:
         if not Path(source).exists():
             raise UsageError(
-                f"{source!r} is neither a catalog entry ({', '.join(cat.entry_names())}) "
+                f"{source!r} is neither a catalog entry "
+                f"({', '.join(e.name for e in cat.load_catalog())}) "
                 "nor a file"
             )
         f, label = _load_mono(source), source
@@ -309,7 +306,6 @@ def _cmd_pi1(args) -> int:
     result = todd_coxeter(presentation, max_cosets=args.max_cosets)
     invariants = abelianization(presentation)
     doc = {
-        "command": "pi1",
         "source": source,
         "generators": len(presentation.generators),
         "relators": len(presentation.relators),
@@ -356,7 +352,7 @@ def _entry_summary(entry) -> dict:
 def _cmd_catalog(args) -> int:
     if args.action == "list":
         entries = cat.load_catalog()
-        doc = {"command": "catalog", "entries": [_entry_summary(e) for e in entries]}
+        doc = {"entries": [_entry_summary(e) for e in entries]}
         width = max(len(e.name) for e in entries)
         lines = [
             f"{e.name:<{width}}  g={e.spec.genus} r={e.spec.boundary_count} "
@@ -373,12 +369,11 @@ def _cmd_catalog(args) -> int:
         raise UsageError(exc.args[0])
     if args.action == "export":
         text = serialize_mono(entry.factorization, comment=f"catalog entry {entry.name}")
-        _emit(args, {"command": "catalog", "name": entry.name, "mono": text}, text)
+        _emit(args, {"name": entry.name, "mono": text}, text)
         return EXIT_OK
     # show
     report = cat.invariant_report(entry.name)
     doc = {
-        "command": "catalog",
         "entry": _entry_summary(entry),
         "target": [list(t) for t in entry.factorization.target] or "identity",
         "word": [
@@ -432,7 +427,6 @@ def _cmd_bounds(args) -> int:
         return f"{lower} <= {label} <= {upper}"
 
     doc = {
-        "command": "bounds",
         "genus": report.genus,
         "n": {"lower": report.n_lower, "upper": report.n_upper},
         "m": {"lower": report.m_lower, "upper": report.m_upper},

@@ -25,6 +25,7 @@ All operations are pure functions over immutable values.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -42,7 +43,7 @@ from .surface import (
     homology_of_word,
     pair_coords,
 )
-from .words import free_reduce
+from .words import exponent_sums, free_reduce
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -125,8 +126,9 @@ def check_curve(curve: CurveClass, spec: SurfaceSpec) -> None:
 
     Raises ValueError for a separating type above floor(g/2), a boundary
     index above the boundary count, a class of rank other than 2g, a word
-    with letters outside a1..ag, b1..bg, or a class that differs from the
-    abelianization of the word.
+    with letters outside a1..ag, b1..bg, a class that differs from the
+    abelianization of the word, or, with no class, a word whose
+    abelianization the kind rules out (see ``CurveClass``).
     """
     g = spec.genus
     if curve.kind in KIND_INT:
@@ -143,9 +145,16 @@ def check_curve(curve: CurveClass, spec: SurfaceSpec) -> None:
         )
     if curve.word is None:
         return
-    if curve.homology is None:  # letters only: no 2g-entry vector to build
-        for name, _sign in curve.word:
+    if curve.homology is None:  # sparse sums: no 2g-entry vector to build
+        sums = exponent_sums(curve.word)
+        for name in sums:
             generator_index(name, g)
+        if curve.kind == NONSEP and math.gcd(*sums.values()) != 1:
+            raise ValueError(f"curve {curve.name!r}: a nonseparating curve's word "
+                             "must abelianize to a class of coordinate gcd 1")
+        if curve.kind != NONSEP and any(sums.values()):
+            raise ValueError(f"curve {curve.name!r}: a {curve.kind} curve's word "
+                             "must abelianize to zero")
     elif curve.homology != homology_of_word(curve.word, spec):
         raise ValueError(
             f"curve {curve.name!r}: homology does not match the "
@@ -223,8 +232,6 @@ def _twist_product(n: int, twists: list[tuple[tuple[int, ...], int]]) -> Matrix:
     rows = [list(row) for row in identity_matrix(n)]
     for a, sign in reversed(twists):
         support = [(i, ai) for i, ai in enumerate(a) if ai]
-        if not support:
-            continue  # separating and boundary letters act trivially
         c = [0] * n
         for i, ai in support:
             k = ai if i & 1 else -ai
@@ -286,8 +293,9 @@ class VerificationReport:
     note: str = NECESSITY_NOTE
 
 
-def letter_counts(f: Factorization) -> FiberCounts:
-    """Tally letter kinds into fiber counts (boundary letters cap away)."""
+def letter_counts(f: Factorization) -> FiberCounts | None:
+    """Tally letter kinds into fiber counts (boundary letters cap away);
+    None when no letter is nonseparating or separating."""
     g = f.spec.genus
     n = 0
     s = [0] * (g // 2)
@@ -297,7 +305,7 @@ def letter_counts(f: Factorization) -> FiberCounts:
             n += 1
         elif curve.kind == SEP:
             s[curve.h - 1] += 1
-    return FiberCounts(g, n, tuple(s))
+    return FiberCounts(g, n, tuple(s)) if n or any(s) else None
 
 
 def verify_homological_relator(
@@ -316,8 +324,7 @@ def verify_homological_relator(
     compared with the identity on the touched handles alone: the cost
     follows the letters, not the square of the genus.
     """
-    fibered = any(f.curve(letter.curve).kind != BOUNDARY for letter in f.letters)
-    counts = letter_counts(f) if fibered else None
+    counts = letter_counts(f)
     twists = _nonsep_twists(f)
     classes = {a for a, _ in twists}
     handles = sorted({i // 2 for a in classes for i, x in enumerate(a) if x})
@@ -325,9 +332,9 @@ def verify_homological_relator(
     if len(keep) < f.spec.homology_rank:
         twists = [(tuple(a[k] for k in keep), sign) for a, sign in twists]
     matrix_ok = _twist_product(len(keep), twists) == identity_matrix(len(keep))
-    congruence_ok = (
-        twist_count_congruence(counts) if hyperelliptic and fibered else None
-    )
+    congruence_ok = None
+    if hyperelliptic and counts is not None:
+        congruence_ok = twist_count_congruence(counts)
     kinds = tuple(
         (letter.curve, f.curve(letter.curve).kind_label()) for letter in f.letters
     )

@@ -3,7 +3,7 @@ import pytest
 from lefschetz.catalog import (
     CatalogError,
     NoWordData,
-    default_kind_for_name,
+    _entry,
     get_entry,
     invariant_report,
     load_catalog,
@@ -139,24 +139,13 @@ def test_invariant_reports_non_simply_connected_blocks():
         assert not r.feasible
 
 
-def test_default_kind_families():
-    assert default_kind_for_name("x1") == NONSEP
-    assert default_kind_for_name("x1b") == NONSEP
-    assert default_kind_for_name("B2pp") == NONSEP
-    assert default_kind_for_name("alpha0") == NONSEP
-    assert default_kind_for_name("beta4") == NONSEP
-    assert default_kind_for_name("D2") == NONSEP
-    assert default_kind_for_name("y2") == NONSEP
-    assert default_kind_for_name("z3") == NONSEP
-    assert default_kind_for_name("d") == SEP
-    assert default_kind_for_name("db") == SEP
-    assert default_kind_for_name("ep") == SEP
-    assert default_kind_for_name("epp") == SEP
-    assert default_kind_for_name("f") == SEP
-    assert default_kind_for_name("C") == SEP
-    assert default_kind_for_name("Cpp") == SEP
-    with pytest.raises(CatalogError, match="no kind family for curve name 'q1'"):
-        default_kind_for_name("q1")
+def test_entry_kinds_come_from_the_sep_map():
+    f = _entry("X", "", 2, 0, "x1 d x1", (2, 1), True, sep={"d": 1}).factorization
+    kinds = [(c.name, c.kind, c.h) for c in f.curves]
+    assert kinds == [("x1", NONSEP, None), ("d", SEP, 1)]
+    # a typo in the map must not quietly turn the letter nonseparating
+    with pytest.raises(CatalogError, match=r"X: sep names \['D', 'q'\] are not letters"):
+        _entry("X", "", 2, 0, "x1 d", (1, 1), True, sep={"d": 1, "q": 1, "D": 1})
 
 
 def test_catalog_loads_are_cached_and_identical():

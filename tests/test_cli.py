@@ -226,6 +226,16 @@ def test_invariants_s_flag_above_genus_exit_2(capsys):
     assert err == "error: --s3 is out of range for genus 4 (types run 1..2)\n"
 
 
+def test_invariants_s_flag_at_genus_one_exit_2(capsys):
+    code, out, err = run(
+        capsys, "invariants", "--genus", "1", "--n", "2", "--s1", "0", "--hyperelliptic"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --s1 is out of range for genus 1, which has no separating types\n"
+    )
+
+
 # -- pi1 ---------------------------------------------------------------------------
 
 

@@ -195,6 +195,31 @@ def test_error_carries_line_number(text, line):
     assert f"line {line}:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "curve,fragment",
+    [
+        pytest.param("curve d kind sep 1 word a1", "must abelianize to zero", id="sep"),
+        pytest.param(
+            "curve c kind nonsep word [a1,b1]", "coordinate gcd 1", id="nonsep-zero"
+        ),
+        pytest.param(
+            "curve c kind nonsep word a1 a1", "coordinate gcd 1", id="nonsep-gcd-2"
+        ),
+        pytest.param(
+            "curve p kind boundary 1 word a1", "must abelianize to zero", id="boundary"
+        ),
+        pytest.param("curve d kind sep 1 word a3 a3~", "out of range", id="zero-sum-name"),
+    ],
+)
+def test_classless_word_must_fit_kind(curve, fragment):
+    # without a hom clause the word's exponent sums are still checked
+    # against the kind, as a class would be
+    text = f"genus 2\nboundary 1\ncurve u kind nonsep\n{curve}\ntarget identity\n"
+    with pytest.raises(MonoParseError, match=f"line 4: .*{fragment}") as err:
+        parse_mono(text)
+    assert err.value.line == 4
+
+
 def test_round_trip_all_catalog_entries():
     for entry in load_catalog():
         text = serialize_mono(entry.factorization)
@@ -261,7 +286,8 @@ NAME = st.text(
 
 @st.composite
 def curve_data(draw, spec, name):
-    """A valid curve: its word, when it has one, abelianizes to its class."""
+    """A valid curve: its word, when it has one, abelianizes to its class,
+    or without a class to one its kind allows."""
     g = spec.genus
     kinds = [NONSEP] + [SEP] * (g >= 2) + [BOUNDARY] * (spec.boundary_count > 0)
     kind = draw(st.sampled_from(kinds))
@@ -283,9 +309,7 @@ def curve_data(draw, spec, name):
     homology = HomologyClass(tuple(coords)) if draw(st.booleans()) else None
     word = None
     if draw(st.booleans()):
-        # with a class the word must abelianize to it; without one, anything goes
-        tail = draw(st.lists(letter, max_size=3)) if homology is None else invert_word(noise)
-        word = noise + core + tuple(tail)
+        word = noise + core + invert_word(noise)
     return CurveClass(name, kind, h=h, boundary_index=index, homology=homology, word=word)
 
 

@@ -310,6 +310,7 @@ def test_verify_fiberless_word(twists):
     f = parse_mono(
         "genus 1\nboundary 1\ncurve p kind boundary 1\n" + twists + "target identity\n"
     )
+    assert letter_counts(f) is None
     for hyperelliptic in (False, True):
         report = verify_homological_relator(f, hyperelliptic=hyperelliptic)
         assert report.matrix_ok
