@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fpgroup import GroupPresentation, quotient_by_cycles, surface_group
 from .invariants import (
     LEDGER_BLOCK,
     LEDGER_MATSUMOTO_EVEN,
@@ -54,6 +53,10 @@ from .invariants import (
 from .surface import NONSEP, SEP, CurveClass, SurfaceSpec, homology_of_word
 from .twists import Factorization, Target, TwistLetter, cap_boundary, letter_counts
 from .words import parse_word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only; the group layer loads on use
+    from .fpgroup import GroupPresentation
 
 
 class CatalogError(RuntimeError):
@@ -284,8 +287,11 @@ def presentation_from_factorization(f: Factorization) -> GroupPresentation:
 
     Words enter as relators in order of first appearance in the twist
     word; letter curves without a word contribute nothing.  Raises
-    NoWordData when no letter curve carries a word.
+    NoWordData when no letter curve carries a word.  The group layer is
+    imported here, so listing and showing entries never load it.
     """
+    from .fpgroup import quotient_by_cycles, surface_group
+
     f = cap_boundary(f)
     distinct = dict.fromkeys(letter.curve for letter in f.letters)
     cycles = [f.curve(name).word for name in distinct if f.curve(name).word is not None]

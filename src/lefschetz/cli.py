@@ -11,35 +11,15 @@ like ``-7/4``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from . import catalog as cat
-from .feasibility import (
-    ConstraintProfile,
-    enumerate_feasible,
-    min_fiber_bounds,
-    row_count,
-)
-from .fpgroup import abelianization, todd_coxeter
-from .invariants import (
-    FiberCounts,
-    LedgerEntry,
-    chi_and_betti,
-    endo_nagami_total,
-    euler_characteristic,
-    hyperelliptic_signature,
-)
-from .mono import MonoParseError, parse_mono, serialize_mono
+# The one layer the parser needs; each subcommand imports the layers it runs.
 from .surface import integer
-from .twists import (
-    Factorization,
-    MissingHomology,
-    cap_boundary,
-    verify_homological_relator,
-)
-from .words import format_word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only
+    from .invariants import FiberCounts, LedgerEntry
+    from .twists import Factorization
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -51,6 +31,8 @@ ENUMERATE_WARN_ROWS = 10**6  # above this many rows, enumerate warns first
 
 def _emit(args, document: dict, human: str) -> None:
     if args.json:
+        import json
+
         print(json.dumps({"command": args.subcommand, **document}, indent=2))
     else:
         print(human, end="" if human.endswith("\n") else "\n")
@@ -67,6 +49,8 @@ def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
     defaults to 1 and may be negative for cancelled blocks, e.g.
     ``mats*1,block:-6*1,sep*-3``.
     """
+    from .invariants import LedgerEntry
+
     entries = []
     for term in spec.split(","):
         head, star, mult = term.strip().partition("*")
@@ -83,6 +67,8 @@ def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
 
 
 def _counts_from_args(args) -> FiberCounts:
+    from .invariants import FiberCounts
+
     s = []
     for k in range(1, _MAX_S_FLAGS + 1):
         value = getattr(args, f"s{k}", None)
@@ -101,6 +87,10 @@ def _counts_from_args(args) -> FiberCounts:
 
 
 def _load_mono(source: str) -> Factorization:
+    from pathlib import Path
+
+    from .mono import MonoParseError, parse_mono
+
     try:
         text = Path(source).read_text()
     except OSError as exc:
@@ -115,6 +105,8 @@ def _load_mono(source: str) -> Factorization:
 
 
 def _cmd_verify(args) -> int:
+    from .twists import MissingHomology, verify_homological_relator
+
     f = _load_mono(args.file)
     try:
         report = verify_homological_relator(f, hyperelliptic=args.hyperelliptic)
@@ -158,6 +150,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .invariants import (
+        chi_and_betti,
+        endo_nagami_total,
+        euler_characteristic,
+        hyperelliptic_signature,
+    )
+
     counts = _counts_from_args(args)
     e = euler_characteristic(counts)
     head = {"genus": counts.genus, "n": counts.n, "s": list(counts.s), "e": e}
@@ -226,6 +225,8 @@ def _row_doc(row) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
+    from .feasibility import ConstraintProfile, enumerate_feasible, row_count
+
     if not args.hyperelliptic:
         raise UsageError(
             "enumerate needs --hyperelliptic: sigma is not determined by "
@@ -281,6 +282,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
+    from pathlib import Path
+
+    from . import catalog as cat
+    from .fpgroup import abelianization, todd_coxeter
+    from .twists import cap_boundary
+
     source = args.source
     try:
         entry = cat.get_entry(source)
@@ -350,6 +357,9 @@ def _entry_summary(entry) -> dict:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as cat
+    from .words import format_word
+
     if args.action == "list":
         entries = cat.load_catalog()
         doc = {"entries": [_entry_summary(e) for e in entries]}
@@ -368,6 +378,8 @@ def _cmd_catalog(args) -> int:
     except KeyError as exc:
         raise UsageError(exc.args[0])
     if args.action == "export":
+        from .mono import serialize_mono
+
         text = serialize_mono(entry.factorization, comment=f"catalog entry {entry.name}")
         _emit(args, {"name": entry.name, "mono": text}, text)
         return EXIT_OK
@@ -417,6 +429,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .feasibility import min_fiber_bounds
+
     report = min_fiber_bounds(args.genus)
 
     def fmt(lower, upper, label):

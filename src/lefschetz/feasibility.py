@@ -252,7 +252,8 @@ class BoundsReport:
 # Per genus: the best recorded witness (name, fibers), the hyperelliptic
 # witness when that is a different fibration (otherwise the best one is
 # hyperelliptic), and the note on the hyperelliptic floor.  A catalog
-# witness gives its entry name as ``fibers`` and is counted from its word.
+# witness gives its entry name as ``fibers`` and takes the singular-fiber
+# total of the entry's audited counts (boundary letters are not fibers).
 _RECORDED = {
     1: (("elliptic surface E(1)", 12), None,
         "no admissible count vector exists below 12 fibers"),
@@ -270,9 +271,11 @@ _RECORDED = {
 
 def _witness(name: str, fibers: int | str, hyperelliptic: bool) -> Witness:
     if isinstance(fibers, str):
-        from .catalog import get_entry  # deferred: catalog builds on this package
+        # Deferred so that enumerate, and bounds for g not in {3, 4}, load
+        # neither catalog nor twists.
+        from .catalog import get_entry
 
-        fibers = len(get_entry(fibers).factorization.letters)
+        fibers = get_entry(fibers).counts.total
     return Witness(name, fibers, hyperelliptic)
 
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -30,6 +31,8 @@ from lefschetz.invariants import (
     signature_bound_check,
     twist_count_congruence,
 )
+from lefschetz.surface import BOUNDARY, CurveClass
+from lefschetz.twists import TwistLetter
 
 
 def counts_tuple(row):
@@ -363,6 +366,24 @@ def test_bounds_g4():
     assert (b.n_lower, b.n_upper) == (16, 23)
     assert (b.m_lower, b.m_upper) == (21, 24)
     assert b.n_exact is None and b.m_exact is None
+
+
+def test_bounds_witness_counts_fibers_not_boundary_letters(monkeypatch):
+    # W with one boundary twist appended still has 18 singular fibers.
+    from lefschetz import catalog
+
+    w = catalog.get_entry("W")
+    f = w.factorization
+    f = replace(
+        f,
+        curves=f.curves + (CurveClass("delta1", BOUNDARY, boundary_index=1),),
+        letters=f.letters + (TwistLetter("delta1"),),
+    )
+    patched = replace(w, factorization=f)
+    monkeypatch.setattr(catalog, "get_entry", lambda name: patched)
+    b = min_fiber_bounds(3)
+    assert [witness.fibers for witness in b.witnesses] == [18]
+    assert (b.n_upper, b.m_upper, b.m_exact) == (18, 18, 18)
 
 
 def test_bounds_high_genus_generic():

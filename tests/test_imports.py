@@ -1,0 +1,82 @@
+"""Each CLI subcommand, run in a fresh interpreter, loads only its layers.
+
+In-process CLI tests cannot see a lazy import that is missing, because
+earlier tests have already loaded every module.  Here every case starts
+its own ``python -c``: the set of ``lefschetz`` modules it leaves loaded is
+pinned, and its stdout and exit code must match the recorded bytes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI_REFS = ROOT / "bench" / "refs" / "cli.json"
+
+# Runs the argv through cli.main (or only imports the package when there is
+# none), then writes the loaded lefschetz modules as the last stderr line.
+SCRIPT = """
+import sys
+if sys.argv[1:]:
+    from lefschetz.cli import main
+    code = main(sys.argv[1:])
+else:
+    import lefschetz
+    code = 0
+sys.stdout.flush()
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "lefschetz")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+BASE = {"cli", "invariants", "surface", "words"}
+CATALOG = BASE | {"catalog", "twists"}
+
+# argv (a key of the recorded refs, or None) -> lefschetz submodules loaded.
+CASES = {
+    "import lefschetz": (None, set()),
+    "catalog list": ("catalog list", CATALOG),
+    "catalog show": ("catalog show W1 --json", CATALOG),
+    "catalog export": ("catalog export W2", CATALOG | {"mono"}),
+    "verify": ("verify .bench-tmp/W1.mono", BASE | {"mono", "twists"}),
+    "invariants": ("invariants --genus 3 --n 12 --s1 6 --hyperelliptic", BASE),
+    "pi1": ("pi1 W1", CATALOG | {"fpgroup"}),
+    "bounds g=2": ("bounds --genus 2", BASE | {"feasibility"}),
+    "bounds g=4": ("bounds --genus 4 --json", CATALOG | {"feasibility"}),
+    "enumerate": ("enumerate --genus 3 --max-fibers 18 --hyperelliptic", BASE | {"feasibility"}),
+}
+
+
+@pytest.fixture(scope="module")
+def refs():
+    return json.loads(CLI_REFS.read_text())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fresh_process_imports_and_output(case, refs, tmp_path):
+    key, submodules = CASES[case]
+    argv = key.split() if key else []
+    if argv[:1] == ["verify"]:
+        mono = tmp_path / argv[1]
+        mono.parent.mkdir()
+        mono.write_text(refs[f"catalog export {mono.stem}"]["stdout"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert sorted(loaded) == sorted(
+        {"lefschetz"} | {f"lefschetz.{name}" for name in submodules}
+    )
+    if key is None:
+        assert (proc.returncode, proc.stdout) == (0, "")
+    else:
+        assert (proc.returncode, proc.stdout) == (refs[key]["exit"], refs[key]["stdout"])

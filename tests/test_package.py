@@ -1,9 +1,12 @@
 """Packaging gate: the runtime stays standard-library only."""
 
 import ast
+import importlib
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "lefschetz"
 
@@ -50,9 +53,22 @@ verify_homological_relator
 def test_public_names():
     import lefschetz
 
-    exported = sorted(
-        name
-        for name, value in vars(lefschetz).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    )
-    assert exported == sorted(PUBLIC_NAMES)
+    assert sorted(lefschetz.__all__) == sorted(PUBLIC_NAMES)
+    listed = dir(lefschetz)
+    for name in PUBLIC_NAMES:
+        assert name in listed, name
+        module = importlib.import_module(f"lefschetz.{lefschetz._MODULE_OF[name]}")
+        value = getattr(lefschetz, name)
+        assert value is vars(module)[name], name
+        if isinstance(value, (type, types.FunctionType)):
+            # The table names the defining submodule, not one that re-imports it.
+            assert value.__module__ == module.__name__, name
+
+    star = {}
+    exec("from lefschetz import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(PUBLIC_NAMES)
+    assert all(star[name] is getattr(lefschetz, name) for name in star)
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lefschetz.no_such_name
