@@ -45,9 +45,14 @@ class GroupPresentation:
             raise ValueError("duplicate generator names")
         declared = set(self.generators)
         for relator in self.relators:
-            for name, _sign in relator:
+            for name, sign in relator:
                 if name not in declared:
                     raise ValueError(f"unknown generator {name!r} in relator")
+                if sign.__class__ is not int or sign not in (1, -1):
+                    raise ValueError(
+                        f"letter {name!r} has sign {sign!r}; "
+                        "it must be the int +1 or -1"
+                    )
 
 
 def surface_group(g: int) -> GroupPresentation:
@@ -157,12 +162,18 @@ class EnumerationResult:
     ``order`` is the number of live cosets when the table closed, or None
     when the limit was exceeded (which is data, not an error).
     ``cosets_defined`` counts every coset ever defined, dead ones
-    included.
+    included; ``merged`` counts the cosets coincidences killed, so
+    ``cosets_defined - merged`` cosets are live at the end.
+    ``deductions`` counts scans that closed their last gap without a new
+    coset, and ``lookahead_passes`` the passes run at the limit.
     """
 
     order: int | None
     cosets_defined: int
     max_cosets: int
+    merged: int = 0
+    deductions: int = 0
+    lookahead_passes: int = 0
 
     @property
     def closed(self) -> bool:
@@ -188,6 +199,8 @@ class _CosetTable:
         self.p = [0]
         self.live = 1
         self.defined = 1
+        self.merged = 0
+        self.deductions = 0
 
     def rep(self, k: int) -> int:
         p = self.p
@@ -216,6 +229,7 @@ class _CosetTable:
         mu, nu = (phi, psi) if phi < psi else (psi, phi)
         self.p[nu] = mu
         self.live -= 1
+        self.merged += 1
         queue.append(nu)
 
     def coincidence(self, alpha: int, beta: int) -> None:
@@ -262,6 +276,7 @@ class _CosetTable:
                 # deduction: one gap closes without a new coset
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
+                self.deductions += 1
                 return
             if not fill:
                 return
@@ -300,6 +315,7 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     relators = _relator_columns(p)
     table = _CosetTable(2 * len(p.generators), max_cosets)
 
+    passes = 0
     alpha = 0
     while alpha < len(table.table):
         try:
@@ -310,16 +326,17 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
                         table.define(alpha, x)
         except _TableFull:
             before = table.live
+            passes += 1
             for gamma in range(len(table.table)):
                 table.scan_relators(gamma, relators, fill=False)
             if table.live >= before or table.live >= max_cosets:
                 return EnumerationResult(
-                    order=None,
-                    cosets_defined=table.defined,
-                    max_cosets=max_cosets,
+                    None, table.defined, max_cosets,
+                    table.merged, table.deductions, passes,
                 )
             continue  # retry the same coset with the freed space
         alpha += 1
     return EnumerationResult(
-        order=table.live, cosets_defined=table.defined, max_cosets=max_cosets
+        table.live, table.defined, max_cosets,
+        table.merged, table.deductions, passes,
     )

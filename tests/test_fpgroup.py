@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from lefschetz.catalog import pi1_presentation
 from lefschetz.fpgroup import (
     AbelianInvariants,
+    EnumerationResult,
     GroupPresentation,
     abelianization,
     quotient_by_cycles,
@@ -30,6 +32,17 @@ def pres(gens, *relator_texts):
 def test_presentation_rejects_unknown_generator():
     with pytest.raises(ValueError):
         pres("x", "x y")
+
+
+@pytest.mark.parametrize("sign", [2, 0, -2, True, 1.0])
+def test_presentation_rejects_sign_not_unit(sign):
+    with pytest.raises(ValueError, match="'x'"):
+        GroupPresentation(("x",), ((("x", sign),),))
+
+
+def test_presentation_accepts_unit_signs():
+    p = GroupPresentation(("x", "y"), ((("x", 1), ("y", -1), ("x", 1)),))
+    assert p.relators == (parse_word("x y~ x"),)
 
 
 def test_surface_group_g1():
@@ -226,7 +239,7 @@ PRESENTATIONS = {
     "W1": lambda: pi1_presentation("W1"),
     "W2": lambda: pi1_presentation("W2"),
     **{f"S{n}": (lambda n=n: coxeter(n)) for n in range(4, 8)},
-    "surface1": lambda: surface_group(1),
+    **{f"surface{g}": (lambda g=g: surface_group(g)) for g in range(1, 4)},
 }
 
 # Exact (order, cosets_defined) of the frozen HLT strategy.  Every row
@@ -249,6 +262,10 @@ PINNED_ENUMERATIONS = [
     ("S5", 50, None, 62),
     ("S6", 200, None, 281),
     ("surface1", 2 * 10**3, None, 2351),
+    ("surface2", 2 * 10**3, None, 2000),
+    ("surface3", 5 * 10**3, None, 5000),
+    # lookahead frees space once, then enumeration resumes
+    ("surface2", 2 * 10**4, None, 20001),
 ]
 
 
@@ -256,3 +273,64 @@ PINNED_ENUMERATIONS = [
 def test_pinned_coset_counts(name, limit, order, defined):
     result = todd_coxeter(PRESENTATIONS[name](), limit)
     assert (result.order, result.cosets_defined) == (order, defined)
+
+
+# (merged, deductions, lookahead_passes) of the frozen HLT strategy.
+PINNED_COUNTERS = [
+    ("W2", 10**6, 299, 47, 0),
+    ("S7", 10**6, 7105, 18214, 0),
+    ("surface1", 2 * 10**3, 351, 1538, 2),
+]
+
+
+@pytest.mark.parametrize("name,limit,merged,deductions,passes", PINNED_COUNTERS)
+def test_pinned_coset_counters(name, limit, merged, deductions, passes):
+    result = todd_coxeter(PRESENTATIONS[name](), limit)
+    counters = (result.merged, result.deductions, result.lookahead_passes)
+    assert counters == (merged, deductions, passes)
+
+
+@pytest.mark.parametrize("name,limit,order,defined", PINNED_ENUMERATIONS)
+def test_live_cosets_are_defined_minus_merged(name, limit, order, defined):
+    result = todd_coxeter(PRESENTATIONS[name](), limit)
+    live = result.cosets_defined - result.merged
+    if result.closed:
+        assert result.order == live
+    else:
+        assert live <= limit and result.lookahead_passes >= 1
+
+
+def test_counters_default_for_three_argument_constructor():
+    result = EnumerationResult(3, 5, 10)
+    assert (result.merged, result.deductions, result.lookahead_passes) == (0, 0, 0)
+
+
+def random_presentation(rng):
+    """1-3 generators, 1-4 relators of length 1-8, letters uniform."""
+    gens = tuple(f"x{k}" for k in range(rng.randint(1, 3)))
+    relators = tuple(
+        tuple(
+            (rng.choice(gens), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 8))
+        )
+        for _ in range(rng.randint(1, 4))
+    )
+    return GroupPresentation(gens, relators)
+
+
+# SHA-256 of (order, cosets_defined) over the seeded presentations below,
+# recorded on the class-based engine the single scan loop replaced.
+RANDOM_ENUMERATIONS_DIGEST = (
+    "6260c037f09a4f88a95a79c381f1c047ffedc5e774580457872794c9016c2f36"
+)
+
+
+def test_random_enumerations_digest():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        p = random_presentation(rng)
+        for limit in (30, 300):
+            result = todd_coxeter(p, limit)
+            digest.update(repr((result.order, result.cosets_defined)).encode())
+    assert digest.hexdigest() == RANDOM_ENUMERATIONS_DIGEST
