@@ -6,15 +6,15 @@ relator scanning; see Holt, "Handbook of Computational Group Theory",
 ch. 5 for the textbook formulation).  The strategy is frozen so results
 and coset counts are reproducible:
 
-* cosets are defined at the leftmost undefined position of the current
-  relator scan, relators processed in presentation order; a scan resumes
-  its forward and backward paths after each definition;
-* after relator scans, remaining row entries are filled in alphabet
-  order (g1, g1^-1, g2, ...);
+* one scan per coset walks every relator, in presentation order, while
+  the coset lives; it defines cosets at the leftmost undefined position
+  and walks on from the new coset, since a definition only adds entries;
+* the same scan then fills the coset's remaining row entries in
+  alphabet order (g1, g1^-1, g2, ...);
 * coincidences merge toward the smaller coset number;
-* when the live-coset limit is hit, one lookahead pass rescans every
-  relator at every live coset without defining; enumeration resumes
-  only if the pass freed space.
+* when the live-coset limit is hit, one lookahead pass runs that scan
+  without defining at every live coset; the coset is retried only if
+  the pass freed space.
 
 Abelianization takes the integer Smith normal form in exact arithmetic:
 pivot on an entry of least absolute value, clear its row and column,
@@ -180,127 +180,6 @@ class EnumerationResult:
         return self.order is not None
 
 
-class _TableFull(Exception):
-    pass
-
-
-class _CosetTable:
-    """HLT coset table over the trivial subgroup.
-
-    Columns alternate generator and inverse: column 2k is generator k,
-    column 2k+1 its inverse.  ``p`` is the union-find array of the
-    coincidence machinery; a coset is live iff p[k] == k.
-    """
-
-    def __init__(self, ncols: int, max_cosets: int):
-        self.ncols = ncols
-        self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = [[None] * ncols]
-        self.p = [0]
-        self.live = 1
-        self.defined = 1
-        self.merged = 0
-        self.deductions = 0
-
-    def rep(self, k: int) -> int:
-        p = self.p
-        root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
-        return root
-
-    def define(self, alpha: int, x: int) -> None:
-        if self.live >= self.max_cosets:
-            raise _TableFull
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(beta)
-        self.live += 1
-        self.defined += 1
-        self.table[alpha][x] = beta
-        self.table[beta][x ^ 1] = alpha
-
-    def _merge(self, k: int, lam: int, queue: deque) -> None:
-        phi, psi = self.rep(k), self.rep(lam)
-        if phi == psi:
-            return
-        mu, nu = (phi, psi) if phi < psi else (psi, phi)
-        self.p[nu] = mu
-        self.live -= 1
-        self.merged += 1
-        queue.append(nu)
-
-    def coincidence(self, alpha: int, beta: int) -> None:
-        queue: deque = deque()
-        self._merge(alpha, beta, queue)
-        while queue:
-            gamma = queue.popleft()
-            row = self.table[gamma]
-            for x in range(self.ncols):
-                delta = row[x]
-                if delta is None:
-                    continue
-                self.table[delta][x ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if self.table[mu][x] is not None:
-                    self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][x ^ 1] is not None:
-                    self._merge(mu, self.table[nu][x ^ 1], queue)
-                else:
-                    self.table[mu][x] = nu
-                    self.table[nu][x ^ 1] = mu
-
-    def scan(self, alpha: int, word: tuple[int, ...], fill: bool) -> None:
-        """Scan ``word`` at coset alpha; with fill, define cosets at gaps.
-
-        f is alpha word[:i] and b is alpha word[j+1:]^-1.  A ``define`` only
-        adds entries, so each pass resumes both paths where the last stopped.
-        """
-        table = self.table
-        f, i, b, j = alpha, 0, alpha, len(word) - 1
-        while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
-                i += 1
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
-                j -= 1
-            if j < i:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            if i == j:
-                # deduction: one gap closes without a new coset
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                self.deductions += 1
-                return
-            if not fill:
-                return
-            self.define(f, word[i])
-
-    def scan_relators(self, alpha: int, relators, fill: bool) -> bool:
-        """Scan each relator at coset alpha while it lives; whether it still does."""
-        p = self.p
-        for relator in relators:
-            if p[alpha] != alpha:
-                return False
-            self.scan(alpha, relator, fill)
-        return p[alpha] == alpha
-
-
-def _relator_columns(p: GroupPresentation) -> list[tuple[int, ...]]:
-    column = {name: 2 * k for k, name in enumerate(p.generators)}
-    return [
-        tuple(column[name] + (sign < 0) for name, sign in reduced)
-        for reduced in map(free_reduce, p.relators)
-        if reduced
-    ]
-
-
 def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationResult:
     """Enumerate cosets of the trivial subgroup; certify the group order.
 
@@ -308,35 +187,138 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     cosets, or ``order=None`` when closing would need more than
     ``max_cosets`` live cosets even after lookahead.  Deterministic for a
     fixed presentation.
+
+    Columns alternate generator and inverse: column 2k is generator k,
+    column 2k+1 its inverse.  Rows are appended as cosets are defined, so
+    ``len(table)`` counts every coset defined; ``parent`` is the
+    union-find array of the coincidences, and a coset is live iff
+    ``parent[k] == k``.
     """
     (max_cosets,) = exact_ints((max_cosets,), "max_cosets")
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    relators = _relator_columns(p)
-    table = _CosetTable(2 * len(p.generators), max_cosets)
+    ncols = 2 * len(p.generators)
+    column = {name: 2 * k for k, name in enumerate(p.generators)}
+    relators = []
+    for reduced in map(free_reduce, p.relators):
+        if reduced:
+            word = tuple(column[name] + (sign < 0) for name, sign in reduced)
+            relators.append((word, tuple(x ^ 1 for x in word), len(word) - 1))
+    table: list[list[int | None]] = [[None] * ncols]
+    parent = [0]
+    queue: deque[int] = deque()
+    merged = deductions = passes = 0
 
-    passes = 0
+    def rep(k: int) -> int:
+        root = k
+        while parent[root] != root:
+            root = parent[root]
+        while parent[k] != root:
+            parent[k], k = root, parent[k]
+        return root
+
+    def merge(k: int, lam: int) -> None:
+        nonlocal merged
+        phi, psi = rep(k), rep(lam)
+        if phi != psi:
+            if psi < phi:
+                phi, psi = psi, phi
+            parent[psi] = phi
+            merged += 1
+            queue.append(psi)
+
+    def coincidence(alpha: int, beta: int) -> None:
+        merge(alpha, beta)
+        while queue:
+            gamma = queue.popleft()
+            for x, delta in enumerate(table[gamma]):
+                if delta is None:
+                    continue
+                table[delta][x ^ 1] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def scan(alpha: int, fill: bool) -> bool:
+        """Scan every relator at coset alpha while it lives; with fill,
+        define cosets at gaps, then fill the rest of alpha's row.
+
+        f is alpha word[:i] and b is alpha word[j+1:]^-1.  A definition
+        only adds entries, so both paths resume where they stopped.
+        Returns False when a definition would pass the live limit.
+        """
+        nonlocal deductions
+        for word, back, last in relators:
+            if parent[alpha] != alpha:
+                return True
+            f, i, b, j = alpha, 0, alpha, last
+            while True:
+                while i <= j:
+                    nxt = table[f][word[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                while j >= i:
+                    nxt = table[b][back[j]]
+                    if nxt is None:
+                        break
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                if i == j:
+                    # deduction: one gap closes without a new coset
+                    table[f][word[i]] = b
+                    table[b][back[i]] = f
+                    deductions += 1
+                    break
+                if not fill:
+                    break
+                if len(table) - merged >= max_cosets:
+                    return False
+                beta = len(table)
+                new = [None] * ncols
+                new[back[i]] = f
+                table.append(new)
+                parent.append(beta)
+                table[f][word[i]] = beta
+                f = beta
+                i += 1
+        if fill and parent[alpha] == alpha:
+            row = table[alpha]
+            for x in range(ncols):
+                if row[x] is None:
+                    if len(table) - merged >= max_cosets:
+                        return False
+                    row[x] = beta = len(table)
+                    new = [None] * ncols
+                    new[x ^ 1] = alpha
+                    table.append(new)
+                    parent.append(beta)
+        return True
+
     alpha = 0
-    while alpha < len(table.table):
-        try:
-            if table.scan_relators(alpha, relators, fill=True):
-                row = table.table[alpha]
-                for x in range(table.ncols):
-                    if row[x] is None:
-                        table.define(alpha, x)
-        except _TableFull:
-            before = table.live
-            passes += 1
-            for gamma in range(len(table.table)):
-                table.scan_relators(gamma, relators, fill=False)
-            if table.live >= before or table.live >= max_cosets:
-                return EnumerationResult(
-                    None, table.defined, max_cosets,
-                    table.merged, table.deductions, passes,
-                )
-            continue  # retry the same coset with the freed space
-        alpha += 1
+    while alpha < len(table):
+        if parent[alpha] != alpha or scan(alpha, True):
+            alpha += 1
+            continue
+        # the table is full: lookahead, then retry alpha if space was freed
+        passes += 1
+        before = merged
+        for gamma in range(len(table)):
+            if parent[gamma] == gamma:
+                scan(gamma, False)
+        if merged == before:
+            break  # nothing freed: alpha stays short of the table's end
+    order = len(table) - merged if alpha == len(table) else None
     return EnumerationResult(
-        table.live, table.defined, max_cosets,
-        table.merged, table.deductions, passes,
+        order, len(table), max_cosets, merged, deductions, passes
     )
