@@ -27,27 +27,28 @@ use n >= 4g directly.
 One integer kernel, ``_verdict``, decides every row for
 ``check_counts``, ``enumerate_feasible`` and the hyperelliptic floor; it
 takes the s-only sums from ``_s_terms`` and adds the parts that depend on
-n.  A row's ``Fraction`` values (sigma, chi_h) come from the closed forms
-in ``invariants`` when read.  The enumerator builds the compositions s
+n.  A row's sigma is read as one exact ``Fraction`` of the same integer
+numerator, sigma_q / q, and chi_h from it and ``euler_characteristic``;
+nothing is cached on the row.  The enumerator builds the compositions s
 with sum(s) <= max_total_fibers - 1, in lexicographic order and each with
 its s-only sums, once per call; stepping n upwards it drops those with
-sum(s) > max_total_fibers - 1 - n, which keeps the order.  Rows are built
-without re-validation (``FiberCounts._trusted``): every count is an exact
-int from ``range``, s has width floor(g/2), and the trivial vector at
-n = 0 is skipped, so each check of ``FiberCounts`` holds by construction.
+sum(s) > max_total_fibers - 1 - n, which keeps the order.  Rows and their
+counts are slotted frozen dataclasses, built without re-validation
+(``FiberCounts._trusted`` and ``_trusted_row`` fill fresh instances
+through the slot setters): every count is an exact int from ``range``, s
+has width floor(g/2), and the trivial vector at n = 0 is skipped, so each
+check of ``FiberCounts`` holds by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 
 from .invariants import (
     FiberCounts,
     euler_characteristic,
-    hyperelliptic_signature,
     min_nonseparating_bound,
 )
 from .surface import exact_ints
@@ -85,16 +86,19 @@ class ConstraintProfile:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilityRow:
     """One evaluated count vector and its verdict; invariants derive on read."""
 
     counts: FiberCounts
     verdict: str
 
-    @cached_property  # read up to three times per printed row
+    @property
     def sigma(self) -> Fraction:
-        return hyperelliptic_signature(self.counts)[0]
+        """sigma_q / q, with the kernel's integer numerator sigma_q."""
+        c = self.counts
+        g = c.genus
+        return Fraction(_s_terms(g, c.s)[2] - (g + 1) * c.n, 2 * g + 1)
 
     @property
     def sigma_integral(self) -> bool:
@@ -111,6 +115,19 @@ class FeasibilityRow:
     @property
     def pre_chi_survivor(self) -> bool:
         return self.verdict in (ADMITTED, REJECT_CHI_H)
+
+
+_set_counts = FeasibilityRow.counts.__set__
+_set_verdict = FeasibilityRow.verdict.__set__
+
+
+def _trusted_row(counts: FiberCounts, verdict: str) -> FeasibilityRow:
+    """A row from trusted counts and a kernel verdict, filled through the
+    slot setters as ``FiberCounts._trusted`` is."""
+    row = object.__new__(FeasibilityRow)
+    _set_counts(row, counts)
+    _set_verdict(row, verdict)
+    return row
 
 
 def _require_hyperelliptic(p: ConstraintProfile) -> None:
@@ -207,7 +224,7 @@ def enumerate_feasible(p: ConstraintProfile) -> tuple[FeasibilityRow, ...]:
         # Each step drops the s whose sum no longer fits beside n.
         vectors = [v for v in vectors if v[1][0] < bound - n]
         for s, terms in vectors[1:] if n == 0 else vectors:  # n = 0: skip s = 0
-            rows.append(FeasibilityRow(trusted(g, n, s), _verdict(g, n, terms, bound)))
+            rows.append(_trusted_row(trusted(g, n, s), _verdict(g, n, terms, bound)))
     return tuple(rows)
 
 

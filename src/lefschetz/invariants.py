@@ -41,7 +41,7 @@ LEDGER_BLOCK = "block"
 _FIXED_CONTRIBUTIONS = {LEDGER_MATSUMOTO_EVEN: -4, LEDGER_SEPARATING: -1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberCounts:
     """(n, s_1, ..., s_{floor(g/2)}) for a genus-g fibration.
 
@@ -81,15 +81,16 @@ class FiberCounts:
         exact int >= 1; n and each s_h are exact ints drawn from ``range``
         and are >= 0; s has width g // 2 because the compositions are built
         that wide; and the one vector with total 0, s = 0 at n = 0, is
-        skipped.  Fields are set with ``object.__setattr__`` as a frozen
-        dataclass does: filling ``__dict__`` in one update would turn the
-        shared-key instance dict into a combined one and double the memory
-        each row holds.
+        skipped.  Fields are filled through the slot descriptors' own
+        setters, which write the slot directly and skip the frozen
+        ``__setattr__``.  That is safe here because the instance is fresh
+        and not yet shared: each slot is written once, before the object is
+        returned, exactly as the frozen ``__init__`` would write it.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "genus", genus)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "s", s)
+        _set_genus(out, genus)
+        _set_n(out, n)
+        _set_s(out, s)
         return out
 
     @classmethod
@@ -105,6 +106,12 @@ class FiberCounts:
     @property
     def total(self) -> int:
         return self.n + self.s_total
+
+
+# Slot setters for ``FiberCounts._trusted``, bound once.
+_set_genus = FiberCounts.genus.__set__
+_set_n = FiberCounts.n.__set__
+_set_s = FiberCounts.s.__set__
 
 
 def euler_characteristic(c: FiberCounts) -> int:

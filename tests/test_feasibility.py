@@ -1,5 +1,7 @@
+import copy
+import pickle
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -17,6 +19,7 @@ from lefschetz.feasibility import (
     REJECT_SIGMA_INTEGRAL,
     REJECT_TOTAL,
     ConstraintProfile,
+    FeasibilityRow,
     _hyperelliptic_floor,
     check_counts,
     enumerate_feasible,
@@ -299,13 +302,80 @@ def test_enumerate_higher_genus(g, bound):
 )
 def test_trusted_rows_match_checking_constructor(g, bound):
     # The enumerator builds counts without __post_init__; the public
-    # constructor, with every check, must give the same object.
+    # constructor, with every check, must give the same object, field by
+    # field and with the same exact types.
     p = ConstraintProfile(g, bound)
     for row in enumerate_feasible(p):
         checked = FiberCounts(g, row.counts.n, row.counts.s)
         assert row.counts == checked
-        assert vars(row.counts) == vars(checked)
-        assert check_counts(row.counts, p).verdict == row.verdict
+        for f in fields(FiberCounts):
+            got, want = getattr(row.counts, f.name), getattr(checked, f.name)
+            assert got == want and type(got) is type(want), f.name
+        assert type(row.counts.genus) is int and type(row.counts.n) is int
+        assert type(row.counts.s) is tuple
+        assert all(type(x) is int for x in row.counts.s)
+        checked_row = check_counts(row.counts, p)
+        assert checked_row == row and hash(checked_row) == hash(row)
+        assert repr(checked_row) == repr(row)
+
+
+def layout_cases():
+    trusted = enumerate_feasible(ConstraintProfile(4, 24))
+    admitted = next(r for r in trusted if r.admitted)
+    checked = check_counts(FiberCounts.of(4, 16, 0, 5), ConstraintProfile(4, 24))
+    return [
+        ("trusted counts", admitted.counts),
+        ("trusted row", admitted),
+        ("checked counts", FiberCounts.of(4, 16, 0, 5)),
+        ("checked row", checked),
+        ("constructed row", FeasibilityRow(FiberCounts.of(2, 8, 1), REJECT_CHI_H)),
+    ]
+
+
+@pytest.mark.parametrize("obj", [pytest.param(obj, id=label) for label, obj in layout_cases()])
+def test_rows_and_counts_are_slotted_and_frozen(obj):
+    assert not hasattr(obj, "__dict__")
+    for f in fields(obj):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+    # No slot, no __dict__: a new attribute cannot land anywhere.  The
+    # exception type differs between Python versions for slotted frozen
+    # dataclasses (TypeError from the generated __setattr__ on 3.11).
+    with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+        obj.extra = 1
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+        assert type(twin) is type(obj)
+
+
+def test_row_repr():
+    row = next(r for r in enumerate_feasible(ConstraintProfile(4, 24)) if r.admitted)
+    assert repr(row) == (
+        "FeasibilityRow(counts=FiberCounts(genus=4, n=16, s=(0, 5)), "
+        "verdict='admitted')"
+    )
+
+
+def test_replace_still_checks_counts():
+    trusted = next(r.counts for r in enumerate_feasible(ConstraintProfile(2, 14)))
+    for counts in (trusted, FiberCounts.of(2, 8, 1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            replace(counts, n=-1)
+        with pytest.raises(ValueError, match="separating"):
+            replace(counts, s=(1, 1))
+
+
+@pytest.mark.parametrize(
+    "g,bound", [(2, 30), (3, 30), (4, 30), (5, 24), (7, 20), (10, 14)]
+)
+def test_row_fractions_match_invariants_closed_forms(g, bound):
+    # sigma comes from the kernel's integer numerator; the closed forms in
+    # invariants are a second route to it and to chi_h.
+    for row in enumerate_feasible(ConstraintProfile(g, bound)):
+        sigma = hyperelliptic_signature(row.counts)[0]
+        assert row.sigma == sigma and type(row.sigma) is Fraction
+        assert row.sigma_integral == (sigma.denominator == 1)
+        assert row.chi_h == (euler_characteristic(row.counts) + sigma) / 4
 
 
 @pytest.mark.parametrize("g", range(1, 8))
