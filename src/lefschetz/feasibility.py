@@ -25,19 +25,20 @@ profile and the nonhyperelliptic lower bounds in ``min_fiber_bounds``
 use n >= 4g directly.
 
 One integer kernel, ``_verdict``, decides every row for
-``check_counts``, ``enumerate_feasible`` and the hyperelliptic floor; it
-takes the s-only sums from ``_s_terms`` and adds the parts that depend on
-n.  A row's sigma is read as one exact ``Fraction`` of the same integer
-numerator, sigma_q / q, and chi_h from it and ``euler_characteristic``;
-nothing is cached on the row.  The enumerator builds the compositions s
-with sum(s) <= max_total_fibers - 1, in lexicographic order and each with
-its s-only sums, once per call; stepping n upwards it drops those with
-sum(s) > max_total_fibers - 1 - n, which keeps the order.  Rows and their
-counts are slotted frozen dataclasses, built without re-validation
-(``FiberCounts._trusted`` and ``_trusted_row`` fill fresh instances
-through the slot setters): every count is an exact int from ``range``, s
-has width floor(g/2), and the trivial vector at n = 0 is skipped, so each
-check of ``FiberCounts`` holds by construction.
+``check_counts`` and ``enumerate_feasible``; it takes the s-only sums
+from ``_s_terms`` and adds the parts that depend on n.  A row's sigma is
+read as one exact ``Fraction`` of the same integer numerator,
+sigma_q / q, and chi_h from it and ``euler_characteristic``; nothing is
+cached on the row.  ``enumerate_feasible`` returns sized, re-iterable
+lazy rows: each pass builds the compositions s with sum(s) <=
+max_total_fibers - 1 once, in lexicographic order and each with its
+s-only sums, and yields the rows one at a time while stepping n upwards.
+
+The second route, ``_survivors``, reads the chain per s as arithmetic
+progressions in n (stages 3-6 are congruences and linear bounds), so it
+gives the verdict histogram and the pre-chi survivors without building
+a rejected row; the CLI's default output and the hyperelliptic floor use
+it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ REJECT_CONGRUENCE = "congruence"
 REJECT_SIGMA_INTEGRAL = "sigma-integrality"
 REJECT_SIGMA_BOUND = "sigma-bound"
 REJECT_CHI_H = "chi-h"
+_VERDICTS = (ADMITTED, REJECT_TOTAL, REJECT_N_LOWER, REJECT_CONGRUENCE,
+             REJECT_SIGMA_INTEGRAL, REJECT_SIGMA_BOUND, REJECT_CHI_H)
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,13 @@ class FeasibilityRow:
     counts: FiberCounts
     verdict: str
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.counts, FiberCounts) or self.verdict not in _VERDICTS:
+            raise ValueError(
+                f"a row needs FiberCounts and a verdict in {_VERDICTS}, "
+                f"got {self.counts!r} and {self.verdict!r}"
+            )
+
     @property
     def sigma(self) -> Fraction:
         """sigma_q / q, with the kernel's integer numerator sigma_q."""
@@ -115,19 +125,6 @@ class FeasibilityRow:
     @property
     def pre_chi_survivor(self) -> bool:
         return self.verdict in (ADMITTED, REJECT_CHI_H)
-
-
-_set_counts = FeasibilityRow.counts.__set__
-_set_verdict = FeasibilityRow.verdict.__set__
-
-
-def _trusted_row(counts: FiberCounts, verdict: str) -> FeasibilityRow:
-    """A row from trusted counts and a kernel verdict, filled through the
-    slot setters as ``FiberCounts._trusted`` is."""
-    row = object.__new__(FeasibilityRow)
-    _set_counts(row, counts)
-    _set_verdict(row, verdict)
-    return row
 
 
 def _require_hyperelliptic(p: ConstraintProfile) -> None:
@@ -207,25 +204,115 @@ def row_count(p: ConstraintProfile) -> int:
     return comb(p.max_total_fibers + p.genus // 2, p.genus // 2 + 1) - 1
 
 
-def enumerate_feasible(p: ConstraintProfile) -> tuple[FeasibilityRow, ...]:
-    """Evaluate every nontrivial count vector with total < the bound.
+class _LazyRows:
+    """Sized, re-iterable lazy rows: each ``iter`` is a fresh ``_rows`` pass."""
 
-    Rows come back in lexicographic order on (n, s_1, s_2, ...) and
-    include rejected ones; filter on ``admitted`` or ``pre_chi_survivor``
-    as needed.
+    __slots__ = ("_profile",)
+
+    def __init__(self, p: ConstraintProfile) -> None:
+        self._profile = p
+
+    def __len__(self) -> int:
+        return row_count(self._profile)
+
+    def __iter__(self):
+        return _rows(self._profile)
+
+
+def _rows(p: ConstraintProfile):
+    """Yield every row of ``p`` in (n, s) order.
+
+    Counts and rows are fresh ``object.__new__`` instances filled through
+    the slot descriptors' own setters, which skip the frozen
+    ``__setattr__`` and ``__post_init__``.  Each check those would make
+    holds by construction: the genus is a checked ``ConstraintProfile``
+    genus, an exact int >= 1; n and each s_h are exact ints >= 0 drawn
+    from ``range``; s has width g // 2 because the compositions are built
+    that wide; the one vector with total 0 (s = 0 at n = 0) is skipped;
+    and each verdict is a stage name.  Writing the slots directly is safe
+    because each instance is fresh and not yet shared, and each slot is
+    written once, as the frozen ``__init__`` would write it.  Every
+    vector kept at step n has total < the bound, so below n = 4g the
+    verdict is the n-lower stage without a call to ``_verdict``.
     """
-    _require_hyperelliptic(p)
-    g = p.genus
-    bound = p.max_total_fibers
-    trusted = FiberCounts._trusted
-    rows = []
+    g, bound = p.genus, p.max_total_fibers
+    new, counts_cls, row_cls = object.__new__, FiberCounts, FeasibilityRow
+    set_g, set_n, set_s = (f.__set__ for f in (counts_cls.genus, counts_cls.n, counts_cls.s))
+    set_counts, set_verdict = row_cls.counts.__set__, row_cls.verdict.__set__
     vectors = _compositions(g, bound - 1)
     for n in range(bound):
         # Each step drops the s whose sum no longer fits beside n.
         vectors = [v for v in vectors if v[1][0] < bound - n]
+        fixed = REJECT_N_LOWER if n < 4 * g else None
         for s, terms in vectors[1:] if n == 0 else vectors:  # n = 0: skip s = 0
-            rows.append(_trusted_row(trusted(g, n, s), _verdict(g, n, terms, bound)))
-    return tuple(rows)
+            counts = new(counts_cls)
+            set_g(counts, g)
+            set_n(counts, n)
+            set_s(counts, s)
+            row = new(row_cls)
+            set_counts(row, counts)
+            set_verdict(row, fixed or _verdict(g, n, terms, bound))
+            yield row
+
+
+def enumerate_feasible(p: ConstraintProfile) -> _LazyRows:
+    """Evaluate every nontrivial count vector with total < the bound.
+
+    The result is sized (``len`` is ``row_count(p)``) and re-iterable;
+    rows are built as they are iterated, in lexicographic order on
+    (n, s_1, s_2, ...), and include rejected ones; filter on ``admitted``
+    or ``pre_chi_survivor`` as needed.
+    """
+    _require_hyperelliptic(p)
+    return _LazyRows(p)
+
+
+def _survivors(p: ConstraintProfile) -> tuple[dict[str, int], list[FeasibilityRow]]:
+    """The verdict histogram of ``enumerate_feasible(p)`` (nonzero counts
+    only) and its pre-chi survivor rows in (n, s) order, from arithmetic
+    progressions in n; no rejected row is built.
+
+    For fixed s with S = sum(s), q = 2g + 1 and the s-only sums W and
+    sigma_s of ``_s_terms``, n runs over [0, B - 1 - S] (from 1 if S = 0):
+      - n < 4g fails stage 2, so only the s with S <= B - 1 - 4g are read
+        and the rest of ``row_count(p)`` is counted as stage 2;
+      - stage 3 keeps n = -W mod M, M = 4q (g odd) or 2q (g even);
+      - q | M, so sigma_q = sigma_s - (g + 1) n has one residue mod q on
+        the progression: stage 4 is one test per s;
+      - stage 5, sigma_q <= (n - S - 4g) q, is n (q + g + 1) >= sigma_s
+        + (S + 4g) q, a lower bound on n;
+      - 4q chi_h = g n + (4 - 4g + S) q + sigma_s and g M = 0 mod 4q, so
+        divisibility is one test per s and chi_h >= 1 one more lower bound.
+    """
+    _require_hyperelliptic(p)
+    g, bound = p.genus, p.max_total_fibers
+    q = 2 * g + 1
+    step = (4 if g % 2 else 2) * q
+    hist = dict.fromkeys(_VERDICTS, 0)
+    hist[REJECT_N_LOWER] = row_count(p)  # less each row with n >= 4g below
+    found = []
+    for s, (s_total, weighted, sigma_s) in _compositions(g, bound - 1 - 4 * g):
+        end = bound - s_total  # n < end beside s, and end > 4g
+        hist[REJECT_N_LOWER] -= end - 4 * g
+        first = 4 * g + (-weighted - 4 * g) % step
+        kept = len(range(first, end, step))
+        hist[REJECT_CONGRUENCE] += end - 4 * g - kept
+        if (sigma_s - (g + 1) * first) % q:
+            hist[REJECT_SIGMA_INTEGRAL] += kept
+            continue
+        least = -(-(sigma_s + (s_total + 4 * g) * q) // (3 * g + 2))
+        start = first + max(-(-(least - first) // step), 0) * step
+        passed = range(start, end, step)
+        hist[REJECT_SIGMA_BOUND] += kept - len(passed)
+        chi_4q = (4 - 4 * g + s_total) * q + sigma_s  # 4q chi_h - g n
+        divisible = (g * start + chi_4q) % (4 * q) == 0
+        for n in passed:
+            verdict = ADMITTED if divisible and g * n + chi_4q >= 4 * q else REJECT_CHI_H
+            hist[verdict] += 1
+            found.append((n, s, verdict))
+    found.sort(key=lambda item: item[0])  # stable: s stays lexicographic per n
+    rows = [FeasibilityRow(FiberCounts(g, n, s), v) for n, s, v in found]
+    return {k: v for k, v in hist.items() if v}, rows
 
 
 # -- minimal numbers of singular fibers -------------------------------------
@@ -299,17 +386,11 @@ def _witness(name: str, fibers: int | str, hyperelliptic: bool) -> Witness:
 def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
     """Least admitted hyperelliptic fiber total below a witness count.
 
-    Totals t rise from 4g, each tried on every s with n = t - sum(s) >= 4g,
-    which covers every row the enumerator could admit.  The first admitted
-    total is the floor; when there is none the witness is optimal.
+    The admitted rows below the witness count are ``_survivors``' at that
+    bound; when there is none the witness is optimal.
     """
-    vectors = _compositions(g, witness_fibers - 1 - 4 * g)
-    for t in range(4 * g, witness_fibers):
-        for _, terms in vectors:
-            n = t - terms[0]
-            if n >= 4 * g and _verdict(g, n, terms, witness_fibers) == ADMITTED:
-                return t
-    return witness_fibers
+    rows = _survivors(ConstraintProfile(g, witness_fibers))[1]
+    return min((r.counts.total for r in rows if r.admitted), default=witness_fibers)
 
 
 def min_fiber_bounds(g: int) -> BoundsReport:

@@ -73,27 +73,6 @@ class FiberCounts:
             raise ValueError("a nontrivial fibration needs at least one fiber")
 
     @classmethod
-    def _trusted(cls, genus: int, n: int, s: tuple[int, ...]) -> "FiberCounts":
-        """Build from values the caller vouches for, skipping ``__post_init__``.
-
-        For ``feasibility.enumerate_feasible``, where every check holds by
-        construction: genus is a checked ``ConstraintProfile`` genus, an
-        exact int >= 1; n and each s_h are exact ints drawn from ``range``
-        and are >= 0; s has width g // 2 because the compositions are built
-        that wide; and the one vector with total 0, s = 0 at n = 0, is
-        skipped.  Fields are filled through the slot descriptors' own
-        setters, which write the slot directly and skip the frozen
-        ``__setattr__``.  That is safe here because the instance is fresh
-        and not yet shared: each slot is written once, before the object is
-        returned, exactly as the frozen ``__init__`` would write it.
-        """
-        out = object.__new__(cls)
-        _set_genus(out, genus)
-        _set_n(out, n)
-        _set_s(out, s)
-        return out
-
-    @classmethod
     def of(cls, genus: int, n: int, *s: int) -> "FiberCounts":
         """Build counts, padding the separating vector with zeros."""
         padded = tuple(s) + (0,) * (genus // 2 - len(s))
@@ -106,12 +85,6 @@ class FiberCounts:
     @property
     def total(self) -> int:
         return self.n + self.s_total
-
-
-# Slot setters for ``FiberCounts._trusted``, bound once.
-_set_genus = FiberCounts.genus.__set__
-_set_n = FiberCounts.n.__set__
-_set_s = FiberCounts.s.__set__
 
 
 def euler_characteristic(c: FiberCounts) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -100,6 +101,32 @@ def test_enumerate_json_byte_stable(capsys):
         "--hyperelliptic", "--json",
     )
     assert out1 == out2
+
+
+# sha256 of stdout, recorded before enumerate_feasible returned lazy rows.
+ENUMERATE_DIGESTS = {
+    (2, 14, "--show-rejected"):
+        "558ebe6ee5f628b26246fb03f136a0c2aadecede25705a1d57d44d12a3c22b6c",
+    (2, 14, "--show-rejected --json"):
+        "1064898c7c986ada8976616aaa804d53d7e0350cb833a660765ef98a9930adb6",
+    (2, 14, "--json"):
+        "d1a57fb3f287edf316377db792681b4acc6bcd24e6273b69f437bf3577346199",
+    (4, 24, "--show-rejected"):
+        "ba942bc91d3fccba638ad08b61957cfccfe6234155debed4a807afcb847c6efb",
+    (4, 24, "--show-rejected --json"):
+        "f4cbd5f1a75c5d466b2347f4c31d6a7308516d1f081e6008ab94c811ede2e48c",
+    (4, 24, "--json"):
+        "2501f5d6b032c7f78015eb18986710d5a762a84bb59f0b742eb216af8f556da3",
+}
+
+
+@pytest.mark.parametrize("g,bound,flags", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_digests(capsys, g, bound, flags):
+    _, out, _ = run(
+        capsys, "enumerate", "--genus", str(g), "--max-fibers", str(bound),
+        "--hyperelliptic", *flags.split(),
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[g, bound, flags]
 
 
 # -- invariants -----------------------------------------------------------------

@@ -1,10 +1,13 @@
 import copy
+import json
 import pickle
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,9 @@ from lefschetz.feasibility import (
     ConstraintProfile,
     FeasibilityRow,
     _hyperelliptic_floor,
+    _s_terms,
+    _survivors,
+    _verdict,
     check_counts,
     enumerate_feasible,
     min_fiber_bounds,
@@ -382,7 +388,114 @@ def test_row_fractions_match_invariants_closed_forms(g, bound):
 def test_row_count_closed_form(g):
     for bound in range(1, 16):
         p = ConstraintProfile(g, bound)
-        assert row_count(p) == len(enumerate_feasible(p))
+        # Counted by iterating: len() of the lazy rows is row_count itself.
+        assert row_count(p) == sum(1 for _ in enumerate_feasible(p))
+
+
+@pytest.mark.parametrize("g,bound", [(1, 20), (2, 14), (4, 24), (5, 30), (7, 16)])
+def test_lazy_rows_are_sized_and_reiterable(g, bound):
+    p = ConstraintProfile(g, bound)
+    rows = enumerate_feasible(p)
+    assert len(rows) == row_count(p)
+    assert iter(rows) is not iter(rows)  # each pass is a fresh generator
+    first, second = list(rows), list(rows)
+    assert first == second and len(first) == len(rows)
+    for row in first:
+        assert row == check_counts(row.counts, p)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [((2, 8, (1,)), "bogus"), ((2, 8, (1,)), REJECT_CHI_H), (FiberCounts.of(2, 8, 1), "bogus"),
+     (FiberCounts.of(2, 8, 1), None), (None, ADMITTED)],
+)
+def test_row_constructor_checks_counts_and_verdict(args):
+    # FeasibilityRow((2, 8, (1,)), "bogus") used to build, and .sigma then
+    # died with AttributeError.
+    with pytest.raises(ValueError, match="a row needs FiberCounts and a verdict"):
+        FeasibilityRow(*args)
+
+
+def test_row_constructor_accepts_every_stage():
+    counts = FiberCounts.of(2, 8, 1)
+    for verdict in (ADMITTED, REJECT_TOTAL, REJECT_N_LOWER, REJECT_CONGRUENCE,
+                    REJECT_SIGMA_INTEGRAL, REJECT_SIGMA_BOUND, REJECT_CHI_H):
+        assert FeasibilityRow(counts, verdict).verdict == verdict
+
+
+# -- the progression form ----------------------------------------------------------
+# _survivors decides each s for every n at once; the row kernel over the
+# lazy rows and the naive oracle are two other routes to the same verdicts.
+
+
+def oracle_progression(g, bound):
+    """Histogram and pre-chi survivors from the oracle, vector by vector for
+    n >= 4g; the n < 4g vectors are all n-lower and only counted."""
+    width = g // 2
+    hist = Counter()
+    hist[REJECT_N_LOWER] = sum(
+        comb(bound - 1 - n + width, width) for n in range(min(4 * g, bound))
+    ) - 1  # the trivial vector is not a row
+    survivors = []
+    for n in range(4 * g, bound):
+        for s in product(range(bound - n), repeat=width):
+            if n + sum(s) < bound:
+                verdict = oracle_verdict(g, n, s, bound)
+                hist[verdict] += 1
+                if verdict in (ADMITTED, REJECT_CHI_H):
+                    survivors.append(((n, *s), verdict))
+    return {k: v for k, v in hist.items() if v}, survivors
+
+
+KERNEL_ROUTE_MAX_ROWS = 100_000  # the row-by-row route builds every row
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_progressions_match_row_kernel_and_oracle(data):
+    g = data.draw(st.integers(1, 8), label="g")
+    bound = data.draw(st.integers(1, 4 * g + 15), label="bound")
+    p = ConstraintProfile(g, bound)
+    hist, survivors = _survivors(p)
+    got = [(counts_tuple(r), r.verdict) for r in survivors]
+    assert all(r.pre_chi_survivor for r in survivors)
+    assert sum(hist.values()) == row_count(p) and all(hist.values())
+    assert (hist, got) == oracle_progression(g, bound)
+    if row_count(p) <= KERNEL_ROUTE_MAX_ROWS:
+        kernel = Counter()
+        kernel_survivors = []
+        for row in enumerate_feasible(p):
+            verdict = _verdict(g, row.counts.n, _s_terms(g, row.counts.s), bound)
+            assert verdict == row.verdict
+            kernel[verdict] += 1
+            if row.pre_chi_survivor:
+                kernel_survivors.append((counts_tuple(row), verdict))
+        assert (hist, got) == (dict(kernel), kernel_survivors)
+
+
+@pytest.mark.parametrize("g,bound", [(8, 40), (9, 41)])
+def test_progressions_match_oracle_where_high_genus_survivors_exist(g, bound):
+    hist, survivors = _survivors(ConstraintProfile(g, bound))
+    assert survivors and (hist, [(counts_tuple(r), r.verdict) for r in survivors]) == (
+        oracle_progression(g, bound)
+    )
+
+
+ENUMERATE_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "enumerate.json"
+
+
+def test_progressions_and_lazy_rows_match_recorded_refs():
+    refs = json.loads(ENUMERATE_REFS.read_text())["rows"]
+    assert refs
+    for key, ref in refs.items():
+        p = ConstraintProfile(*map(int, key.split(",")))
+        hist, survivors = _survivors(p)
+        pre_chi = [list(counts_tuple(r)) for r in survivors]
+        admitted = [list(counts_tuple(r)) for r in survivors if r.admitted]
+        assert (hist, pre_chi, admitted) == (ref["hist"], ref["pre_chi"], ref["admitted"]), key
+        rows = list(enumerate_feasible(p))
+        assert dict(Counter(r.verdict for r in rows)) == ref["hist"], key
+        assert [list(counts_tuple(r)) for r in rows if r.pre_chi_survivor] == ref["pre_chi"], key
 
 
 def test_admitted_rows_have_consistent_betti_arithmetic():
