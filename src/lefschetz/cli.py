@@ -225,7 +225,7 @@ def _row_doc(row) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
-    from .feasibility import ConstraintProfile, _survivors, enumerate_feasible, row_count
+    from .feasibility import ConstraintProfile, enumerate_feasible, row_count
 
     if not args.hyperelliptic:
         raise UsageError(
@@ -243,11 +243,12 @@ def _cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
     rows = enumerate_feasible(profile)
+    # One pass over the lazy rows; only --show-rejected keeps them all.
     if args.show_rejected:
-        shown = list(rows)  # the one pass that builds rows
+        shown = list(rows)
         pre_chi = [r for r in shown if r.pre_chi_survivor]
     else:
-        shown = pre_chi = _survivors(profile)[1]
+        shown = pre_chi = [r for r in rows if r.pre_chi_survivor]
     admitted = [r for r in pre_chi if r.admitted]
     notes = []
     if args.genus == 4 and args.max_fibers == 24:

@@ -25,20 +25,14 @@ profile and the nonhyperelliptic lower bounds in ``min_fiber_bounds``
 use n >= 4g directly.
 
 One integer kernel, ``_verdict``, decides every row for
-``check_counts`` and ``enumerate_feasible``; it takes the s-only sums
-from ``_s_terms`` and adds the parts that depend on n.  A row's sigma is
-read as one exact ``Fraction`` of the same integer numerator,
-sigma_q / q, and chi_h from it and ``euler_characteristic``; nothing is
-cached on the row.  ``enumerate_feasible`` returns sized, re-iterable
+``check_counts``, ``enumerate_feasible`` and the hyperelliptic floor; it
+takes the s-only sums from ``_s_terms`` and adds the parts that depend on
+n.  A row's sigma is read as one exact ``Fraction`` of the same integer
+numerator, sigma_q / q, and chi_h from it and ``euler_characteristic``;
+nothing is cached on the row.  ``enumerate_feasible`` returns sized, re-iterable
 lazy rows: each pass builds the compositions s with sum(s) <=
 max_total_fibers - 1 once, in lexicographic order and each with its
 s-only sums, and yields the rows one at a time while stepping n upwards.
-
-The second route, ``_survivors``, reads the chain per s as arithmetic
-progressions in n (stages 3-6 are congruences and linear bounds), so it
-gives the verdict histogram and the pre-chi survivors without building
-a rejected row; the CLI's default output and the hyperelliptic floor use
-it.
 """
 
 from __future__ import annotations
@@ -267,54 +261,6 @@ def enumerate_feasible(p: ConstraintProfile) -> _LazyRows:
     return _LazyRows(p)
 
 
-def _survivors(p: ConstraintProfile) -> tuple[dict[str, int], list[FeasibilityRow]]:
-    """The verdict histogram of ``enumerate_feasible(p)`` (nonzero counts
-    only) and its pre-chi survivor rows in (n, s) order, from arithmetic
-    progressions in n; no rejected row is built.
-
-    For fixed s with S = sum(s), q = 2g + 1 and the s-only sums W and
-    sigma_s of ``_s_terms``, n runs over [0, B - 1 - S] (from 1 if S = 0):
-      - n < 4g fails stage 2, so only the s with S <= B - 1 - 4g are read
-        and the rest of ``row_count(p)`` is counted as stage 2;
-      - stage 3 keeps n = -W mod M, M = 4q (g odd) or 2q (g even);
-      - q | M, so sigma_q = sigma_s - (g + 1) n has one residue mod q on
-        the progression: stage 4 is one test per s;
-      - stage 5, sigma_q <= (n - S - 4g) q, is n (q + g + 1) >= sigma_s
-        + (S + 4g) q, a lower bound on n;
-      - 4q chi_h = g n + (4 - 4g + S) q + sigma_s and g M = 0 mod 4q, so
-        divisibility is one test per s and chi_h >= 1 one more lower bound.
-    """
-    _require_hyperelliptic(p)
-    g, bound = p.genus, p.max_total_fibers
-    q = 2 * g + 1
-    step = (4 if g % 2 else 2) * q
-    hist = dict.fromkeys(_VERDICTS, 0)
-    hist[REJECT_N_LOWER] = row_count(p)  # less each row with n >= 4g below
-    found = []
-    for s, (s_total, weighted, sigma_s) in _compositions(g, bound - 1 - 4 * g):
-        end = bound - s_total  # n < end beside s, and end > 4g
-        hist[REJECT_N_LOWER] -= end - 4 * g
-        first = 4 * g + (-weighted - 4 * g) % step
-        kept = len(range(first, end, step))
-        hist[REJECT_CONGRUENCE] += end - 4 * g - kept
-        if (sigma_s - (g + 1) * first) % q:
-            hist[REJECT_SIGMA_INTEGRAL] += kept
-            continue
-        least = -(-(sigma_s + (s_total + 4 * g) * q) // (3 * g + 2))
-        start = first + max(-(-(least - first) // step), 0) * step
-        passed = range(start, end, step)
-        hist[REJECT_SIGMA_BOUND] += kept - len(passed)
-        chi_4q = (4 - 4 * g + s_total) * q + sigma_s  # 4q chi_h - g n
-        divisible = (g * start + chi_4q) % (4 * q) == 0
-        for n in passed:
-            verdict = ADMITTED if divisible and g * n + chi_4q >= 4 * q else REJECT_CHI_H
-            hist[verdict] += 1
-            found.append((n, s, verdict))
-    found.sort(key=lambda item: item[0])  # stable: s stays lexicographic per n
-    rows = [FeasibilityRow(FiberCounts(g, n, s), v) for n, s, v in found]
-    return {k: v for k, v in hist.items() if v}, rows
-
-
 # -- minimal numbers of singular fibers -------------------------------------
 
 
@@ -386,11 +332,17 @@ def _witness(name: str, fibers: int | str, hyperelliptic: bool) -> Witness:
 def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
     """Least admitted hyperelliptic fiber total below a witness count.
 
-    The admitted rows below the witness count are ``_survivors``' at that
-    bound; when there is none the witness is optimal.
+    Totals t rise from 4g, each tried on every s with n = t - sum(s) >= 4g,
+    which covers every row the enumerator could admit.  The first admitted
+    total is the floor; when there is none the witness is optimal.
     """
-    rows = _survivors(ConstraintProfile(g, witness_fibers))[1]
-    return min((r.counts.total for r in rows if r.admitted), default=witness_fibers)
+    vectors = _compositions(g, witness_fibers - 1 - 4 * g)
+    for t in range(4 * g, witness_fibers):
+        for _, terms in vectors:
+            n = t - terms[0]
+            if n >= 4 * g and _verdict(g, n, terms, witness_fibers) == ADMITTED:
+                return t
+    return witness_fibers
 
 
 def min_fiber_bounds(g: int) -> BoundsReport:

@@ -25,7 +25,6 @@ from lefschetz.feasibility import (
     FeasibilityRow,
     _hyperelliptic_floor,
     _s_terms,
-    _survivors,
     _verdict,
     check_counts,
     enumerate_feasible,
@@ -398,10 +397,10 @@ def test_lazy_rows_are_sized_and_reiterable(g, bound):
     rows = enumerate_feasible(p)
     assert len(rows) == row_count(p)
     assert iter(rows) is not iter(rows)  # each pass is a fresh generator
+    # Each row equals check_counts(row.counts, p): see
+    # test_trusted_rows_match_checking_constructor.
     first, second = list(rows), list(rows)
     assert first == second and len(first) == len(rows)
-    for row in first:
-        assert row == check_counts(row.counts, p)
 
 
 @pytest.mark.parametrize(
@@ -423,12 +422,13 @@ def test_row_constructor_accepts_every_stage():
         assert FeasibilityRow(counts, verdict).verdict == verdict
 
 
-# -- the progression form ----------------------------------------------------------
-# _survivors decides each s for every n at once; the row kernel over the
-# lazy rows and the naive oracle are two other routes to the same verdicts.
+# -- a second route to the verdicts ------------------------------------------------
+# The lazy rows decide stage 2 once per n and call _verdict for n >= 4g;
+# _verdict applied row by row and the naive oracle are two other routes to
+# the same histogram and survivor list.
 
 
-def oracle_progression(g, bound):
+def oracle_histogram(g, bound):
     """Histogram and pre-chi survivors from the oracle, vector by vector for
     n >= 4g; the n < 4g vectors are all n-lower and only counted."""
     width = g // 2
@@ -447,55 +447,48 @@ def oracle_progression(g, bound):
     return {k: v for k, v in hist.items() if v}, survivors
 
 
-KERNEL_ROUTE_MAX_ROWS = 100_000  # the row-by-row route builds every row
+def lazy_histogram(g, bound):
+    """Histogram and pre-chi survivors of the lazy rows, each row with
+    n >= 4g checked against _verdict on the way; the n < 4g rows are
+    checked through the n-lower count, which the oracle forms alone."""
+    hist = Counter()
+    survivors = []
+    for row in enumerate_feasible(ConstraintProfile(g, bound)):
+        n, s = row.counts.n, row.counts.s
+        if n >= 4 * g:
+            assert row.verdict == _verdict(g, n, _s_terms(g, s), bound)
+        hist[row.verdict] += 1
+        if row.pre_chi_survivor:
+            survivors.append((counts_tuple(row), row.verdict))
+    return dict(hist), survivors
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
-def test_progressions_match_row_kernel_and_oracle(data):
+def test_lazy_rows_match_row_kernel_and_oracle(data):
     g = data.draw(st.integers(1, 8), label="g")
     bound = data.draw(st.integers(1, 4 * g + 15), label="bound")
-    p = ConstraintProfile(g, bound)
-    hist, survivors = _survivors(p)
-    got = [(counts_tuple(r), r.verdict) for r in survivors]
-    assert all(r.pre_chi_survivor for r in survivors)
-    assert sum(hist.values()) == row_count(p) and all(hist.values())
-    assert (hist, got) == oracle_progression(g, bound)
-    if row_count(p) <= KERNEL_ROUTE_MAX_ROWS:
-        kernel = Counter()
-        kernel_survivors = []
-        for row in enumerate_feasible(p):
-            verdict = _verdict(g, row.counts.n, _s_terms(g, row.counts.s), bound)
-            assert verdict == row.verdict
-            kernel[verdict] += 1
-            if row.pre_chi_survivor:
-                kernel_survivors.append((counts_tuple(row), verdict))
-        assert (hist, got) == (dict(kernel), kernel_survivors)
+    hist, survivors = lazy_histogram(g, bound)
+    assert sum(hist.values()) == row_count(ConstraintProfile(g, bound))
+    assert (hist, survivors) == oracle_histogram(g, bound)
 
 
-@pytest.mark.parametrize("g,bound", [(8, 40), (9, 41)])
-def test_progressions_match_oracle_where_high_genus_survivors_exist(g, bound):
-    hist, survivors = _survivors(ConstraintProfile(g, bound))
-    assert survivors and (hist, [(counts_tuple(r), r.verdict) for r in survivors]) == (
-        oracle_progression(g, bound)
-    )
+def test_lazy_rows_match_oracle_where_high_genus_survivors_exist():
+    hist, survivors = lazy_histogram(8, 36)  # 35 is the least g = 8 bound with a survivor
+    assert len(survivors) == 3 and (hist, survivors) == oracle_histogram(8, 36)
 
 
 ENUMERATE_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "enumerate.json"
 
 
-def test_progressions_and_lazy_rows_match_recorded_refs():
+def test_lazy_rows_match_recorded_refs():
     refs = json.loads(ENUMERATE_REFS.read_text())["rows"]
     assert refs
     for key, ref in refs.items():
-        p = ConstraintProfile(*map(int, key.split(",")))
-        hist, survivors = _survivors(p)
-        pre_chi = [list(counts_tuple(r)) for r in survivors]
-        admitted = [list(counts_tuple(r)) for r in survivors if r.admitted]
-        assert (hist, pre_chi, admitted) == (ref["hist"], ref["pre_chi"], ref["admitted"]), key
-        rows = list(enumerate_feasible(p))
+        rows = list(enumerate_feasible(ConstraintProfile(*map(int, key.split(",")))))
         assert dict(Counter(r.verdict for r in rows)) == ref["hist"], key
         assert [list(counts_tuple(r)) for r in rows if r.pre_chi_survivor] == ref["pre_chi"], key
+        assert [list(counts_tuple(r)) for r in rows if r.admitted] == ref["admitted"], key
 
 
 def test_admitted_rows_have_consistent_betti_arithmetic():
