@@ -256,32 +256,39 @@ def _cmd_enumerate(args) -> int:
             "(18,0,0) passes every constraint before the chi_h stage "
             "(chi_h = -1) although some published survivor lists omit it"
         )
-    doc = {
-        "genus": args.genus,
-        "max_fibers": args.max_fibers,
-        "hyperelliptic": True,
-        "rows": [_row_doc(r) for r in shown],
-        "admitted": [[r.counts.n, *r.counts.s] for r in admitted],
-        "pre_chi_survivors": [[r.counts.n, *r.counts.s] for r in pre_chi],
-        "notes": notes,
-    }
-    lines = [
-        f"genus {args.genus}, totals strictly below {args.max_fibers}, "
-        f"{len(rows)} count vectors evaluated",
-        "",
-        f"{'n':>4} {'s':>12} {'sigma':>8} {'chi_h':>6}  verdict",
-    ]
-    for row in shown:
+    # Build only the output that is printed: each form is a pass over
+    # every shown row, and the JSON row dicts cost the most.
+    if args.json:
+        doc = {
+            "genus": args.genus,
+            "max_fibers": args.max_fibers,
+            "hyperelliptic": True,
+            "rows": [_row_doc(r) for r in shown],
+            "admitted": [[r.counts.n, *r.counts.s] for r in admitted],
+            "pre_chi_survivors": [[r.counts.n, *r.counts.s] for r in pre_chi],
+            "notes": notes,
+        }
+        _emit(args, doc, "")
+    else:
+        lines = [
+            f"genus {args.genus}, totals strictly below {args.max_fibers}, "
+            f"{len(rows)} count vectors evaluated",
+            "",
+            f"{'n':>4} {'s':>12} {'sigma':>8} {'chi_h':>6}  verdict",
+        ]
+        for row in shown:
+            lines.append(
+                f"{row.counts.n:>4} {str(row.counts.s):>12} {str(row.sigma):>8} "
+                f"{str(row.chi_h):>6}  "
+                + (row.verdict if row.admitted else f"rejected ({row.verdict})")
+            )
+        lines.append("")
         lines.append(
-            f"{row.counts.n:>4} {str(row.counts.s):>12} {str(row.sigma):>8} "
-            f"{str(row.chi_h):>6}  "
-            + (row.verdict if row.admitted else f"rejected ({row.verdict})")
+            f"admitted: {len(admitted)}, pre-chi survivors: {len(pre_chi)}"
         )
-    lines.append("")
-    lines.append(f"admitted: {len(admitted)}, pre-chi survivors: {len(pre_chi)}")
-    for note in notes:
-        lines.append(f"note: {note}")
-    _emit(args, doc, "\n".join(lines))
+        for note in notes:
+            lines.append(f"note: {note}")
+        _emit(args, {}, "\n".join(lines))
     return EXIT_OK if admitted else EXIT_NEGATIVE
 
 

@@ -13,8 +13,12 @@ and coset counts are reproducible:
   alphabet order (g1, g1^-1, g2, ...);
 * coincidences merge toward the smaller coset number;
 * when the live-coset limit is hit, one lookahead pass runs that scan
-  without defining at every live coset; the coset is retried only if
-  the pass freed space.
+  without defining at every live coset from the current one on; the
+  coset is retried only if the pass freed space.
+
+The coset table is column-major: one flat list per generator and per
+inverse, indexed by coset number and grown in place, with no container
+per coset.  Dead cosets keep their slots until the call returns.
 
 Abelianization takes the integer Smith normal form in exact arithmetic:
 pivot on an entry of least absolute value, clear its row and column,
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .surface import exact_ints
 from .words import Word, exponent_sums, free_reduce, parse_word
@@ -188,26 +193,51 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     ``max_cosets`` live cosets even after lookahead.  Deterministic for a
     fixed presentation.
 
-    Columns alternate generator and inverse: column 2k is generator k,
-    column 2k+1 its inverse.  Rows are appended as cosets are defined, so
-    ``len(table)`` counts every coset defined; ``parent`` is the
-    union-find array of the coincidences, and a coset is live iff
-    ``parent[k] == k``.
+    The table is column-major: column 2k is generator k, column 2k+1 its
+    inverse, and ``cols[x][k]`` is coset k's entry in column x.  Each
+    relator holds the tuples of its forward and inverse column lists, so
+    a lookup is ``word[i][f]``.  ``parent`` is the union-find array of
+    the coincidences: defining a coset appends to it, ``len(parent)``
+    counts every coset defined, and a coset is live iff
+    ``parent[k] == k``.  Dead cosets keep their slots.
+
+    The columns start at 64 rows and grow together by a quarter when
+    full.  They grow in place and are never rebound, because the relator
+    tuples and ``pairs`` hold references to the lists themselves.
+
+    Lookahead starts at the current coset alpha, not at 0, and that
+    changes no count.  Every live coset before alpha finished its
+    main-loop scan with ``fill``, so its row is complete and every
+    relator closes at it.  Definitions only add entries, and a
+    coincidence keeps each edge as an edge between representatives, so
+    that stays true and the skipped scans would do nothing.
     """
     (max_cosets,) = exact_ints((max_cosets,), "max_cosets")
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    ncols = 2 * len(p.generators)
+    capacity = 64
+    cols: list[list[int | None]] = [
+        [None] * capacity for _ in range(2 * len(p.generators))
+    ]
+    pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
     column = {name: 2 * k for k, name in enumerate(p.generators)}
     relators = []
     for reduced in map(free_reduce, p.relators):
         if reduced:
-            word = tuple(column[name] + (sign < 0) for name, sign in reduced)
-            relators.append((word, tuple(x ^ 1 for x in word), len(word) - 1))
-    table: list[list[int | None]] = [[None] * ncols]
+            xs = [column[name] + (sign < 0) for name, sign in reduced]
+            word = tuple(cols[x] for x in xs)
+            back = tuple(cols[x ^ 1] for x in xs)
+            relators.append((word, back, len(xs) - 1))
     parent = [0]
     queue: deque[int] = deque()
     merged = deductions = passes = 0
+
+    def grow() -> None:
+        nonlocal capacity
+        extra = capacity >> 2
+        for col in cols:
+            col.extend(repeat(None, extra))
+        capacity += extra
 
     def rep(k: int) -> int:
         root = k
@@ -231,18 +261,19 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
         merge(alpha, beta)
         while queue:
             gamma = queue.popleft()
-            for x, delta in enumerate(table[gamma]):
+            for col, inv in pairs:
+                delta = col[gamma]
                 if delta is None:
                     continue
-                table[delta][x ^ 1] = None
+                inv[delta] = None
                 mu, nu = rep(gamma), rep(delta)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x])
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1])
+                if col[mu] is not None:
+                    merge(nu, col[mu])
+                elif inv[nu] is not None:
+                    merge(mu, inv[nu])
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
 
     def scan(alpha: int, fill: bool) -> bool:
         """Scan every relator at coset alpha while it lives; with fill,
@@ -259,13 +290,13 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
             f, i, b, j = alpha, 0, alpha, last
             while True:
                 while i <= j:
-                    nxt = table[f][word[i]]
+                    nxt = word[i][f]
                     if nxt is None:
                         break
                     f = nxt
                     i += 1
                 while j >= i:
-                    nxt = table[b][back[j]]
+                    nxt = back[j][b]
                     if nxt is None:
                         break
                     b = nxt
@@ -276,49 +307,49 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
                     break
                 if i == j:
                     # deduction: one gap closes without a new coset
-                    table[f][word[i]] = b
-                    table[b][back[i]] = f
+                    word[i][f] = b
+                    back[i][b] = f
                     deductions += 1
                     break
                 if not fill:
                     break
-                if len(table) - merged >= max_cosets:
+                beta = len(parent)
+                if beta - merged >= max_cosets:
                     return False
-                beta = len(table)
-                new = [None] * ncols
-                new[back[i]] = f
-                table.append(new)
+                if beta == capacity:
+                    grow()
                 parent.append(beta)
-                table[f][word[i]] = beta
+                back[i][beta] = f
+                word[i][f] = beta
                 f = beta
                 i += 1
         if fill and parent[alpha] == alpha:
-            row = table[alpha]
-            for x in range(ncols):
-                if row[x] is None:
-                    if len(table) - merged >= max_cosets:
+            for col, inv in pairs:
+                if col[alpha] is None:
+                    beta = len(parent)
+                    if beta - merged >= max_cosets:
                         return False
-                    row[x] = beta = len(table)
-                    new = [None] * ncols
-                    new[x ^ 1] = alpha
-                    table.append(new)
+                    if beta == capacity:
+                        grow()
                     parent.append(beta)
+                    col[alpha] = beta
+                    inv[beta] = alpha
         return True
 
     alpha = 0
-    while alpha < len(table):
+    while alpha < len(parent):
         if parent[alpha] != alpha or scan(alpha, True):
             alpha += 1
             continue
         # the table is full: lookahead, then retry alpha if space was freed
         passes += 1
         before = merged
-        for gamma in range(len(table)):
+        for gamma in range(alpha, len(parent)):
             if parent[gamma] == gamma:
                 scan(gamma, False)
         if merged == before:
             break  # nothing freed: alpha stays short of the table's end
-    order = len(table) - merged if alpha == len(table) else None
+    order = len(parent) - merged if alpha == len(parent) else None
     return EnumerationResult(
-        order, len(table), max_cosets, merged, deductions, passes
+        order, len(parent), max_cosets, merged, deductions, passes
     )

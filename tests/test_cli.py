@@ -103,8 +103,12 @@ def test_enumerate_json_byte_stable(capsys):
     assert out1 == out2
 
 
-# sha256 of stdout, recorded before enumerate_feasible returned lazy rows.
+# sha256 of stdout, recorded before enumerate_feasible returned lazy rows;
+# the text rows and (6, 30) were recorded before enumerate built only the
+# output it prints.
 ENUMERATE_DIGESTS = {
+    (2, 14, ""):
+        "0cbdf09ce1baf341bc0c6db6da94e26c126f2bca83438ec36936a9b4b940b0b3",
     (2, 14, "--show-rejected"):
         "558ebe6ee5f628b26246fb03f136a0c2aadecede25705a1d57d44d12a3c22b6c",
     (2, 14, "--show-rejected --json"):
@@ -117,6 +121,14 @@ ENUMERATE_DIGESTS = {
         "f4cbd5f1a75c5d466b2347f4c31d6a7308516d1f081e6008ab94c811ede2e48c",
     (4, 24, "--json"):
         "2501f5d6b032c7f78015eb18986710d5a762a84bb59f0b742eb216af8f556da3",
+    (4, 24, ""):
+        "88768bb099354e8f2f061e7fec16efcba70c03fba1beeb83c7a19eca277b6b65",
+    (6, 30, ""):
+        "359d468c3e957335bd1ef75f00751642133b2a0a67e85ad3a7263010aa8844ed",
+    (6, 30, "--json"):
+        "8adebe5fc802d0078fd4e5682b932ba2838fea5fafea1bfd70be9f7d5f2d0959",
+    (6, 30, "--show-rejected"):
+        "b33c610da0c499c49baf288df63d7b70f2060b38ba90061b7bfebaf863c1f203",
 }
 
 

@@ -240,6 +240,14 @@ PRESENTATIONS = {
     "W2": lambda: pi1_presentation("W2"),
     **{f"S{n}": (lambda n=n: coxeter(n)) for n in range(4, 8)},
     **{f"surface{g}": (lambda g=g: surface_group(g)) for g in range(1, 4)},
+    # random.Random(99)'s 4-generator draw: most cosets die in coincidences
+    # and lookahead runs every few hundred definitions.
+    "random4": lambda: pres(
+        "y0 y1 y2 y3",
+        "y3 y3 y3~ y0~ y3~",
+        "y3 y3~ y3 y1 y0~ y1 y1 y2~",
+        "y2 y0 y2~ y1~ y2 y0",
+    ),
 }
 
 # Exact (order, cosets_defined) of the frozen HLT strategy.  Every row
@@ -266,6 +274,75 @@ PINNED_ENUMERATIONS = [
     ("surface3", 5 * 10**3, None, 5000),
     # lookahead frees space once, then enumeration resumes
     ("surface2", 2 * 10**4, None, 20001),
+    ("random4", 400, None, 26133),
+    # limits on both sides of each size at which todd_coxeter's columns
+    # grow (64 rows, then a quarter more: 80, 100, ..., 1438, 1797).
+    # surface2 defines exactly its limit; S6 crosses the sizes while it
+    # merges, and closes from limit 921 on.
+    ("surface2", 64, None, 64),
+    ("surface2", 65, None, 65),
+    ("surface2", 80, None, 80),
+    ("surface2", 81, None, 81),
+    ("surface2", 100, None, 100),
+    ("surface2", 101, None, 101),
+    ("surface2", 125, None, 125),
+    ("surface2", 126, None, 126),
+    ("surface2", 156, None, 156),
+    ("surface2", 157, None, 157),
+    ("surface2", 195, None, 195),
+    ("surface2", 196, None, 196),
+    ("surface2", 243, None, 243),
+    ("surface2", 244, None, 244),
+    ("surface2", 303, None, 303),
+    ("surface2", 304, None, 304),
+    ("surface2", 378, None, 378),
+    ("surface2", 379, None, 379),
+    ("surface2", 472, None, 472),
+    ("surface2", 473, None, 473),
+    ("surface2", 590, None, 590),
+    ("surface2", 591, None, 591),
+    ("surface2", 737, None, 737),
+    ("surface2", 738, None, 738),
+    ("surface2", 921, None, 921),
+    ("surface2", 922, None, 922),
+    ("surface2", 1151, None, 1151),
+    ("surface2", 1152, None, 1152),
+    ("surface2", 1438, None, 1438),
+    ("surface2", 1439, None, 1439),
+    ("surface2", 1797, None, 1797),
+    ("surface2", 1798, None, 1798),
+    ("S6", 64, None, 75),
+    ("S6", 65, None, 77),
+    ("S6", 80, None, 100),
+    ("S6", 81, None, 101),
+    ("S6", 100, None, 125),
+    ("S6", 101, None, 126),
+    ("S6", 125, None, 156),
+    ("S6", 126, None, 157),
+    ("S6", 156, None, 204),
+    ("S6", 157, None, 205),
+    ("S6", 195, None, 266),
+    ("S6", 196, None, 270),
+    ("S6", 243, None, 354),
+    ("S6", 244, None, 360),
+    ("S6", 303, None, 469),
+    ("S6", 304, None, 472),
+    ("S6", 378, None, 620),
+    ("S6", 379, None, 621),
+    ("S6", 472, None, 808),
+    ("S6", 473, None, 810),
+    ("S6", 590, None, 1075),
+    ("S6", 591, None, 1080),
+    ("S6", 737, 720, 1421),
+    ("S6", 738, 720, 1423),
+    ("S6", 921, 720, 1513),
+    ("S6", 922, 720, 1513),
+    ("S6", 1151, 720, 1513),
+    ("S6", 1152, 720, 1513),
+    ("S6", 1438, 720, 1513),
+    ("S6", 1439, 720, 1513),
+    ("S6", 1797, 720, 1513),
+    ("S6", 1798, 720, 1513),
 ]
 
 
@@ -280,6 +357,7 @@ PINNED_COUNTERS = [
     ("W2", 10**6, 299, 47, 0),
     ("S7", 10**6, 7105, 18214, 0),
     ("surface1", 2 * 10**3, 351, 1538, 2),
+    ("random4", 400, 25733, 8298, 177),
 ]
 
 
@@ -323,14 +401,33 @@ def random_presentation(rng):
 RANDOM_ENUMERATIONS_DIGEST = (
     "6260c037f09a4f88a95a79c381f1c047ffedc5e774580457872794c9016c2f36"
 )
+# SHA-256 of all five counters, (order, cosets_defined, merged, deductions,
+# lookahead_passes), over the same enumerations, recorded on the row-list
+# table the column-major one replaced.
+RANDOM_COUNTERS_DIGEST = (
+    "3e0e2165ce8a10cc616f0a2c4985f1ad81d4edf74d00b26eb11c04fb613259c2"
+)
 
 
-def test_random_enumerations_digest():
+def random_enumerations():
     rng = random.Random(2024)
-    digest = hashlib.sha256()
     for _ in range(400):
         p = random_presentation(rng)
         for limit in (30, 300):
-            result = todd_coxeter(p, limit)
-            digest.update(repr((result.order, result.cosets_defined)).encode())
+            yield todd_coxeter(p, limit)
+
+
+def test_random_enumerations_digest():
+    digest = hashlib.sha256()
+    for result in random_enumerations():
+        digest.update(repr((result.order, result.cosets_defined)).encode())
     assert digest.hexdigest() == RANDOM_ENUMERATIONS_DIGEST
+
+
+def test_random_enumerations_counters_digest():
+    digest = hashlib.sha256()
+    for r in random_enumerations():
+        fields = (r.order, r.cosets_defined, r.merged, r.deductions,
+                  r.lookahead_passes)
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == RANDOM_COUNTERS_DIGEST
