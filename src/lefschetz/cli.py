@@ -227,13 +227,9 @@ def _row_doc(row) -> dict:
 def _cmd_enumerate(args) -> int:
     from .feasibility import ConstraintProfile, enumerate_feasible, row_count
 
-    if not args.hyperelliptic:
-        raise UsageError(
-            "enumerate needs --hyperelliptic: sigma is not determined by "
-            "counts for general fibrations"
-        )
     profile = ConstraintProfile(
-        genus=args.genus, max_total_fibers=args.max_fibers, hyperelliptic=True
+        genus=args.genus, max_total_fibers=args.max_fibers,
+        hyperelliptic=args.hyperelliptic,
     )
     expected = row_count(profile)
     if expected > ENUMERATE_WARN_ROWS:

@@ -18,12 +18,6 @@ reproducible.  Rows failing only the chi-h stage ("pre-chi survivors")
 are reported distinctly from admitted rows, because the two stages play
 different roles in the bound arguments.
 
-For nonhyperelliptic profiles the signature is not determined by the
-counts, so only the sigma-free constraints (total, n >= 4g) would be
-meaningful; the operations below therefore require a hyperelliptic
-profile and the nonhyperelliptic lower bounds in ``min_fiber_bounds``
-use n >= 4g directly.
-
 One integer kernel, ``_verdict``, decides every row for
 ``check_counts``, ``enumerate_feasible`` and the hyperelliptic floor; it
 takes the s-only sums from ``_s_terms`` and adds the parts that depend on
@@ -37,7 +31,7 @@ s-only sums, and yields the rows one at a time while stepping n upwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -61,13 +55,18 @@ _VERDICTS = (ADMITTED, REJECT_TOTAL, REJECT_N_LOWER, REJECT_CONGRUENCE,
 
 @dataclass(frozen=True)
 class ConstraintProfile:
-    """What to enumerate: genus, strict fiber bound, hyperelliptic flag."""
+    """What to enumerate: a genus and a strict bound on the fiber total.
+
+    Every profile is hyperelliptic, since only there do the counts fix
+    sigma.  ``hyperelliptic`` is an init-only keyword, not a field: it
+    accepts True, its default, and raises ValueError on anything else.
+    """
 
     genus: int
     max_total_fibers: int
-    hyperelliptic: bool = True
+    hyperelliptic: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, hyperelliptic: bool) -> None:
         genus, bound = exact_ints(
             (self.genus, self.max_total_fibers), "genus and max_total_fibers"
         )
@@ -77,9 +76,10 @@ class ConstraintProfile:
             raise ValueError(f"genus must be >= 1, got {genus}")
         if bound < 1:
             raise ValueError("max_total_fibers must be >= 1")
-        if not isinstance(self.hyperelliptic, bool):
+        if hyperelliptic is not True:
             raise ValueError(
-                f"hyperelliptic must be True or False, got {self.hyperelliptic!r}"
+                "profile is not hyperelliptic: sigma is determined by the "
+                f"counts only for hyperelliptic fibrations, got {hyperelliptic!r}"
             )
 
 
@@ -121,15 +121,6 @@ class FeasibilityRow:
         return self.verdict in (ADMITTED, REJECT_CHI_H)
 
 
-def _require_hyperelliptic(p: ConstraintProfile) -> None:
-    if not p.hyperelliptic:
-        raise ValueError(
-            "profile is not hyperelliptic: sigma cannot be derived from "
-            "counts alone, so only the sigma-free constraints (total, "
-            "n >= 4g) would apply"
-        )
-
-
 def _s_terms(g: int, s: tuple[int, ...]) -> tuple[int, int, int]:
     """The s-only parts of the chain at genus g: sum(s), the congruence
     weight sum_h 2h(4h+2) s_h and the signature part sum_h (4h(g-h) - q) s_h."""
@@ -166,7 +157,6 @@ def _verdict(g: int, n: int, terms: tuple[int, int, int], bound: int) -> str:
 
 def check_counts(c: FiberCounts, p: ConstraintProfile) -> FeasibilityRow:
     """Evaluate the constraint chain; verdict carries the first failure."""
-    _require_hyperelliptic(p)
     if c.genus != p.genus:
         raise ValueError(f"counts are genus {c.genus}, profile genus {p.genus}")
     return FeasibilityRow(
@@ -257,7 +247,6 @@ def enumerate_feasible(p: ConstraintProfile) -> _LazyRows:
     (n, s_1, s_2, ...), and include rejected ones; filter on ``admitted``
     or ``pre_chi_survivor`` as needed.
     """
-    _require_hyperelliptic(p)
     return _LazyRows(p)
 
 

@@ -76,9 +76,11 @@ def test_enumerate_g4_note_matches_rows(capsys):
 
 
 def test_enumerate_requires_hyperelliptic(capsys):
-    code, _, err = run(capsys, "enumerate", "--genus", "3", "--max-fibers", "18")
+    code, out, err = run(capsys, "enumerate", "--genus", "3", "--max-fibers", "18")
     assert code == 2
-    assert "hyperelliptic" in err
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert re.fullmatch(r"error: profile is not hyperelliptic: .*, got False\n", err)
 
 
 def test_enumerate_show_rejected(capsys):

@@ -135,14 +135,37 @@ def test_congruence_stage_subsumes_sigma_integrality():
             for r in rows
             if r.verdict not in (REJECT_TOTAL, REJECT_N_LOWER, REJECT_CONGRUENCE)
         )
+    # Directly for g = 1..60: s_h = (a h + b) mod 13 covers entries 0..12,
+    # n is the least solution of the congruence, and then q | sigma_q.
+    for g in range(1, 61):
+        q, modulus = 2 * g + 1, (4 if g % 2 else 2) * (2 * g + 1)
+        for a, b in product(range(13), repeat=2):
+            s = tuple((a * h + b) % 13 for h in range(1, g // 2 + 1))
+            _, weighted, s_sigma_q = _s_terms(g, s)
+            n = -weighted % modulus
+            assert (s_sigma_q - (g + 1) * n) % q == 0, (g, s)
+            while n < 4 * g:  # so the kernel reaches both stages
+                n += modulus
+            verdict = _verdict(g, n, _s_terms(g, s), 10**6)
+            assert verdict not in (REJECT_CONGRUENCE, REJECT_SIGMA_INTEGRAL), (g, s)
 
 
 def test_check_counts_requires_hyperelliptic_profile():
-    p = ConstraintProfile(2, 14, hyperelliptic=False)
-    with pytest.raises(ValueError, match="not hyperelliptic"):
-        check_counts(FiberCounts.of(2, 8, 1), p)
-    with pytest.raises(ValueError, match="not hyperelliptic"):
-        enumerate_feasible(p)
+    # A nonhyperelliptic profile cannot be built, so check_counts and
+    # enumerate_feasible never see one.
+    with pytest.raises(ValueError, match="not hyperelliptic.*got False"):
+        ConstraintProfile(2, 14, hyperelliptic=False)
+
+
+def test_constraint_profile_hyperelliptic_is_init_only():
+    # The benchmark's two spellings build equal profiles; the keyword is
+    # not stored, and replace() still works beside the init-only default.
+    p = ConstraintProfile(4, 24, hyperelliptic=True)
+    assert p == ConstraintProfile(4, 24)
+    assert len(enumerate_feasible(ConstraintProfile(2, 10))) == 54
+    assert [f.name for f in fields(ConstraintProfile)] == ["genus", "max_total_fibers"]
+    assert "hyperelliptic" not in vars(p)
+    assert replace(p, genus=3) == ConstraintProfile(3, 24)
 
 
 def test_check_counts_genus_mismatch():
@@ -161,7 +184,7 @@ def test_constraint_profile_rejects_non_integers(genus, bound, bad):
         ConstraintProfile(genus, bound)
 
 
-@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+@pytest.mark.parametrize("flag", ["no", 0, 1, None, False])
 def test_constraint_profile_rejects_non_bool_hyperelliptic(flag):
     # "no" is truthy and used to enumerate as a hyperelliptic profile.
     with pytest.raises(ValueError, match=f"got {re.escape(repr(flag))}"):
