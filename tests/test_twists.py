@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.invariants import FiberCounts
-from lefschetz.mono import parse_mono
+from lefschetz.mono import parse_mono, serialize_mono
 from lefschetz.surface import (
     BOUNDARY,
     NONSEP,
@@ -16,6 +17,7 @@ from lefschetz.surface import (
     CurveClass,
     HomologyClass,
     SurfaceSpec,
+    homology_of_word,
     pairing_matrix,
 )
 from lefschetz.twists import (
@@ -35,6 +37,7 @@ from lefschetz.twists import (
     twist_matrix,
     verify_homological_relator,
 )
+from lefschetz.words import parse_word
 
 A1 = HomologyClass.basis(1, "a1")
 B1 = HomologyClass.basis(1, "b1")
@@ -497,6 +500,78 @@ def test_thousand_random_hurwitz_moves_preserve_product():
             f = hurwitz_move(f, i, rng.choice(("right", "left")))
             moves += 1
         assert factorization_matrix(f) == before
+
+
+def test_hurwitz_move_names_the_left_classless_letter():
+    curves = (CurveClass("first", NONSEP), CurveClass("second", NONSEP))
+    letters = (TwistLetter("first"), TwistLetter("second"))
+    f = Factorization(SurfaceSpec(1), curves, letters)
+    for direction in ("right", "left"):
+        with pytest.raises(MissingHomology) as info:
+            hurwitz_move(f, 1, direction)
+        assert info.value.curve_name == "first"
+
+
+# SHA-256 of the .mono text after every move and the repr of every refused
+# move over the seeded walks below, recorded when each direction of a move
+# still had its own branch.
+HURWITZ_WALKS_DIGEST = (
+    "faa2e2d10d3aec250c1e32a6970391b642f36f55b621d9dc77362fcca5dad381"
+)
+
+
+def seeded_hurwitz_walks():
+    rng = random.Random(2026)
+    for _ in range(3000):
+        genus = rng.randint(1, 4)
+        spec = SurfaceSpec(genus, 1)
+        curves = []
+        for k in range(3):
+            while not any(coords := [rng.choice((-2, -1, 0, 0, 1, 2))
+                                     for _ in range(2 * genus)]):
+                pass
+            g = math.gcd(*coords)
+            homology = HomologyClass(tuple(c // g for c in coords))
+            curves.append(CurveClass(f"c{k}", NONSEP, homology=homology))
+        worded = parse_word("a1 b1")
+        curves += [
+            CurveClass("c0@h1", NONSEP, homology=curves[0].homology),  # decoy
+            CurveClass("w", NONSEP, homology=homology_of_word(worded, spec),
+                       word=worded),
+            CurveClass("m0", NONSEP),  # no class
+            CurveClass("m1", NONSEP),
+            CurveClass("delta", BOUNDARY, boundary_index=1),
+        ]
+        if genus >= 2:
+            curves.append(CurveClass("sep", SEP, h=rng.randint(1, genus // 2)))
+        names = [c.name for c in curves]
+        letters = tuple(
+            TwistLetter(rng.choice(names), rng.choice((1, 1, -1)))
+            for _ in range(rng.randint(2, 8))
+        )
+        f = Factorization(spec, tuple(curves), letters)
+        moves = []
+        for _ in range(rng.randint(1, 6)):
+            if moves and rng.random() < 0.3:  # often undo the last move
+                i, direction = moves[-1]
+                moves.append((i, INVERSE[direction]))
+            else:
+                moves.append((rng.randint(1, len(letters) - 1),
+                              rng.choice(("right", "left"))))
+        yield f, moves
+
+
+def test_seeded_hurwitz_walks_digest():
+    digest = hashlib.sha256()
+    for f, moves in seeded_hurwitz_walks():
+        for i, direction in moves:
+            try:
+                f = hurwitz_move(f, i, direction)
+            except MissingHomology as exc:
+                digest.update(repr(exc).encode())
+            else:
+                digest.update(serialize_mono(f).encode())
+    assert digest.hexdigest() == HURWITZ_WALKS_DIGEST
 
 
 # -- conjugate_factorization ----------------------------------------------------
