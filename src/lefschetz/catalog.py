@@ -105,7 +105,7 @@ def _entry(
     ``sep`` maps each separating letter to its type; every other letter
     is nonseparating.  A curve with a printed pi_1 word in ``words``
     carries that word and its abelianization.  ``counts`` is (n, s_1, ...),
-    padded with zeros.
+    padded with zeros; a letter tally that differs raises CatalogError.
     """
     words = words or {}
     table = dict.fromkeys(word.split())
@@ -128,11 +128,20 @@ def _entry(
         letters=tuple(TwistLetter(curve) for curve in word.split()),
         target=target,
     )
+    # Every letter is nonsep or sep, so the tally counts each one and also
+    # checks the letter total.
+    declared = FiberCounts.of(genus, *counts)
+    tally = letter_counts(f)
+    if tally != declared:
+        raise CatalogError(
+            f"{name}: letter tally ({tally.n}, {tally.s}) vs declared "
+            f"({declared.n}, {declared.s})"
+        )
     return CatalogEntry(
         name=name,
         description=description,
         factorization=f,
-        counts=FiberCounts.of(genus, *counts),
+        counts=declared,
         hyperelliptic=hyperelliptic,
         ledger=ledger,
         notes=notes,
@@ -170,22 +179,10 @@ _W2_WORDS = {
 }
 
 
-def _audit(entry: CatalogEntry) -> CatalogEntry:
-    # Every catalog letter is nonsep or sep, so the tally counts each one
-    # and also checks the letter total.
-    tally = letter_counts(entry.factorization)
-    if tally != entry.counts:
-        raise CatalogError(
-            f"{entry.name}: letter tally ({tally.n}, {tally.s}) vs declared "
-            f"({entry.counts.n}, {entry.counts.s})"
-        )
-    return entry
-
-
 @lru_cache(maxsize=1)
 def load_catalog() -> tuple[CatalogEntry, ...]:
     """All catalog entries, audited against their declared counts."""
-    return tuple(_audit(entry) for entry in (
+    return (
         _entry(
             "T", "smallest genus-2 fibration block; two (-1)-sections",
             2, 2, "e x1 x2 x3 d B2 C", (4, 3), True,
@@ -271,7 +268,7 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
                 "s2 = 0",
             ),
         ),
-    ))
+    )
 
 
 def get_entry(name: str) -> CatalogEntry:

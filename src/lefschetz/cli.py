@@ -158,6 +158,7 @@ def _cmd_invariants(args) -> int:
     )
 
     counts = _counts_from_args(args)
+    ledger = None if args.ledger is None else _parse_ledger_spec(args.ledger)
     e = euler_characteristic(counts)
     head = {"genus": counts.genus, "n": counts.n, "s": list(counts.s), "e": e}
     routes: dict[str, int] = {}
@@ -170,8 +171,8 @@ def _cmd_invariants(args) -> int:
                   "cannot arise from a hyperelliptic fibration)")
             return EXIT_NEGATIVE
         routes["hyperelliptic"] = int(sigma)
-    if args.ledger is not None:
-        routes["ledger"] = endo_nagami_total(_parse_ledger_spec(args.ledger))
+    if ledger is not None:
+        routes["ledger"] = endo_nagami_total(ledger)
     if not routes:
         raise UsageError(
             "need a signature route: pass --hyperelliptic and/or --ledger SPEC"

@@ -17,8 +17,9 @@ non-identity matrix refutes one.
 Hurwitz moves operate on homology data only (kind plus class); the
 underlying isotopy class is not tracked.  Curves created by a move are
 named ``<old>@h<counter>`` with the smallest unused counter, so move
-sequences are reproducible; such a curve leaves the table again when a
-move takes away its last letter.
+sequences are reproducible.  Any curve whose name has that ``@h`` form,
+minted or declared, leaves the table when a move takes away its last
+letter.
 
 All operations are pure functions over immutable values.
 """
@@ -353,71 +354,6 @@ def verify_homological_relator(
 _DERIVED_NAME = re.compile(r"(.+)@h[0-9]+\Z")
 
 
-def _fresh_name(base: str, taken: dict[str, CurveClass]) -> str:
-    k = 1
-    while f"{base}@h{k}" in taken:
-        k += 1
-    return f"{base}@h{k}"
-
-
-def _moved_curve(
-    f: Factorization, old: CurveClass, new_class: HomologyClass
-) -> CurveClass:
-    """Pick the curve recording the conjugated letter.
-
-    Reuse the old curve when its class is untouched (disjoint twists
-    commute), or the curve the old one was derived from when the move
-    undoes the derivation; otherwise mint ``<old>@h<counter>``, which is
-    not yet in the table.  Any pi_1 word is dropped from minted curves,
-    since conjugating a word would need twist data we do not track.
-    """
-    if new_class == effective_class(old, f.spec):
-        return old
-    m = _DERIVED_NAME.match(old.name)
-    parent = f._index.get(m.group(1)) if m is not None else None
-    if (
-        parent is not None
-        and parent.kind == old.kind
-        and effective_class(parent, f.spec) == new_class
-    ):
-        return parent
-    return CurveClass(
-        name=_fresh_name(old.name, f._index),
-        kind=old.kind,
-        h=old.h,
-        boundary_index=old.boundary_index,
-        homology=new_class,
-        word=None,
-    )
-
-
-def _moved_factorization(
-    f: Factorization, displaced: CurveClass, moved: CurveClass, letters
-) -> Factorization:
-    """The factorization after a move, built without re-running the checks.
-
-    The result is valid by construction, so ``Factorization.__post_init__``
-    is skipped: every kept curve was checked in f; a minted ``moved`` curve
-    copies the kind, h and boundary index of a checked curve, has a class
-    of the same rank and no word, and its name is not yet taken; ``letters``
-    only name curves of f or ``moved``; the spec and target are f's.  The
-    ``displaced`` curve leaves the table when its name looks derived
-    (``@h``) and no letter uses it any more, so machine-minted curves
-    vanish again: when no letter of f names an ``@h`` curve, a move
-    followed by its inverse restores f exactly.  Only the curve that lost
-    a letter in this move can have become unused, so no other is pruned.
-    """
-    index = dict(f._index)
-    index.setdefault(moved.name, moved)
-    if (
-        displaced is not moved
-        and _DERIVED_NAME.match(displaced.name)
-        and all(letter.curve != displaced.name for letter in letters)
-    ):
-        del index[displaced.name]
-    return Factorization._checked(f.spec, index, letters, f.target)
-
-
 def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factorization:
     """Elementary Hurwitz move at 1-based position i (letters i, i+1).
 
@@ -427,6 +363,22 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     The conjugated letter keeps its sign and kind; its class is the
     transvect image under the conjugating twist.  The product matrix
     and the multiset of letter kinds are unchanged.
+
+    The conjugated letter names the old curve when its class is untouched
+    (disjoint twists commute), else the curve the old one was derived from
+    when the move undoes the derivation, else a new ``<old>@h<k>`` with
+    the least unused k.  A new curve has no pi_1 word, since conjugating a
+    word would need twist data we do not track.  The old curve leaves the
+    table when its name has the ``@h`` form and no letter uses it any
+    more; only the curve that lost a letter can have become unused.  So
+    when no letter of f names an ``@h`` curve, a move followed by its
+    inverse restores f exactly.
+
+    The result is valid by construction, so ``Factorization.__post_init__``
+    is skipped: every kept curve was checked in f; a new curve copies the
+    kind, h and boundary index of a checked curve, has a class of the same
+    rank and no word, and its name is not yet taken; the letters only name
+    curves of the table; the spec and target are f's.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
@@ -436,26 +388,43 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
             f"position {i} out of range 1..{len(f.letters) - 1} for a "
             f"{len(f.letters)}-letter factorization"
         )
-    first = f.letters[i - 1]
-    second = f.letters[i]
-    curve_a = f.curve(first.curve)
-    curve_b = f.curve(second.curve)
-    class_a = effective_class(curve_a, f.spec)
-    class_b = effective_class(curve_b, f.spec)
-
+    first, second = f.letters[i - 1 : i + 1]
+    # left to right, so MissingHomology names the leftmost class-less letter
+    class_a = effective_class(f.curve(first.curve), f.spec)
+    class_b = effective_class(f.curve(second.curve), f.spec)
+    # The moving curve is conjugated by the other letter, inverted on a right
+    # move; the sign also puts the moved letter second on a right move.
     if direction == "right":
-        # Conjugate the first curve by the inverse of the second letter.
-        image = transvect(class_a.coords, class_b.coords, -second.sign)
-        displaced, moved = curve_a, _moved_curve(f, curve_a, HomologyClass(image))
-        new_pair = (second, TwistLetter(moved.name, first.sign))
+        moving, old_class, by, by_class, sign = first, class_a, second, class_b, -1
     else:
-        # Conjugate the second curve by the first letter.
-        image = transvect(class_b.coords, class_a.coords, first.sign)
-        displaced, moved = curve_b, _moved_curve(f, curve_b, HomologyClass(image))
-        new_pair = (TwistLetter(moved.name, second.sign), first)
-
-    letters = f.letters[: i - 1] + new_pair + f.letters[i + 1 :]
-    return _moved_factorization(f, displaced, moved, letters)
+        moving, old_class, by, by_class, sign = second, class_b, first, class_a, 1
+    image = transvect(old_class.coords, by_class.coords, sign * by.sign)
+    new_class = HomologyClass(image)
+    index = dict(f._index)
+    old = index[moving.curve]
+    derived = _DERIVED_NAME.match(old.name)
+    parent = index.get(derived.group(1)) if derived else None
+    if new_class == old_class:
+        new = old
+    elif (
+        parent is not None
+        and parent.kind == old.kind
+        and effective_class(parent, f.spec) == new_class
+    ):
+        new = parent
+    else:
+        k = 1
+        while f"{old.name}@h{k}" in index:
+            k += 1
+        name = f"{old.name}@h{k}"
+        new = index[name] = CurveClass(
+            name, old.kind, old.h, old.boundary_index, new_class
+        )
+    pair = (TwistLetter(new.name, moving.sign), by)[::sign]
+    letters = f.letters[: i - 1] + pair + f.letters[i + 1 :]
+    if derived and all(letter.curve != old.name for letter in letters):
+        del index[old.name]
+    return Factorization._checked(f.spec, index, letters, f.target)
 
 
 def conjugate_factorization(f: Factorization, m: Matrix) -> Factorization:

@@ -139,6 +139,26 @@ def test_invariant_reports_non_simply_connected_blocks():
         assert not r.feasible
 
 
+@pytest.mark.parametrize("hyperelliptic,message", [
+    (True, "X: hyperelliptic signature is not an integer"),
+    (False, "X: no signature route available"),
+], ids=["non-integral", "no-route"])
+def test_invariant_report_refuses_entries_without_an_integral_route(
+    monkeypatch, hyperelliptic, message
+):
+    # genus 2 with 7 nonseparating fibers: the closed form gives -21/5
+    entry = _entry("X", "", 2, 0, "x1 x2 x3 x4 x5 x6 x7", (7,), hyperelliptic, sep={})
+    monkeypatch.setattr("lefschetz.catalog.get_entry", lambda name: entry)
+    with pytest.raises(CatalogError, match=message):
+        invariant_report("X")
+
+
+def test_entry_tally_must_match_declared_counts():
+    message = r"X: letter tally \(2, \(1,\)\) vs declared \(3, \(1,\)\)"
+    with pytest.raises(CatalogError, match=message):
+        _entry("X", "", 2, 0, "x1 d x1", (3, 1), True, sep={"d": 1})
+
+
 def test_entry_kinds_come_from_the_sep_map():
     f = _entry("X", "", 2, 0, "x1 d x1", (2, 1), True, sep={"d": 1}).factorization
     kinds = [(c.name, c.kind, c.h) for c in f.curves]

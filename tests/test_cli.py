@@ -230,12 +230,12 @@ def test_invariants_infeasible_betti(capsys):
     "block:\u0661",
 ])
 def test_invariants_malformed_ledger_exit_2(capsys, spec):
-    code, out, err = run(
-        capsys, "invariants", "--genus", "4", "--n", "18", "--s1", "5",
-        "--ledger", spec,
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    # the second counts have a non-integral hyperelliptic signature
+    for counts in (("--genus", "4", "--n", "18", "--s1", "5"),
+                   ("--genus", "2", "--n", "7", "--hyperelliptic")):
+        code, out, err = run(capsys, "invariants", *counts, "--ledger", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -625,6 +625,7 @@ def test_conjugate_identity_keeps_words():
         CurveClass(
             "u", NONSEP, homology=A1, word=parse_word("a1")
         ),
+        CurveClass("v", NONSEP),  # no class: nothing to map
     )
     f = Factorization(SurfaceSpec(1), curves, (TwistLetter("u"),))
     assert conjugate_factorization(f, identity_matrix(2)) == f
@@ -632,6 +633,7 @@ def test_conjugate_identity_keeps_words():
     moved = conjugate_factorization(f, twist_matrix(B1, 1))
     assert moved.curve("u").word is None
     assert moved.curve("u").homology == HomologyClass((1, 1))
+    assert moved.curve("v") is f.curve("v")
 
 
 @pytest.mark.parametrize(
