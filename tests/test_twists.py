@@ -246,6 +246,52 @@ def test_separating_letters_act_trivially():
     assert factorization_matrix(f) == identity_matrix(4)
 
 
+# SHA-256 of factorization_matrix and verify_homological_relator's matrix_ok
+# over the seeded words below, recorded when every row update of the product
+# was one list comprehension.
+PRODUCTS_DIGEST = (
+    "2b8f7c6102da6abad3a622f4f31b78cf27f0730479fb6a13e3e05bb4f7fe3555"
+)
+
+
+def seeded_product_words():
+    # Coordinates in -3..3 give multipliers other than +-1; Hurwitz walks
+    # grow entries to many bits; w w^-1 makes matrix_ok come out true too.
+    rng = random.Random(1729)
+    for _ in range(600):
+        genus = rng.randint(1, 8)
+        curves = []
+        for k in range(rng.randint(1, 5)):
+            while not any(coords := [rng.randint(-3, 3) for _ in range(2 * genus)]):
+                pass
+            g = math.gcd(*coords)
+            homology = HomologyClass(tuple(c // g for c in coords))
+            curves.append(CurveClass(f"c{k}", NONSEP, homology=homology))
+        curves.append(CurveClass("delta", BOUNDARY, boundary_index=1))
+        names = [c.name for c in curves]
+        letters = tuple(
+            TwistLetter(rng.choice(names), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 12))
+        )
+        if rng.random() < 0.3:
+            letters += tuple(TwistLetter(t.curve, -t.sign) for t in reversed(letters))
+        f = Factorization(SurfaceSpec(genus, 1), tuple(curves), letters)
+        yield f
+        if len(letters) >= 2 and rng.random() < 0.4:
+            for _ in range(rng.randint(1, 12)):
+                i = rng.randint(1, len(letters) - 1)
+                f = hurwitz_move(f, i, rng.choice(("right", "left")))
+            yield f
+
+
+def test_seeded_products_digest():
+    digest = hashlib.sha256()
+    for f in seeded_product_words():
+        digest.update(repr(factorization_matrix(f)).encode())
+        digest.update(repr(verify_homological_relator(f).matrix_ok).encode())
+    assert digest.hexdigest() == PRODUCTS_DIGEST
+
+
 # -- verify_homological_relator -----------------------------------------------
 
 
