@@ -92,9 +92,11 @@ def _load_mono(source: str) -> Factorization:
     from .mono import MonoParseError, parse_mono
 
     try:
-        text = Path(source).read_text()
+        text = Path(source).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {source}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {source}: {exc}")
     try:
         return parse_mono(text)
     except MonoParseError as exc:

@@ -55,6 +55,7 @@ def parse_mono(text: str) -> Factorization:
     spec: SurfaceSpec | None = None
     curves: dict[str, CurveClass] = {}
     letters: list[TwistLetter] = []
+    known: dict[tuple[str, int], TwistLetter] = {}
     target: Target = ()
     stage = "genus"  # genus -> boundary -> curves -> twists -> done
     lineno = 0
@@ -108,7 +109,10 @@ def parse_mono(text: str) -> Factorization:
                         lineno, f"twist sign must be + or -, got {rest[1]!r}"
                     )
                 sign = 1 if rest[1] == "+" else -1
-            letters.append(TwistLetter(name, sign))
+            letter = known.get((name, sign))
+            if letter is None:  # letters are frozen: one per (name, sign)
+                letter = known[name, sign] = TwistLetter(name, sign)
+            letters.append(letter)
         elif head == "target":
             if stage not in ("curves", "twists"):
                 raise MonoParseError(lineno, "target must follow the header")

@@ -8,7 +8,9 @@ M(c1) M(c2) ... M(cm) with the leftmost factor outermost.
 The homological action of a positive twist about a curve with class a is
 the transvection  x |-> x + <x, a> a ;  a negative twist uses -<x, a>.
 ``transvect`` applies it to one vector; products are built on rows with
-one sparse rank-1 update per letter.
+one sparse rank-1 update per letter.  Each update adds k times one row to
+another; a unit multiplier k, by far the most common, runs as a C-level
+``map``, and each distinct class's support is found once per product.
 Separating and boundary-parallel curves act trivially (their class is
 zero after capping), so everything verified here is a necessary
 condition only: a matrix identity never certifies a relator, but a
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from operator import add, sub
 
 from .invariants import FiberCounts, twist_count_congruence
 from .surface import (
@@ -105,6 +108,7 @@ class Factorization:
         The caller vouches for those checks: ``index`` maps each name to
         its curve in table order and each curve passed ``check_curve`` on
         ``spec``; each letter names a key; ``target`` is ``check_target``'s.
+        The result keeps ``index`` as its table, so nothing may change it.
         """
         out = object.__new__(cls)
         vars(out).update(spec=spec, curves=tuple(index.values()), letters=letters,
@@ -219,27 +223,41 @@ def is_symplectic(m: Matrix, genus: int) -> bool:
 # -- twist action ----------------------------------------------------------
 
 
+def _plus(x, k: int, y) -> list[int]:
+    """x + k y entrywise; a unit multiplier k runs as a C-level map."""
+    if k == 1:
+        return list(map(add, x, y))
+    if k == -1:
+        return list(map(sub, x, y))
+    return [xi + k * yi for xi, yi in zip(x, y)]
+
+
 def transvect(x: tuple[int, ...], a: tuple[int, ...], sign: int) -> tuple[int, ...]:
-    """Image of the vector x under t_a^sign:  x |-> x + sign <x, a> a."""
+    """Image of the vector x under t_a^sign:  x |-> x + sign <x, a> a.
+
+    Returns x itself, not a copy, when <x, a> = 0.
+    """
     k = sign * pair_coords(x, a)
-    return tuple(xi + k * ai for xi, ai in zip(x, a)) if k else x
+    return tuple(_plus(x, k, a)) if k else x
 
 
 def _twist_product(n: int, twists: list[tuple[tuple[int, ...], int]]) -> Matrix:
     # Rows of P = M(c1) ... M(cm), built as P <- M(ck) P from the right.
     # M(a)^s = I + s a w^T with w^T x = <x, a>, so w_{i^1} is -a_i for even
     # i and +a_i for odd i: c = w^T P sums the rows i^1 over a's support,
-    # and only the rows in that support change, by s a_i c.
+    # and only the rows in that support change, by s a_i c.  Words repeat
+    # few classes, so each support is built once per call.
     rows = [list(row) for row in identity_matrix(n)]
+    supports: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for a, sign in reversed(twists):
-        support = [(i, ai) for i, ai in enumerate(a) if ai]
+        support = supports.get(a)
+        if support is None:
+            support = supports[a] = [(i, ai) for i, ai in enumerate(a) if ai]
         c = [0] * n
         for i, ai in support:
-            k = ai if i & 1 else -ai
-            c = [x + k * y for x, y in zip(c, rows[i ^ 1])]
+            c = _plus(c, ai if i & 1 else -ai, rows[i ^ 1])
         for i, ai in support:
-            k = sign * ai
-            rows[i] = [x + k * y for x, y in zip(rows[i], c)]
+            rows[i] = _plus(rows[i], sign * ai, c)
     return tuple(map(tuple, rows))
 
 
@@ -364,8 +382,9 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     transvect image under the conjugating twist.  The product matrix
     and the multiset of letter kinds are unchanged.
 
-    The conjugated letter names the old curve when its class is untouched
-    (disjoint twists commute), else the curve the old one was derived from
+    When the two classes pair to 0 the twists commute: the move swaps the
+    two letter objects and the result shares f's curve table.  Otherwise
+    the conjugated letter names the curve the old one was derived from
     when the move undoes the derivation, else a new ``<old>@h<k>`` with
     the least unused k.  A new curve has no pi_1 word, since conjugating a
     word would need twist data we do not track.  The old curve leaves the
@@ -399,17 +418,17 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     else:
         moving, old_class, by, by_class, sign = second, class_b, first, class_a, 1
     image = transvect(old_class.coords, by_class.coords, sign * by.sign)
-    new_class = HomologyClass(image)
+    if image is old_class.coords:  # the classes pair to 0: the twists commute
+        letters = f.letters[: i - 1] + (moving, by)[::sign] + f.letters[i + 1 :]
+        return Factorization._checked(f.spec, f._index, letters, f.target)
     index = dict(f._index)
     old = index[moving.curve]
     derived = _DERIVED_NAME.match(old.name)
     parent = index.get(derived.group(1)) if derived else None
-    if new_class == old_class:
-        new = old
-    elif (
+    if (
         parent is not None
         and parent.kind == old.kind
-        and effective_class(parent, f.spec) == new_class
+        and effective_class(parent, f.spec).coords == image
     ):
         new = parent
     else:
@@ -418,7 +437,7 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
             k += 1
         name = f"{old.name}@h{k}"
         new = index[name] = CurveClass(
-            name, old.kind, old.h, old.boundary_index, new_class
+            name, old.kind, old.h, old.boundary_index, HomologyClass(image)
         )
     pair = (TwistLetter(new.name, moving.sign), by)[::sign]
     letters = f.letters[: i - 1] + pair + f.letters[i + 1 :]

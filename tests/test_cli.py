@@ -464,6 +464,17 @@ def test_unreadable_path_exit_2(tmp_path, capsys, subcommand):
     assert "Traceback" not in err
 
 
+def test_verify_non_utf8_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "latin.mono"
+    path.write_bytes(b"genus 1\nboundary 0\n# cafe\xff\ntarget identity\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 25: invalid start byte\n"
+    )
+
+
 # -- bounds -------------------------------------------------------------------------
 
 

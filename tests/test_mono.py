@@ -62,6 +62,21 @@ def test_twist_signs():
     assert [l.sign for l in f.letters] == [1, 1, -1]
 
 
+def test_parsed_letters_are_shared_per_name_and_sign():
+    text = (
+        "genus 1\nboundary 0\n"
+        "curve a kind nonsep hom 1 0\ncurve b kind nonsep hom 0 1\n"
+        "twist a\ntwist a -\ntwist b\ntwist a +\ntwist a -\ntwist a\n"
+        "target identity\n"
+    )
+    f = parse_mono(text)
+    first = {}
+    for letter in f.letters:
+        assert first.setdefault((letter.curve, letter.sign), letter) is letter
+    assert len({id(letter) for letter in f.letters}) == len(first) == 3
+    assert parse_mono(serialize_mono(f)) == f
+
+
 def test_boundary_curves_and_targets():
     text = (
         "genus 2\nboundary 2\n"

@@ -17,6 +17,7 @@ from lefschetz.surface import (
     classify_kind_from_word,
     homology_of_word,
     integer,
+    pair_coords,
     pairing_matrix,
     symplectic_pairing,
 )
@@ -217,6 +218,22 @@ def test_pairing_matches_matrix_form():
         x.coords[i] * j[i][k] * y.coords[k] for i in range(6) for k in range(6)
     )
     assert symplectic_pairing(x, y) == via_matrix
+
+
+@st.composite
+def big_vector_pairs(draw):
+    n = 2 * draw(st.integers(0, 10))
+    big = st.integers(-(2**200), 2**200)
+    return tuple(draw(st.lists(big, min_size=n, max_size=n)) for _ in range(2))
+
+
+@given(big_vector_pairs())
+@settings(max_examples=150, deadline=None)
+def test_pair_coords_is_the_matrix_form(pair):
+    x, y = map(tuple, pair)
+    j = pairing_matrix(len(x) // 2)
+    jy = [sum(jik * yk for jik, yk in zip(row, y)) for row in j]
+    assert pair_coords(x, y) == sum(xi * v for xi, v in zip(x, jy))
 
 
 # -- homology_of_word --------------------------------------------------------

@@ -412,6 +412,28 @@ def test_hurwitz_disjoint_swap_keeps_classes():
     assert moved.curves == f.curves
 
 
+def test_hurwitz_commuting_move_keeps_a_minted_curve():
+    # after one move the word is (tb, ta@h1, td); ta@h1 = a1 - b1 and
+    # td = a2 pair to 0, so moving them swaps the two letter objects.
+    curves = (
+        CurveClass("ta", NONSEP, homology=HomologyClass((1, 0, 0, 0))),
+        CurveClass("tb", NONSEP, homology=HomologyClass((0, 1, 0, 0))),
+        CurveClass("td", NONSEP, homology=HomologyClass((0, 0, 1, 0))),
+    )
+    letters = (TwistLetter("ta"), TwistLetter("tb"), TwistLetter("td", -1))
+    f = hurwitz_move(Factorization(SurfaceSpec(2), curves, letters), 1, "right")
+    assert [l.curve for l in f.letters] == ["tb", "ta@h1", "td"]
+    for direction in ("right", "left"):
+        moved = hurwitz_move(f, 2, direction)
+        assert [l.curve for l in moved.letters] == ["tb", "td", "ta@h1"]
+        assert moved.letters[1] is f.letters[2]
+        assert moved.letters[2] is f.letters[1]
+        assert moved.curve("ta@h1") is f.curve("ta@h1")
+        assert moved.curves == f.curves
+        assert moved == Factorization(moved.spec, moved.curves, moved.letters)
+        assert factorization_matrix(moved) == factorization_matrix(f)
+
+
 def test_hurwitz_right_then_left_restores():
     f = torus_factorization(("ta", "tb", "ta", "tb"))
     for i in (1, 2, 3):
