@@ -24,7 +24,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from operator import mul
 
 from .words import Word, exponent_sums
 
@@ -147,7 +146,9 @@ def pairing_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
 
 def pair_coords(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     """<x, y> = x^T J y on raw coordinate tuples of the same even length."""
-    return sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
+    return sum(map(operator.mul, x[::2], y[1::2])) - sum(
+        map(operator.mul, x[1::2], y[::2])
+    )
 
 
 def symplectic_pairing(x: HomologyClass, y: HomologyClass) -> int:
