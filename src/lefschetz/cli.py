@@ -38,10 +38,6 @@ def _emit(args, document: dict, human: str) -> None:
         print(human, end="" if human.endswith("\n") else "\n")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
     """Ledger mini-language: comma-separated kind*mult terms.
 
@@ -62,28 +58,27 @@ def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
                 value=integer(value) if colon else None,
             ))
         except ValueError as exc:
-            raise UsageError(f"bad ledger term {term.strip()!r}: {exc}")
+            raise ValueError(f"bad ledger term {term.strip()!r}: {exc}")
     return entries
 
 
 def _counts_from_args(args) -> FiberCounts:
     from .invariants import FiberCounts
 
-    s = []
+    top = args.genus // 2
+    s = [0] * top
     for k in range(1, _MAX_S_FLAGS + 1):
-        value = getattr(args, f"s{k}", None)
-        if value is not None:
-            top = args.genus // 2
-            if k > top:
-                raise UsageError(
-                    f"--s{k} is out of range for genus {args.genus}"
-                    + (f" (types run 1..{top})" if top else
-                       ", which has no separating types")
-                )
-            while len(s) < k:
-                s.append(0)
-            s[k - 1] = value
-    return FiberCounts.of(args.genus, args.n, *s)
+        value = getattr(args, f"s{k}")
+        if value is None or args.genus < 1:  # FiberCounts rejects the genus
+            continue
+        if k > top:
+            raise ValueError(
+                f"--s{k} is out of range for genus {args.genus}"
+                + (f" (types run 1..{top})" if top else
+                   ", which has no separating types")
+            )
+        s[k - 1] = value
+    return FiberCounts(args.genus, args.n, tuple(s))
 
 
 def _load_mono(source: str) -> Factorization:
@@ -94,13 +89,13 @@ def _load_mono(source: str) -> Factorization:
     try:
         text = Path(source).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read {source}: {exc.strerror}")
+        raise ValueError(f"cannot read {source}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {source}: {exc}")
+        raise ValueError(f"cannot read {source}: {exc}")
     try:
         return parse_mono(text)
     except MonoParseError as exc:
-        raise UsageError(f"parse error in {source}: {exc}")
+        raise ValueError(f"parse error in {source}: {exc}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -151,6 +146,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
+def _report_doc(report) -> dict:
+    """The chi_h, Betti and candidate fields of an ``InvariantReport``."""
+    return {
+        "chi_h": str(report.chi_h),
+        "betti": (
+            {"b2plus": report.b2plus, "b2minus": report.b2minus}
+            if report.feasible else None
+        ),
+        "candidate": report.candidate,
+    }
+
+
 def _cmd_invariants(args) -> int:
     from .invariants import (
         chi_and_betti,
@@ -176,7 +183,7 @@ def _cmd_invariants(args) -> int:
     if ledger is not None:
         routes["ledger"] = endo_nagami_total(ledger)
     if not routes:
-        raise UsageError(
+        raise ValueError(
             "need a signature route: pass --hyperelliptic and/or --ledger SPEC"
         )
     if len(set(routes.values())) > 1:
@@ -192,12 +199,7 @@ def _cmd_invariants(args) -> int:
         **head,
         "sigma": report.sigma,
         "sigma_route": sorted(routes),
-        "chi_h": str(report.chi_h),
-        "betti": (
-            {"b2plus": report.b2plus, "b2minus": report.b2minus}
-            if report.feasible else None
-        ),
-        "candidate": report.candidate,
+        **_report_doc(report),
     }
     lines = [
         f"genus        {counts.genus}",
@@ -303,7 +305,7 @@ def _cmd_pi1(args) -> int:
         entry = cat.get_entry(source)
     except KeyError:
         if not Path(source).exists():
-            raise UsageError(
+            raise ValueError(
                 f"{source!r} is neither a catalog entry "
                 f"({', '.join(e.name for e in cat.load_catalog())}) "
                 "nor a file"
@@ -315,7 +317,7 @@ def _cmd_pi1(args) -> int:
     try:
         presentation = cat.presentation_from_factorization(f)
     except cat.NoWordData as exc:
-        raise UsageError(f"{label}: {exc}")
+        raise ValueError(f"{label}: {exc}")
     distinct = {letter.curve for letter in f.letters}
     carried = sum(f.curve(name).word is not None for name in distinct)
     worded = f"{carried}/{len(distinct)} distinct letter curves carry words"
@@ -386,7 +388,7 @@ def _cmd_catalog(args) -> int:
     try:
         entry = cat.get_entry(args.name)
     except KeyError as exc:
-        raise UsageError(exc.args[0])
+        raise ValueError(exc.args[0])
     if args.action == "export":
         from .mono import serialize_mono
 
@@ -401,16 +403,7 @@ def _cmd_catalog(args) -> int:
         "word": [
             {"name": l.curve, "sign": l.sign} for l in entry.factorization.letters
         ],
-        "invariants": {
-            "e": report.e,
-            "sigma": report.sigma,
-            "chi_h": str(report.chi_h),
-            "betti": (
-                {"b2plus": report.b2plus, "b2minus": report.b2minus}
-                if report.feasible else None
-            ),
-            "candidate": report.candidate,
-        },
+        "invariants": {"e": report.e, "sigma": report.sigma, **_report_doc(report)},
         "notes": list(entry.notes),
     }
     f = entry.factorization
@@ -545,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

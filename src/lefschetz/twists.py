@@ -19,7 +19,8 @@ condition only: a matrix identity never certifies a relator, but a
 non-identity matrix refutes one.
 
 Hurwitz moves operate on homology data only (kind plus class); the
-underlying isotopy class is not tracked.  Curves created by a move are
+underlying isotopy class is not tracked.  A move changes only a
+nonseparating letter's class; the curve it creates is nonseparating and
 named ``<old>@h<counter>`` with the smallest unused counter, so move
 sequences are reproducible.  Any curve whose name has that ``@h`` form,
 minted or declared, leaves the table when a move takes away its last
@@ -131,13 +132,16 @@ class Factorization:
 def check_curve(curve: CurveClass, spec: SurfaceSpec) -> None:
     """Check a curve's data against the surface it is declared on.
 
-    Raises ValueError for a separating type above floor(g/2), a boundary
-    index above the boundary count, a class of rank other than 2g, a word
-    with letters outside a1..ag, b1..bg, a class that differs from the
-    abelianization of the word, or, with no class, a word whose
-    abelianization the kind rules out (see ``CurveClass``).
+    Raises ValueError for a nonseparating curve on genus 0, a separating
+    type above floor(g/2), a boundary index above the boundary count, a
+    class of rank other than 2g, a word with letters outside a1..ag,
+    b1..bg, a class that differs from the abelianization of the word, or,
+    with no class, a word whose abelianization the kind rules out (see
+    ``CurveClass``).
     """
     g = spec.genus
+    if curve.kind == NONSEP and g == 0:
+        raise ValueError(f"curve {curve.name!r}: genus 0 has no nonseparating curves")
     if curve.kind in KIND_INT:
         field, noun, top = KIND_INT[curve.kind]
         value = getattr(curve, field)
@@ -387,20 +391,20 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
 
     When the two classes pair to 0 the twists commute: the move swaps the
     two letter objects and the result shares f's curve table.  Otherwise
-    the conjugated letter names the curve the old one was derived from
-    when the move undoes the derivation, else a new ``<old>@h<k>`` with
-    the least unused k.  A new curve has no pi_1 word, since conjugating a
-    word would need twist data we do not track.  The old curve leaves the
-    table when its name has the ``@h`` form and no letter uses it any
-    more; only the curve that lost a letter can have become unused.  So
-    when no letter of f names an ``@h`` curve, a move followed by its
-    inverse restores f exactly.
+    both curves are nonseparating, and the conjugated letter names the
+    curve the old one was derived from if that curve's class is the image,
+    else a new nonseparating ``<old>@h<k>`` with the least unused k and no
+    pi_1 word, since conjugating a word would need twist data we do not
+    track.  The old curve leaves the table when its name has the ``@h``
+    form and no letter uses it any more; only the curve that lost a letter
+    can have become unused.  So when no letter of f names an ``@h`` curve,
+    a move followed by its inverse restores f exactly.
 
     The result is valid by construction, so ``Factorization.__post_init__``
-    is skipped: every kept curve was checked in f; a new curve copies the
-    kind, h and boundary index of a checked curve, has a class of the same
-    rank and no word, and its name is not yet taken; the letters only name
-    curves of the table; the spec and target are f's.
+    is skipped: every kept curve was checked in f; a new curve is
+    nonseparating like the moving one, with a class of the same rank and
+    no word, and its name is not yet taken; the letters only name curves
+    of the table; the spec and target are f's.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
@@ -430,8 +434,8 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     parent = index.get(derived.group(1)) if derived else None
     if (
         parent is not None
-        and parent.kind == old.kind
-        and effective_class(parent, f.spec).coords == image
+        and parent.homology is not None
+        and parent.homology.coords == image
     ):
         new = parent
     else:
@@ -439,9 +443,7 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
         while f"{old.name}@h{k}" in index:
             k += 1
         name = f"{old.name}@h{k}"
-        new = index[name] = CurveClass(
-            name, old.kind, old.h, old.boundary_index, HomologyClass(image)
-        )
+        new = index[name] = CurveClass(name, NONSEP, homology=HomologyClass(image))
     pair = (TwistLetter(new.name, moving.sign), by)[::sign]
     letters = f.letters[: i - 1] + pair + f.letters[i + 1 :]
     if derived and all(letter.curve != old.name for letter in letters):
@@ -483,7 +485,7 @@ def cap_boundary(f: Factorization) -> Factorization:
     Boundary-parallel letters disappear, boundary-parallel curves leave
     the table, and the target becomes the identity.
     """
-    if f.spec.boundary_count == 0 and f.is_identity_target:
+    if f.spec.boundary_count == 0:  # check_target admits no target here
         return f
     curves = tuple(c for c in f.curves if c.kind != BOUNDARY)
     kept = {c.name for c in curves}

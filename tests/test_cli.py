@@ -277,6 +277,29 @@ def test_invariants_s_flag_at_genus_one_exit_2(capsys):
     )
 
 
+@pytest.mark.parametrize("genus", ["-3", "0"])
+def test_invariants_s_flag_below_genus_one_names_the_genus(capsys, genus):
+    code, out, err = run(
+        capsys, "invariants", "--genus", genus, "--n", "3", "--s1", "1", "--hyperelliptic"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: genus must be >= 1, got {genus}\n"
+
+
+def test_verify_genus_zero(tmp_path, capsys):
+    path = tmp_path / "sphere.mono"
+    path.write_text("genus 0\nboundary 0\ncurve a kind nonsep\ntwist a\ntarget identity\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: parse error in {path}: line 3: curve 'a': "
+        "genus 0 has no nonseparating curves\n"
+    )
+    path.write_text("genus 0\nboundary 1\ncurve p kind boundary 1\ntwist p\ntarget identity\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "matrix identity  True" in out
+
+
 # -- pi1 ---------------------------------------------------------------------------
 
 

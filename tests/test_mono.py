@@ -104,6 +104,8 @@ def test_boundary_curves_and_targets():
         ("genus 1\nboundary 0\ncurve d kind sep 1\n", "out of range"),
         ("genus 4\nboundary 0\ncurve d kind sep 3\n", "out of range"),
         ("genus 1\nboundary 0\ncurve c kind boundary 1\n", "out of range"),
+        ("genus 0\nboundary 0\ncurve a kind nonsep\n",
+         "line 3: curve 'a': genus 0 has no nonseparating curves"),
         ("genus 1\nboundary 0\ncurve c kind nonsep hom 1\n", "hom needs 2"),
         ("genus x\nboundary 0\n", "expected an integer"),
         ("genus 1_0\nboundary 0\n", "genus: expected an integer, got '1_0'"),
@@ -200,6 +202,10 @@ def test_positioned_errors(text, fragment):
             "genus 1\nboundary 2\ncurve c kind nonsep\ntwist c\n"
             "target boundary 1 1 boundary 1 2\n# end\n", 5,
             id="target-index-repeated",
+        ),
+        pytest.param(
+            "genus 0\nboundary 0\ncurve a kind nonsep\ntwist a\ntarget identity\n", 3,
+            id="nonsep-on-genus-0",
         ),
     ],
 )

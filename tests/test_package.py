@@ -1,14 +1,17 @@
-"""Packaging gate: the runtime stays standard-library only."""
+"""Packaging gates: the runtime stays standard-library only, and every
+Python file compiles without a warning."""
 
 import ast
 import importlib
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
 
-SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "lefschetz"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE_DIR = ROOT / "src" / "lefschetz"
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -29,6 +32,19 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert not outside, f"non-stdlib imports: {outside}"
+
+
+def test_every_python_file_compiles_without_warnings():
+    # An invalid escape such as "\d" warns at compile time: DeprecationWarning
+    # up to 3.11, SyntaxWarning from 3.12.  As errors, both raise here.
+    paths = sorted(
+        path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py")
+    )
+    assert paths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
 
 
 # Every name `from lefschetz import X` accepts; a deletion elsewhere must

@@ -642,6 +642,38 @@ def test_seeded_hurwitz_walks_digest():
     assert digest.hexdigest() == HURWITZ_WALKS_DIGEST
 
 
+def test_hurwitz_move_mints_nonseparating_curves():
+    # a@h1 moves off b; its namesake a has no class, so a cannot be the
+    # image's curve and the move mints one instead of stopping on a.
+    f = parse_mono(
+        "genus 1\nboundary 0\n"
+        "curve a kind nonsep\n"
+        "curve a@h1 kind nonsep hom 1 0\n"
+        "curve b kind nonsep hom 0 1\n"
+        "twist a@h1\ntwist b\ntarget identity\n"
+    )
+    moved = hurwitz_move(f, 1, "right")
+    assert [l.curve for l in moved.letters] == ["b", "a@h1@h1"]
+    assert moved.curve("a@h1@h1") == CurveClass(
+        "a@h1@h1", NONSEP, homology=HomologyClass((1, -1))
+    )
+    minted = 0
+    for f, moves in seeded_hurwitz_walks():
+        declared = {c.name for c in f.curves}
+        for i, direction in moves:
+            try:
+                f = hurwitz_move(f, i, direction)
+            except MissingHomology:
+                continue
+            for c in f.curves:
+                if c.name not in declared:
+                    minted += 1
+                    assert (c.kind, c.h, c.boundary_index, c.word) == (
+                        NONSEP, None, None, None
+                    )
+    assert minted
+
+
 # -- conjugate_factorization ----------------------------------------------------
 
 
@@ -787,3 +819,8 @@ def test_factorization_validation():
         )
     with pytest.raises(ValueError, match="out of range"):
         Factorization(SurfaceSpec(1, 1), (), (), target=((2, 1),))
+
+
+def test_genus_zero_admits_no_nonseparating_curve():
+    with pytest.raises(ValueError, match="curve 'a': genus 0 has no nonseparating"):
+        Factorization(SurfaceSpec(0), (CurveClass("a", NONSEP),), (TwistLetter("a"),))
