@@ -104,13 +104,15 @@ def _entry(
     The curve table is the word's letters in order of first appearance.
     ``sep`` maps each separating letter to its type; every other letter
     is nonseparating.  A curve with a printed pi_1 word in ``words``
-    carries that word and its abelianization.  ``counts`` is (n, s_1, ...),
-    padded with zeros; a letter tally that differs raises CatalogError.
+    carries that word and its abelianization.  A key of either map that
+    is no letter of the word, or a letter tally that differs from
+    ``counts`` ((n, s_1, ...), padded with zeros), raises CatalogError.
     """
     words = words or {}
     table = dict.fromkeys(word.split())
-    if stray := sorted(sep.keys() - table.keys()):
-        raise CatalogError(f"{name}: sep names {stray} are not letters of the word")
+    for key, named in (("sep", sep), ("words", words)):
+        if stray := sorted(named.keys() - table.keys()):
+            raise CatalogError(f"{name}: {key} names {stray} are not letters of the word")
     capped = SurfaceSpec(genus)
     curves = []
     for curve in table:

@@ -14,19 +14,22 @@ numerator sigma_q = q sigma = -(g+1) n + sum_h (4h(g-h) - q) s_h:
                     4q | (e q + sigma_q) and e q + sigma_q >= 4q
 
 The first failing constraint is recorded, so rejection diagnostics are
-reproducible.  Rows failing only the chi-h stage ("pre-chi survivors")
-are reported distinctly from admitted rows, because the two stages play
-different roles in the bound arguments.
+reproducible.  Stage 4 is implied by stage 3 and is never recorded: q is
+odd and 2g = -1 mod q, so -2 sigma_q = n + sum_h 2h(4h+2) s_h mod q, which
+the congruence makes 0.  Rows failing only the chi-h stage ("pre-chi
+survivors") are reported distinctly from admitted rows, because the two
+stages play different roles in the bound arguments.
 
 One integer kernel, ``_verdict``, decides every row for
 ``check_counts``, ``enumerate_feasible`` and the hyperelliptic floor; it
-takes the s-only sums from ``_s_terms`` and adds the parts that depend on
-n.  A row's sigma is read as one exact ``Fraction`` of the same integer
-numerator, sigma_q / q, and chi_h from it and ``euler_characteristic``;
-nothing is cached on the row.  ``enumerate_feasible`` returns sized, re-iterable
-lazy rows: each pass builds the compositions s with sum(s) <=
-max_total_fibers - 1 once, in lexicographic order and each with its
-s-only sums, and yields the rows one at a time while stepping n upwards.
+takes the s-only sums from ``invariants._s_terms`` and adds the parts
+that depend on n.  A row's sigma is ``hyperelliptic_signature``, one
+exact ``Fraction`` of the same numerator, and chi_h comes from it and
+``euler_characteristic``; nothing is cached on the row.
+``enumerate_feasible`` returns sized, re-iterable lazy rows: each pass
+builds the compositions s with sum(s) <= max_total_fibers - 1 once, in
+lexicographic order and each with its s-only sums, and yields the rows
+one at a time while stepping n upwards.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from math import comb
 
 from .invariants import (
     FiberCounts,
+    _s_terms,
     euler_characteristic,
+    hyperelliptic_signature,
     min_nonseparating_bound,
 )
 from .surface import exact_ints
@@ -99,14 +104,11 @@ class FeasibilityRow:
 
     @property
     def sigma(self) -> Fraction:
-        """sigma_q / q, with the kernel's integer numerator sigma_q."""
-        c = self.counts
-        g = c.genus
-        return Fraction(_s_terms(g, c.s)[2] - (g + 1) * c.n, 2 * g + 1)
+        return hyperelliptic_signature(self.counts)[0]
 
     @property
     def sigma_integral(self) -> bool:
-        return self.sigma.denominator == 1
+        return hyperelliptic_signature(self.counts)[1]
 
     @property
     def chi_h(self) -> Fraction:
@@ -119,17 +121,6 @@ class FeasibilityRow:
     @property
     def pre_chi_survivor(self) -> bool:
         return self.verdict in (ADMITTED, REJECT_CHI_H)
-
-
-def _s_terms(g: int, s: tuple[int, ...]) -> tuple[int, int, int]:
-    """The s-only parts of the chain at genus g: sum(s), the congruence
-    weight sum_h 2h(4h+2) s_h and the signature part sum_h (4h(g-h) - q) s_h."""
-    q = 2 * g + 1
-    weighted = sigma_q = 0
-    for h, count in enumerate(s, start=1):
-        weighted += 2 * h * (4 * h + 2) * count
-        sigma_q += (4 * h * (g - h) - q) * count
-    return sum(s), weighted, sigma_q
 
 
 def _verdict(g: int, n: int, terms: tuple[int, int, int], bound: int) -> str:
@@ -145,8 +136,6 @@ def _verdict(g: int, n: int, terms: tuple[int, int, int], bound: int) -> str:
     if (n + s_weighted) % ((4 if g % 2 else 2) * q):
         return REJECT_CONGRUENCE
     sigma_q = s_sigma_q - (g + 1) * n
-    if sigma_q % q:
-        return REJECT_SIGMA_INTEGRAL
     if sigma_q > (n - s_total - 4 * g) * q:
         return REJECT_SIGMA_BOUND
     chi_4q = (4 - 4 * g + total) * q + sigma_q  # 4 q chi_h

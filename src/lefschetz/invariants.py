@@ -14,7 +14,9 @@ The hyperelliptic signature is the closed form
 
     sigma = -((g+1)/(2g+1)) n + sum_h (4h(g-h)/(2g+1) - 1) s_h ,
 
-equivalently (-(g+1) n + sum_h (4h(g-h) - (2g+1)) s_h) / (2g+1).
+equivalently (-(g+1) n + sum_h (4h(g-h) - (2g+1)) s_h) / (2g+1).  Its
+s-only sums and the twist-count congruence's are written once, in
+``_s_terms``; the feasibility chain adds n's parts to the same sums.
 Note: a misprinted genus-3 specialization, (4n - s)/5, circulates; the
 correct genus-3 value of the closed form is (-4n + s1)/7 and that is
 what this module computes.
@@ -92,13 +94,21 @@ def euler_characteristic(c: FiberCounts) -> int:
     return 4 - 4 * c.genus + c.total
 
 
+def _s_terms(g: int, s: tuple[int, ...]) -> tuple[int, int, int]:
+    """The s-only parts of the closed forms at genus g: sum(s), the congruence
+    weight sum_h 2h(4h+2) s_h and the signature part sum_h (4h(g-h) - q) s_h."""
+    q = 2 * g + 1
+    weighted = sigma_q = 0
+    for h, count in enumerate(s, start=1):
+        weighted += 2 * h * (4 * h + 2) * count
+        sigma_q += (4 * h * (g - h) - q) * count
+    return sum(s), weighted, sigma_q
+
+
 def hyperelliptic_signature(c: FiberCounts) -> tuple[Fraction, bool]:
     """Exact hyperelliptic signature and whether it is an integer."""
     g = c.genus
-    q = 2 * g + 1
-    value = Fraction(-(g + 1) * c.n, q)
-    for h, count in enumerate(c.s, start=1):
-        value += Fraction(4 * h * (g - h) - q, q) * count
+    value = Fraction(_s_terms(g, c.s)[2] - (g + 1) * c.n, 2 * g + 1)
     return value, value.denominator == 1
 
 
@@ -187,11 +197,8 @@ def twist_count_congruence(c: FiberCounts) -> bool:
     abelianized hyperelliptic mapping class group.
     """
     g = c.genus
-    weighted = c.n + sum(
-        2 * h * (4 * h + 2) * count for h, count in enumerate(c.s, start=1)
-    )
     modulus = (4 if g % 2 == 1 else 2) * (2 * g + 1)
-    return weighted % modulus == 0
+    return (c.n + _s_terms(g, c.s)[1]) % modulus == 0
 
 
 def signature_bound_check(c: FiberCounts, sigma: int, b1: int = 0) -> bool:

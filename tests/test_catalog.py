@@ -168,5 +168,11 @@ def test_entry_kinds_come_from_the_sep_map():
         _entry("X", "", 2, 0, "x1 d", (1, 1), True, sep={"d": 1, "q": 1, "D": 1})
 
 
+def test_entry_words_keys_must_be_letters():
+    # a misspelled key must not quietly drop a printed pi_1 word
+    with pytest.raises(CatalogError, match=r"X: words names \['X1'\] are not letters"):
+        _entry("X", "", 2, 0, "x1 d", (1, 1), True, sep={"d": 1}, words={"X1": "a1"})
+
+
 def test_catalog_loads_are_cached_and_identical():
     assert load_catalog() is load_catalog()

@@ -150,6 +150,29 @@ def test_congruence_stage_subsumes_sigma_integrality():
             assert verdict not in (REJECT_CONGRUENCE, REJECT_SIGMA_INTEGRAL), (g, s)
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_congruence_forces_integral_signature(data):
+    # In plain integers: with n solved for the congruence, q | sigma_q.
+    g = data.draw(st.integers(1, 40), label="g")
+    s = data.draw(st.lists(st.integers(0, 50), min_size=g // 2, max_size=g // 2))
+    q = 2 * g + 1
+    modulus = 4 * q if g % 2 else 2 * q
+    weighted = sum(2 * h * (4 * h + 2) * sh for h, sh in enumerate(s, 1))
+    n = -weighted % modulus + modulus * data.draw(st.integers(0, 5), label="lift")
+    assert (n + weighted) % modulus == 0
+    sigma_num = -(g + 1) * n + sum(
+        (4 * h * (g - h) - q) * sh for h, sh in enumerate(s, 1)
+    )
+    assert sigma_num % q == 0
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_enumerator_never_records_sigma_integrality(g):
+    rows = enumerate_feasible(ConstraintProfile(g, 4 * g + 20))
+    assert REJECT_SIGMA_INTEGRAL not in {row.verdict for row in rows}
+
+
 def test_check_counts_requires_hyperelliptic_profile():
     # A nonhyperelliptic profile cannot be built, so check_counts and
     # enumerate_feasible never see one.
@@ -397,8 +420,8 @@ def test_replace_still_checks_counts():
     "g,bound", [(2, 30), (3, 30), (4, 30), (5, 24), (7, 20), (10, 14)]
 )
 def test_row_fractions_match_invariants_closed_forms(g, bound):
-    # sigma comes from the kernel's integer numerator; the closed forms in
-    # invariants are a second route to it and to chi_h.
+    # A row's sigma is read from hyperelliptic_signature, the one closed
+    # form; the independent numerator is in the fraction-route test.
     for row in enumerate_feasible(ConstraintProfile(g, bound)):
         sigma = hyperelliptic_signature(row.counts)[0]
         assert row.sigma == sigma and type(row.sigma) is Fraction

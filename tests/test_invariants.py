@@ -83,6 +83,26 @@ def test_hyperelliptic_signature_matches_single_fraction_form():
         assert hyperelliptic_signature(counts)[0] == expected
 
 
+def test_hyperelliptic_signature_builds_one_fraction(monkeypatch):
+    # One Fraction of the integer numerator at any genus, not one per s_h.
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr("lefschetz.invariants.Fraction", CountingFraction)
+    g = 10**5
+    counts = FiberCounts.of(g, 3, 1, *([0] * (g // 2 - 2)), 2)
+    sigma, integral = hyperelliptic_signature(counts)
+    q, h = 2 * g + 1, g // 2
+    numerator = -(g + 1) * 3 + (4 * (g - 1) - q) + 2 * (4 * h * (g - h) - q)
+    assert len(built) == 1
+    assert sigma == Fraction(numerator, q)
+    assert integral == (numerator % q == 0)
+
+
 def test_ledger_totals():
     ledger = [
         LedgerEntry(LEDGER_MATSUMOTO_EVEN, 1),
