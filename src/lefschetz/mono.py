@@ -19,10 +19,16 @@ a<k> / b<k> with a ``~`` suffix for inverses; [x,y] expands to the
 commutator x y x~ y~.
 
 Parsing is total: every byte sequence either parses or raises
-MonoParseError carrying the offending line number.
+MonoParseError carrying the offending line number.  Each curve line is
+checked once, and each distinct twist line is read once: a raw line seen
+before in the twist section gives the same letter again, since the curve
+table is closed once the twists start and the section does not change
+until the target line, after which any line is an error.
 """
 
 from __future__ import annotations
+
+import re
 
 from .surface import KIND_INT, NONSEP, CurveClass, HomologyClass, SurfaceSpec
 from .surface import integer
@@ -45,6 +51,9 @@ def _int(token: str, line: int, what: str) -> int:
         raise MonoParseError(line, f"{what}: {exc}")
 
 
+# One or more space-separated <INT> tokens.
+_INTS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+
 # The header directives in order, each with the rule that places it.
 _HEADER = {"genus": "be the first directive", "boundary": "come second, after genus"}
 
@@ -56,11 +65,16 @@ def parse_mono(text: str) -> Factorization:
     curves: dict[str, CurveClass] = {}
     letters: list[TwistLetter] = []
     known: dict[tuple[str, int], TwistLetter] = {}
+    read: dict[str, TwistLetter] = {}  # raw line -> letter, in the twist section
     target: Target = ()
     stage = "genus"  # genus -> boundary -> curves -> twists -> done
     lineno = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        letter = read.get(raw)
+        if letter is not None:  # the curve table and stage are as it left them
+            letters.append(letter)
+            continue
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -113,11 +127,13 @@ def parse_mono(text: str) -> Factorization:
             if letter is None:  # letters are frozen: one per (name, sign)
                 letter = known[name, sign] = TwistLetter(name, sign)
             letters.append(letter)
+            read[raw] = letter
         elif head == "target":
             if stage not in ("curves", "twists"):
                 raise MonoParseError(lineno, "target must follow the header")
             target = _parse_target(rest, spec, lineno)
             stage = "done"
+            read.clear()  # a twist line after the target is an error
         else:
             raise MonoParseError(lineno, f"unknown directive {head!r}")
 
@@ -153,8 +169,14 @@ def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
             raise MonoParseError(
                 lineno, f"hom needs {rank} integers (basis a1 b1 ... ag bg)"
             )
-        try:  # hom clauses hold most of a file's integers: one call per token
-            homology = HomologyClass(tuple(map(integer, rest[pos : pos + rank])))
+        coords = rest[pos : pos + rank]
+        # hom clauses hold most of a file's integers: one match for the clause,
+        # and ``integer`` per token only to name the first bad one
+        if not _INTS.fullmatch(" ".join(coords)):
+            for token in coords:
+                _int(token, lineno, "hom coordinate")
+        try:  # int() still refuses a token past its digit limit
+            homology = HomologyClass(tuple(map(int, coords)))
         except ValueError as exc:
             raise MonoParseError(lineno, f"hom coordinate: {exc}")
         pos += rank

@@ -13,6 +13,8 @@ another; a unit multiplier k = +-1 runs as a C-level ``map`` (95% of the
 updates in the ``monodromy`` benchmark: all of them on its starting words,
 91% after its Hurwitz walks grow the entries), any other k as a list
 comprehension, and each distinct class's support is found once per product.
+Rows are replaced, never changed in place, so a sum may start from a row
+itself.
 Separating and boundary-parallel curves act trivially (their class is
 zero after capping), so everything verified here is a necessary
 condition only: a matrix identity never certifies a relator, but a
@@ -24,7 +26,10 @@ nonseparating letter's class; the curve it creates is nonseparating and
 named ``<old>@h<counter>`` with the smallest unused counter, so move
 sequences are reproducible.  Any curve whose name has that ``@h`` form,
 minted or declared, leaves the table when a move takes away its last
-letter.
+letter.  A move costs its two classes' arithmetic plus C-level copies of
+the word and the curve table: its result, the curve it mints and that
+curve's letter are valid by construction and are not checked again, and
+whether the old curve is still used is one C-level scan of the word.
 
 All operations are pure functions over immutable values.
 """
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from operator import add, sub
+from operator import add, attrgetter, neg, sub
 
 from .invariants import FiberCounts, twist_count_congruence
 from .surface import (
@@ -104,17 +109,20 @@ class Factorization:
         object.__setattr__(self, "_index", index)
 
     @classmethod
-    def _checked(cls, spec, index, letters, target) -> "Factorization":
+    def _checked(cls, spec, index, letters, target, curves=None) -> "Factorization":
         """Build from parts already checked, skipping ``__post_init__``.
 
         The caller vouches for those checks: ``index`` maps each name to
         its curve in table order and each curve passed ``check_curve`` on
-        ``spec``; each letter names a key; ``target`` is ``check_target``'s.
-        The result keeps ``index`` as its table, so nothing may change it.
+        ``spec``; each letter names a key; ``target`` is ``check_target``'s;
+        ``curves``, when given, is ``tuple(index.values())``.  The result
+        keeps ``index`` as its table, so nothing may change it.
         """
+        if curves is None:
+            curves = tuple(index.values())
         out = object.__new__(cls)
-        vars(out).update(spec=spec, curves=tuple(index.values()), letters=letters,
-                         target=target, _index=index)
+        vars(out).update(spec=spec, curves=curves, letters=letters, target=target,
+                         _index=index)
         return out
 
     def curve(self, name: str) -> CurveClass:
@@ -251,15 +259,22 @@ def _twist_product(n: int, twists: list[tuple[tuple[int, ...], int]]) -> Matrix:
     # i and +a_i for odd i: c = w^T P sums the rows i^1 over a's support,
     # and only the rows in that support change, by s a_i c.  Words repeat
     # few classes (80% of the monodromy benchmark's letters reuse one), so
-    # each support is built once per call.
+    # each support is built once per call.  c starts from the first term;
+    # _plus never mutates, so a +1 term aliases its row.
     rows = [list(row) for row in identity_matrix(n)]
     supports: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for a, sign in reversed(twists):
         support = supports.get(a)
         if support is None:
             support = supports[a] = [(i, ai) for i, ai in enumerate(a) if ai]
-        c = [0] * n
-        for i, ai in support:
+        if not support:  # the zero class acts as the identity
+            continue
+        i, ai = support[0]
+        k = ai if i & 1 else -ai
+        c = rows[i ^ 1]
+        if k != 1:
+            c = list(map(neg, c)) if k == -1 else [k * x for x in c]
+        for i, ai in support[1:]:
             c = _plus(c, ai if i & 1 else -ai, rows[i ^ 1])
         for i, ai in support:
             rows[i] = _plus(rows[i], sign * ai, c)
@@ -375,6 +390,8 @@ def verify_homological_relator(
 
 
 _DERIVED_NAME = re.compile(r"(.+)@h[0-9]+\Z")
+_CURVE = attrgetter("curve")
+_CURVE_FIELDS = tuple(CurveClass.__dataclass_fields__)
 
 
 def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factorization:
@@ -388,34 +405,41 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     and the multiset of letter kinds are unchanged.
 
     When the two classes pair to 0 the twists commute: the move swaps the
-    two letter objects and the result shares f's curve table.  Otherwise
-    both curves are nonseparating, and the conjugated letter names the
-    curve the old one was derived from if that curve's class is the image,
-    else a new nonseparating ``<old>@h<k>`` with the least unused k and no
-    pi_1 word, since conjugating a word would need twist data we do not
-    track.  The old curve leaves the table when its name has the ``@h``
-    form and no letter uses it any more; only the curve that lost a letter
-    can have become unused.  So when no letter of f names an ``@h`` curve,
-    a move followed by its inverse restores f exactly.
+    two letter objects and the result shares f's curve table and tuple.
+    Otherwise both curves are nonseparating, and the conjugated letter
+    names the curve the old one was derived from if that curve's class is
+    the image, else a new nonseparating ``<old>@h<k>`` with the least
+    unused k and no pi_1 word, since conjugating a word would need twist
+    data we do not track.  The old curve leaves the table when its name
+    has the ``@h`` form and no letter uses it any more; only the curve
+    that lost a letter can have become unused.  So when no letter of f
+    names an ``@h`` curve, a move followed by its inverse restores f
+    exactly.
 
-    The result is valid by construction, so ``Factorization.__post_init__``
-    is skipped: every kept curve was checked in f; a new curve is
-    nonseparating like the moving one, with a class of the same rank and
-    no word, and its name is not yet taken; the letters only name curves
-    of the table; the spec and target are f's.
+    The result is valid by construction, so no ``__post_init__`` runs, of
+    the factorization, the new curve, its class or the new letter: every
+    kept curve was checked in f; the new curve is nonseparating like the
+    moving one, with no word and a class of the same rank that stays
+    primitive, since a transvection is unimodular; its name is the old
+    name plus ``@h<k>``, so it has no whitespace and no ``#``, and is not
+    yet taken; its sign was checked on the moving letter; the letters
+    only name curves of the table; the spec and target are f's.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    (i,) = exact_ints((i,), "Hurwitz move positions")
-    if not 1 <= i < len(f.letters):
+    if i.__class__ is not int:
+        (i,) = exact_ints((i,), "Hurwitz move positions")
+    letters = f.letters
+    if not 1 <= i < len(letters):
         raise ValueError(
-            f"position {i} out of range 1..{len(f.letters) - 1} for a "
-            f"{len(f.letters)}-letter factorization"
+            f"position {i} out of range 1..{len(letters) - 1} for a "
+            f"{len(letters)}-letter factorization"
         )
-    first, second = f.letters[i - 1 : i + 1]
+    first, second = letters[i - 1 : i + 1]
+    index = f._index
     # left to right, so MissingHomology names the leftmost class-less letter
-    class_a = effective_class(f.curve(first.curve), f.spec)
-    class_b = effective_class(f.curve(second.curve), f.spec)
+    class_a = effective_class(index[first.curve], f.spec)
+    class_b = effective_class(index[second.curve], f.spec)
     # The moving curve is conjugated by the other letter, inverted on a right
     # move; the sign also puts the moved letter second on a right move.
     if direction == "right":
@@ -424,9 +448,9 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
         moving, old_class, by, by_class, sign = second, class_b, first, class_a, 1
     image = transvect(old_class.coords, by_class.coords, sign * by.sign)
     if image is old_class.coords:  # the classes pair to 0: the twists commute
-        letters = f.letters[: i - 1] + (moving, by)[::sign] + f.letters[i + 1 :]
-        return Factorization._checked(f.spec, f._index, letters, f.target)
-    index = dict(f._index)
+        letters = letters[: i - 1] + (moving, by)[::sign] + letters[i + 1 :]
+        return Factorization._checked(f.spec, index, letters, f.target, f.curves)
+    index = dict(index)
     old = index[moving.curve]
     derived = _DERIVED_NAME.match(old.name)
     parent = index.get(derived.group(1)) if derived else None
@@ -441,12 +465,36 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
         while f"{old.name}@h{k}" in index:
             k += 1
         name = f"{old.name}@h{k}"
-        new = index[name] = CurveClass(name, NONSEP, homology=HomologyClass(image))
-    pair = (TwistLetter(new.name, moving.sign), by)[::sign]
-    letters = f.letters[: i - 1] + pair + f.letters[i + 1 :]
-    if derived and all(letter.curve != old.name for letter in letters):
+        new = index[name] = _minted(name, image)
+    pair = (_letter(new.name, moving.sign), by)[::sign]
+    letters = letters[: i - 1] + pair + letters[i + 1 :]
+    if derived and old.name not in map(_CURVE, letters):
         del index[old.name]
     return Factorization._checked(f.spec, index, letters, f.target)
+
+
+# The minted curve and letter skip their checks (hurwitz_move says why they
+# hold).  Their fields are set one by one, as a dataclass __init__ does: an
+# instance whose vars() were filled by update() reads its fields more
+# slowly, and serialize_mono took 36% longer on such curves and letters.
+
+
+def _minted(name: str, coords: tuple[int, ...]) -> CurveClass:
+    """``CurveClass(name, NONSEP, homology=HomologyClass(coords))``."""
+    homology = object.__new__(HomologyClass)
+    object.__setattr__(homology, "coords", coords)
+    curve = object.__new__(CurveClass)
+    for field, value in zip(_CURVE_FIELDS, (name, NONSEP, None, None, homology, None)):
+        object.__setattr__(curve, field, value)
+    return curve
+
+
+def _letter(curve: str, sign: int) -> TwistLetter:
+    """``TwistLetter(curve, sign)``."""
+    letter = object.__new__(TwistLetter)
+    object.__setattr__(letter, "curve", curve)
+    object.__setattr__(letter, "sign", sign)
+    return letter
 
 
 def conjugate_factorization(f: Factorization, m: Matrix) -> Factorization:

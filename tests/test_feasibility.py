@@ -125,8 +125,8 @@ def test_check_counts_first_failure_wins():
 
 def test_congruence_stage_subsumes_sigma_integrality():
     # Mod 2g+1 the congruence forces the signature numerator to vanish
-    # (substitute 2g = -1), so the sigma-integrality stage never fires
-    # after the congruence stage; it stays in the chain defensively.
+    # (substitute 2g = -1), so no row the congruence admits has a
+    # fractional signature; the verdict kernel has no integrality stage.
     for g, bound in ((2, 40), (3, 40), (4, 40), (5, 30)):
         rows = enumerate_feasible(ConstraintProfile(g, bound))
         assert all(r.verdict != REJECT_SIGMA_INTEGRAL for r in rows)

@@ -26,6 +26,7 @@ from lefschetz.twists import (
     TwistLetter,
     cancel_adjacent_inverses,
     cap_boundary,
+    check_curve,
     conjugate_factorization,
     factorization_matrix,
     hurwitz_move,
@@ -671,6 +672,33 @@ def test_hurwitz_move_mints_nonseparating_curves():
                     assert (c.kind, c.h, c.boundary_index, c.word) == (
                         NONSEP, None, None, None
                     )
+    assert minted
+
+
+def test_hurwitz_results_are_valid_by_construction():
+    # hurwitz_move runs no __post_init__ on its result, the curve it mints,
+    # that curve's class or its letter; the checking constructors must
+    # accept each of them and build an equal value.
+    minted = 0
+    for f, moves in seeded_hurwitz_walks():
+        declared = {c.name for c in f.curves}
+        for i, direction in moves:
+            try:
+                f = hurwitz_move(f, i, direction)
+            except MissingHomology:
+                continue
+            rebuilt = Factorization(f.spec, f.curves, f.letters, f.target)
+            assert rebuilt == f
+            assert vars(rebuilt) == vars(f)
+            for letter in f.letters:
+                assert TwistLetter(letter.curve, letter.sign) == letter
+            for c in f.curves:
+                if c.name not in declared:
+                    minted += 1
+                    coords = c.homology.coords
+                    assert c == CurveClass(c.name, NONSEP,
+                                           homology=HomologyClass(coords))
+                    check_curve(c, f.spec)
     assert minted
 
 
