@@ -46,6 +46,9 @@ class GroupPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        # tuples, so a list-built value equals and hashes as its twin
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         declared = set(self.generators)

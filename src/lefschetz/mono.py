@@ -64,7 +64,6 @@ def parse_mono(text: str) -> Factorization:
     spec: SurfaceSpec | None = None
     curves: dict[str, CurveClass] = {}
     letters: list[TwistLetter] = []
-    known: dict[tuple[str, int], TwistLetter] = {}
     read: dict[str, TwistLetter] = {}  # raw line -> letter, in the twist section
     target: Target = ()
     stage = "genus"  # genus -> boundary -> curves -> twists -> done
@@ -123,11 +122,8 @@ def parse_mono(text: str) -> Factorization:
                         lineno, f"twist sign must be + or -, got {rest[1]!r}"
                     )
                 sign = 1 if rest[1] == "+" else -1
-            letter = known.get((name, sign))
-            if letter is None:  # letters are frozen: one per (name, sign)
-                letter = known[name, sign] = TwistLetter(name, sign)
+            letter = read[raw] = TwistLetter(name, sign)
             letters.append(letter)
-            read[raw] = letter
         elif head == "target":
             if stage not in ("curves", "twists"):
                 raise MonoParseError(lineno, "target must follow the header")

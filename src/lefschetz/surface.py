@@ -68,7 +68,7 @@ class SurfaceSpec:
         return SurfaceSpec(self.genus, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomologyClass:
     """An integer vector over the ordered basis (a1, b1, ..., ag, bg)."""
 
@@ -179,7 +179,7 @@ def classify_kind_from_word(word: Word, spec: SurfaceSpec) -> str:
     return SEP if homology_of_word(word, spec).is_zero() else NONSEP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveClass:
     """A named vanishing-cycle datum.
 
@@ -206,6 +206,8 @@ class CurveClass:
             )
         if self.kind not in (NONSEP, *KIND_INT):
             raise ValueError(f"curve {self.name!r}: unknown kind {self.kind!r}")
+        if self.word is not None:  # a tuple, like a parsed word
+            object.__setattr__(self, "word", tuple(self.word))
         for kind, (field, noun, _top) in KIND_INT.items():
             value = getattr(self, field)
             if value is not None:

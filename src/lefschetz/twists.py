@@ -27,9 +27,10 @@ named ``<old>@h<counter>`` with the smallest unused counter, so move
 sequences are reproducible.  Any curve whose name has that ``@h`` form,
 minted or declared, leaves the table when a move takes away its last
 letter.  A move costs its two classes' arithmetic plus C-level copies of
-the word and the curve table: its result, the curve it mints and that
-curve's letter are valid by construction and are not checked again, and
-whether the old curve is still used is one C-level scan of the word.
+the word and the curve table: its result and the curve it mints are valid
+by construction and are not checked again, and whether the old curve is
+still used is one C-level scan of the word.  Letters, curves and classes
+are slotted frozen values.
 
 All operations are pure functions over immutable values.
 """
@@ -72,7 +73,7 @@ class MissingHomology(ValueError):
         self.curve_name = curve_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistLetter:
     """One Dehn-twist letter: a curve name and a sign (+1 or -1)."""
 
@@ -94,6 +95,8 @@ class Factorization:
     target: Target = IDENTITY_TARGET
 
     def __post_init__(self) -> None:
+        # tuples, so a list-built value equals and hashes as its twin
+        vars(self).update(curves=tuple(self.curves), letters=tuple(self.letters))
         index: dict[str, CurveClass] = {}
         for curve in self.curves:
             if curve.name in index:
@@ -105,8 +108,7 @@ class Factorization:
                 raise ValueError(
                     f"letter references undeclared curve {letter.curve!r}"
                 )
-        object.__setattr__(self, "target", check_target(self.target, self.spec))
-        object.__setattr__(self, "_index", index)
+        vars(self).update(target=check_target(self.target, self.spec), _index=index)
 
     @classmethod
     def _checked(cls, spec, index, letters, target, curves=None) -> "Factorization":
@@ -116,7 +118,9 @@ class Factorization:
         its curve in table order and each curve passed ``check_curve`` on
         ``spec``; each letter names a key; ``target`` is ``check_target``'s;
         ``curves``, when given, is ``tuple(index.values())``.  The result
-        keeps ``index`` as its table, so nothing may change it.
+        keeps ``index`` as its table, so nothing may change it.  The
+        fields go into ``vars()`` in one ``update``: setting each with
+        ``object.__setattr__`` made ``monodromy`` jobs 3-5% slower.
         """
         if curves is None:
             curves = tuple(index.values())
@@ -180,20 +184,25 @@ def check_curve(curve: CurveClass, spec: SurfaceSpec) -> None:
 
 
 def check_target(target: Target, spec: SurfaceSpec) -> Target:
-    """The target with exact int pairs; ValueError unless its boundary
-    indices lie in 1..r and appear once each."""
-    target = tuple(exact_ints(pair, "target entries") for pair in target)
-    seen: set[int] = set()
-    for boundary_index, _exponent in target:
-        if not 1 <= boundary_index <= spec.boundary_count:
+    """The target with exact int pairs; ValueError unless each entry is a
+    (boundary index, exponent) pair whose index lies in 1..r and appears
+    once."""
+    pairs: dict[int, int] = {}
+    for entry in target:
+        try:
+            index, exponent = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"target entry {entry!r} is not a pair") from None
+        index, exponent = exact_ints((index, exponent), "target entries")
+        if not 1 <= index <= spec.boundary_count:
             raise ValueError(
-                f"target boundary index {boundary_index} out of range "
+                f"target boundary index {index} out of range "
                 f"1..{spec.boundary_count}"
             )
-        if boundary_index in seen:
-            raise ValueError(f"target boundary index {boundary_index} repeated")
-        seen.add(boundary_index)
-    return target
+        if index in pairs:
+            raise ValueError(f"target boundary index {index} repeated")
+        pairs[index] = exponent
+    return tuple(pairs.items())
 
 
 def effective_class(curve: CurveClass, spec: SurfaceSpec) -> HomologyClass:
@@ -417,13 +426,14 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     exactly.
 
     The result is valid by construction, so no ``__post_init__`` runs, of
-    the factorization, the new curve, its class or the new letter: every
-    kept curve was checked in f; the new curve is nonseparating like the
-    moving one, with no word and a class of the same rank that stays
-    primitive, since a transvection is unimodular; its name is the old
-    name plus ``@h<k>``, so it has no whitespace and no ``#``, and is not
-    yet taken; its sign was checked on the moving letter; the letters
-    only name curves of the table; the spec and target are f's.
+    the factorization, the new curve or its class: every kept curve was
+    checked in f; the new curve is nonseparating like the moving one, with
+    no word and a class of the same rank that stays primitive, since a
+    transvection is unimodular; its name is the old name plus ``@h<k>``,
+    so it has no whitespace and no ``#``, and is not yet taken; the
+    letters only name curves of the table; the spec and target are f's.
+    The new letter is built by ``TwistLetter`` with its sign check, which
+    costs about 0.1% of a ``monodromy`` job.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
@@ -466,17 +476,16 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
             k += 1
         name = f"{old.name}@h{k}"
         new = index[name] = _minted(name, image)
-    pair = (_letter(new.name, moving.sign), by)[::sign]
+    pair = (TwistLetter(new.name, moving.sign), by)[::sign]
     letters = letters[: i - 1] + pair + letters[i + 1 :]
     if derived and old.name not in map(_CURVE, letters):
         del index[old.name]
     return Factorization._checked(f.spec, index, letters, f.target)
 
 
-# The minted curve and letter skip their checks (hurwitz_move says why they
-# hold).  Their fields are set one by one, as a dataclass __init__ does: an
-# instance whose vars() were filled by update() reads its fields more
-# slowly, and serialize_mono took 36% longer on such curves and letters.
+# The minted curve and its class skip their checks (hurwitz_move says why
+# they hold): building them through CurveClass and HomologyClass made
+# monodromy jobs 4-6% slower.
 
 
 def _minted(name: str, coords: tuple[int, ...]) -> CurveClass:
@@ -487,14 +496,6 @@ def _minted(name: str, coords: tuple[int, ...]) -> CurveClass:
     for field, value in zip(_CURVE_FIELDS, (name, NONSEP, None, None, homology, None)):
         object.__setattr__(curve, field, value)
     return curve
-
-
-def _letter(curve: str, sign: int) -> TwistLetter:
-    """``TwistLetter(curve, sign)``."""
-    letter = object.__new__(TwistLetter)
-    object.__setattr__(letter, "curve", curve)
-    object.__setattr__(letter, "sign", sign)
-    return letter
 
 
 def conjugate_factorization(f: Factorization, m: Matrix) -> Factorization:

@@ -39,8 +39,10 @@ from lefschetz.invariants import (
     signature_bound_check,
     twist_count_congruence,
 )
-from lefschetz.surface import BOUNDARY, CurveClass
-from lefschetz.twists import TwistLetter
+from lefschetz.mono import parse_mono
+from lefschetz.surface import BOUNDARY, NONSEP, CurveClass, HomologyClass
+from lefschetz.twists import TwistLetter, hurwitz_move
+from lefschetz.words import parse_word
 
 
 def counts_tuple(row):
@@ -374,12 +376,22 @@ def layout_cases():
     trusted = enumerate_feasible(ConstraintProfile(4, 24))
     admitted = next(r for r in trusted if r.admitted)
     checked = check_counts(FiberCounts.of(4, 16, 0, 5), ConstraintProfile(4, 24))
+    parsed = parse_mono(
+        "genus 1\nboundary 0\ncurve a kind nonsep hom 1 0\n"
+        "curve b kind nonsep hom 0 1\ntwist a\ntwist b\ntarget identity\n"
+    )
     return [
         ("trusted counts", admitted.counts),
         ("trusted row", admitted),
         ("checked counts", FiberCounts.of(4, 16, 0, 5)),
         ("checked row", checked),
         ("constructed row", FeasibilityRow(FiberCounts.of(2, 8, 1), REJECT_CHI_H)),
+        ("parsed letter", parsed.letters[0]),
+        ("curve with class and word", CurveClass(
+            "c", NONSEP, homology=HomologyClass((1, 0)), word=parse_word("a1")
+        )),
+        ("homology class", HomologyClass((1, -2, 0, 3))),
+        ("minted curve", hurwitz_move(parsed, 1).curve("a@h1")),
     ]
 
 

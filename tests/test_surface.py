@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.feasibility import ConstraintProfile
-from lefschetz.fpgroup import GroupPresentation, surface_group, todd_coxeter
+from lefschetz.fpgroup import (
+    GroupPresentation,
+    quotient_by_cycles,
+    surface_group,
+    todd_coxeter,
+)
 from lefschetz.invariants import FiberCounts, LedgerEntry, min_nonseparating_bound
 from lefschetz.surface import (
     BOUNDARY,
@@ -162,6 +167,18 @@ REJECTED_VALUE_CASES = {
     "fiber counts genus 0": (lambda: FiberCounts(0, 1), "genus must be >= 1, got 0"),
     "profile genus 0": (lambda: ConstraintProfile(0, 5), "genus must be >= 1, got 0"),
     "profile bound 0": (lambda: ConstraintProfile(2, 0), "max_total_fibers must be >= 1"),
+    "target entry not a pair": (
+        lambda: Factorization(SurfaceSpec(1, 1), (), (), target=(5,)),
+        "target entry 5 is not a pair",
+    ),
+    "target entry too short": (
+        lambda: Factorization(SurfaceSpec(1, 1), (), (), target=((1,),)),
+        "target entry (1,) is not a pair",
+    ),
+    "target entry too long": (
+        lambda: Factorization(SurfaceSpec(1, 1), (), (), target=((1, 2, 3),)),
+        "target entry (1, 2, 3) is not a pair",
+    ),
 }
 
 
@@ -184,6 +201,27 @@ def test_integer_fields_store_exact_ints():
     ]
     assert [v.__class__ for v in values] == [int] * 8
     assert values == [2, 2, 1, 2, 2, 2, 2, 2]
+
+
+def test_list_built_values_equal_their_tuple_twins():
+    a1 = parse_word("a1")
+    curve = CurveClass("c", NONSEP, homology=cls(1, 0), word=a1)
+    pairs = [
+        (CurveClass("c", NONSEP, homology=cls(1, 0), word=list(a1)), curve),
+        (
+            Factorization(SurfaceSpec(1), [curve], [TwistLetter("c")]),
+            Factorization(SurfaceSpec(1), (curve,), (TwistLetter("c"),)),
+        ),
+        (
+            GroupPresentation(["a", "b"], [list(parse_word("a b"))]),
+            GroupPresentation(("a", "b"), (parse_word("a b"),)),
+        ),
+    ]
+    for listed, twin in pairs:
+        assert listed == twin and hash(listed) == hash(twin)
+    quotient = quotient_by_cycles(pairs[2][0], [parse_word("a")])
+    assert quotient.relators == (parse_word("a b"), parse_word("a"))
+    assert todd_coxeter(quotient, 100).order == 1
 
 
 def test_pairing_dimension_mismatch():
