@@ -322,35 +322,45 @@ def _cmd_pi1(args) -> int:
     carried = sum(f.curve(name).word is not None for name in distinct)
     worded = f"{carried}/{len(distinct)} distinct letter curves carry words"
 
-    result = todd_coxeter(presentation, max_cosets=args.max_cosets)
+    if args.max_cosets < 1:  # todd_coxeter's own check, before it may be skipped
+        raise ValueError("max_cosets must be >= 1")
     invariants = abelianization(presentation)
+    free_rank = invariants.divisors.count(0)
+    if free_rank:
+        # a free factor in H_1 already proves the group infinite
+        outcome, order, defined = "infinite", None, 0
+        verdict = f"infinite: H_1 has free rank {free_rank}; coset enumeration not run"
+    else:
+        result = todd_coxeter(presentation, max_cosets=args.max_cosets)
+        order, defined = result.order, result.cosets_defined
+        if result.closed:
+            outcome = "order"
+            verdict = f"order {order}   ({defined} cosets defined)"
+        else:
+            outcome = "exceeded"
+            verdict = (
+                f"exceeded {args.max_cosets} cosets "
+                f"({defined} defined); order not certified"
+            )
     doc = {
         "source": source,
         "generators": len(presentation.generators),
         "relators": len(presentation.relators),
         "worded_letters": worded,
         "max_cosets": args.max_cosets,
-        "outcome": "order" if result.closed else "exceeded",
-        "order": result.order,
-        "cosets_defined": result.cosets_defined,
+        "outcome": outcome,
+        "order": order,
+        "cosets_defined": defined,
         "abelian_invariants": list(invariants.divisors),
     }
     lines = [
         f"pi_1 of {label}: {len(presentation.generators)} generators, "
         f"{len(presentation.relators)} relators ({worded})",
+        verdict,
+        f"abelian invariants: {list(invariants.divisors)}",
     ]
-    if result.closed:
-        lines.append(
-            f"order {result.order}   ({result.cosets_defined} cosets defined)"
-        )
-    else:
-        lines.append(
-            f"exceeded {args.max_cosets} cosets "
-            f"({result.cosets_defined} defined); order not certified"
-        )
-    lines.append(f"abelian invariants: {list(invariants.divisors)}")
     _emit(args, doc, "\n".join(lines))
-    return EXIT_OK if result.closed else EXIT_NEGATIVE
+    return EXIT_OK if outcome == "order" else EXIT_NEGATIVE
 
 
 def _entry_summary(entry) -> dict:

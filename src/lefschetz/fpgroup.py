@@ -16,6 +16,12 @@ and coset counts are reproducible:
   without defining at every live coset from the current one on; the
   coset is retried only if the pass freed space.
 
+The scan reads each table entry once: one forward walk per relator,
+never restarted after a gap.  A lookahead pass is one scan call over
+its cosets.  Only a coincidence can kill a coset (definitions and
+deductions only add entries), so the scanned coset's liveness is
+tested after each coincidence and nowhere else.
+
 The coset table is column-major: one flat list per generator and per
 inverse, indexed by coset number and grown in place, with no container
 per coset.  Dead cosets keep their slots until the call returns.
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -208,6 +215,15 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     full.  They grow in place and are never rebound, because the relator
     tuples and ``pairs`` hold references to the lists themselves.
 
+    ``scan(cosets, fill)`` takes an iterable of cosets: the main loop
+    passes ``(alpha,)`` and each lookahead pass makes one call on
+    ``range(alpha, len(parent))``.  It walks each relator forward once;
+    a walk with no gap goes straight to the closing test, and a gap
+    hands its ``(f, i)`` to the backward walk, deduction or definition.
+    Liveness of the scanned coset is tested only after a coincidence:
+    definitions and deductions only add entries, and ``rep`` compresses
+    paths through dead cosets only, so nothing else can kill it.
+
     Lookahead starts at the current coset alpha, not at 0, and that
     changes no count.  Every live coset before alpha finished its
     main-loop scan with ``fill``, so its row is complete and every
@@ -269,7 +285,8 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
                 if delta is None:
                     continue
                 inv[delta] = None
-                mu, nu = rep(gamma), rep(delta)
+                mu = rep(gamma)
+                nu = delta if parent[delta] == delta else rep(delta)
                 if col[mu] is not None:
                     merge(nu, col[mu])
                 elif inv[nu] is not None:
@@ -278,78 +295,93 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
                     col[mu] = nu
                     inv[nu] = mu
 
-    def scan(alpha: int, fill: bool) -> bool:
-        """Scan every relator at coset alpha while it lives; with fill,
-        define cosets at gaps, then fill the rest of alpha's row.
+    def scan(cosets: Iterable[int], fill: bool) -> bool:
+        """Scan every relator at each live coset alpha of cosets while it
+        lives; with fill, define cosets at gaps, then fill the rest of
+        alpha's row.
 
         f is alpha word[:i] and b is alpha word[j+1:]^-1.  A definition
         only adds entries, so both paths resume where they stopped.
         Returns False when a definition would pass the live limit.
         """
         nonlocal deductions
-        for word, back, last in relators:
+        for alpha in cosets:
             if parent[alpha] != alpha:
-                return True
-            f, i, b, j = alpha, 0, alpha, last
-            while True:
-                while i <= j:
-                    nxt = word[i][f]
+                continue
+            for word, back, last in relators:
+                f = alpha
+                i = 0
+                for col in word:
+                    nxt = col[f]
                     if nxt is None:
                         break
                     f = nxt
                     i += 1
-                while j >= i:
-                    nxt = back[j][b]
-                    if nxt is None:
+                else:  # no gap: only the closing test is left
+                    if f != alpha:
+                        coincidence(f, alpha)
+                        if parent[alpha] != alpha:
+                            break
+                    continue
+                b, j = alpha, last
+                while True:
+                    while j >= i:
+                        nxt = back[j][b]
+                        if nxt is None:
+                            break
+                        b = nxt
+                        j -= 1
+                    if j <= i or not fill:
                         break
-                    b = nxt
-                    j -= 1
-                if j < i:
-                    if f != b:
-                        coincidence(f, b)
-                    break
-                if i == j:
-                    # deduction: one gap closes without a new coset
-                    word[i][f] = b
-                    back[i][b] = f
-                    deductions += 1
-                    break
-                if not fill:
-                    break
-                beta = len(parent)
-                if beta - merged >= max_cosets:
-                    return False
-                if beta == capacity:
-                    grow()
-                parent.append(beta)
-                back[i][beta] = f
-                word[i][f] = beta
-                f = beta
-                i += 1
-        if fill and parent[alpha] == alpha:
-            for col, inv in pairs:
-                if col[alpha] is None:
                     beta = len(parent)
                     if beta - merged >= max_cosets:
                         return False
                     if beta == capacity:
                         grow()
                     parent.append(beta)
-                    col[alpha] = beta
-                    inv[beta] = alpha
+                    back[i][beta] = f
+                    word[i][f] = beta
+                    f = beta
+                    i += 1
+                    while i <= j:
+                        nxt = word[i][f]
+                        if nxt is None:
+                            break
+                        f = nxt
+                        i += 1
+                if j == i:
+                    # deduction: one gap closes without a new coset
+                    word[i][f] = b
+                    back[i][b] = f
+                    deductions += 1
+                elif j < i and f != b:
+                    coincidence(f, b)
+                    if parent[alpha] != alpha:
+                        break
+            else:  # alpha lived through every relator
+                if fill:
+                    for col, inv in pairs:
+                        if col[alpha] is None:
+                            beta = len(parent)
+                            if beta - merged >= max_cosets:
+                                return False
+                            if beta == capacity:
+                                grow()
+                            parent.append(beta)
+                            col[alpha] = beta
+                            inv[beta] = alpha
         return True
 
     alpha = 0
     while alpha < len(parent):
-        if parent[alpha] != alpha or scan(alpha, True):
+        # a dead alpha skips the call; scan tests it again for lookahead
+        if parent[alpha] != alpha or scan((alpha,), True):
             alpha += 1
             continue
         # the table is full: lookahead, then retry alpha if space was freed
         passes += 1
         before = merged
-        for gamma in range(alpha, len(parent)):
-            if parent[gamma] == gamma:
-                scan(gamma, False)
+        scan(range(alpha, len(parent)), False)
         if merged == before:
             break  # nothing freed: alpha stays short of the table's end
     order = len(parent) - merged if alpha == len(parent) else None

@@ -346,17 +346,61 @@ def test_pi1_mono_file(tmp_path, capsys):
 
 
 def test_pi1_exceeded(tmp_path, capsys):
-    path = tmp_path / "big.mono"
-    # quotient of the genus-2 surface group by one commuting word: infinite
+    path = tmp_path / "z3.mono"
+    # H_1 = Z/3 is finite, so the enumeration runs and stops at its limit
     path.write_text(
-        "genus 2\nboundary 0\n"
-        "curve u kind nonsep hom 1 0 0 0 word a1\n"
-        "twist u\n"
+        "genus 1\nboundary 0\n"
+        "curve u kind nonsep hom 3 1 word a1 a1 a1 b1\n"
+        "curve v kind nonsep hom 0 1 word b1\n"
+        "twist u\ntwist v\n"
         "target identity\n"
     )
-    code, out, _ = run(capsys, "pi1", str(path), "--max-cosets", "200")
+    code, out, _ = run(capsys, "pi1", str(path), "--max-cosets", "2")
     assert code == 1
-    assert "exceeded" in out
+    assert "exceeded 2 cosets (3 defined)" in out
+    assert "abelian invariants: [3]" in out
+
+
+# quotient of the genus-2 surface group by one commuting word: H_1 = Z^3
+GENUS2_QUOTIENT = (
+    "genus 2\nboundary 0\n"
+    "curve u kind nonsep hom 1 0 0 0 word a1\n"
+    "twist u\n"
+    "target identity\n"
+)
+
+
+def test_pi1_infinite_skips_enumeration(tmp_path, capsys, monkeypatch):
+    import lefschetz.fpgroup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("todd_coxeter ran on a group with free H_1")
+
+    monkeypatch.setattr(lefschetz.fpgroup, "todd_coxeter", refuse)
+    path = tmp_path / "big.mono"
+    path.write_text(GENUS2_QUOTIENT)
+    code, out, _ = run(capsys, "pi1", str(path))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "infinite: H_1 has free rank 3; coset enumeration not run",
+        "abelian invariants: [0, 0, 0]",
+    ]
+    code, out, _ = run(capsys, "pi1", str(path), "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == [
+        "command", "source", "generators", "relators", "worded_letters",
+        "max_cosets", "outcome", "order", "cosets_defined", "abelian_invariants",
+    ]
+    assert (doc["outcome"], doc["order"], doc["cosets_defined"]) == ("infinite", None, 0)
+    assert (doc["max_cosets"], doc["abelian_invariants"]) == (10**6, [0, 0, 0])
+
+
+def test_pi1_max_cosets_checked_before_infinite_h1(tmp_path, capsys):
+    path = tmp_path / "big.mono"
+    path.write_text(GENUS2_QUOTIENT)
+    code, out, err = run(capsys, "pi1", str(path), "--max-cosets", "0")
+    assert (code, out, err) == (2, "", "error: max_cosets must be >= 1\n")
 
 
 # -- catalog ------------------------------------------------------------------------
