@@ -141,6 +141,33 @@ def test_boundary_curves_and_targets():
             "genus 1\nboundary 0\ncurve c kind nonsep hom 0 0\n",
             "nonzero with coordinate gcd 1",
         ),
+        # a non-primitive class takes the checked path, whatever the genus
+        pytest.param(
+            "genus 1\nboundary 0\ncurve c kind nonsep hom 2 0\n",
+            "line 3: curve 'c': nonseparating class must be nonzero with coordinate gcd 1",
+            id="hom-gcd-2-genus-1",
+        ),
+        pytest.param(
+            "genus 2\nboundary 0\ncurve c kind nonsep hom 2 0 0 4\n",
+            "line 3: curve 'c': nonseparating class must be nonzero with coordinate gcd 1",
+            id="hom-gcd-2-genus-2",
+        ),
+        pytest.param(
+            "genus 0\nboundary 0\ncurve c kind nonsep hom\n",
+            "line 3: curve 'c': nonseparating class must be nonzero with coordinate gcd 1",
+            id="bare-hom-genus-0",
+        ),
+        # and so does a primitive class on a sep or boundary curve
+        pytest.param(
+            "genus 2\nboundary 0\ncurve d kind sep 1 hom 1 0 0 0\n",
+            "line 3: curve 'd': sep curves are null-homologous",
+            id="sep-primitive-hom",
+        ),
+        pytest.param(
+            "genus 1\nboundary 1\ncurve p kind boundary 1 hom 0 1\n",
+            "line 3: curve 'p': boundary curves are null-homologous",
+            id="boundary-primitive-hom",
+        ),
         ("genus 1\ngenus 1\n", "line 2: genus must be the first directive"),
         ("genus\n", "usage: genus <INT>"),
         ("genus -1\nboundary 0\n", "genus must be >= 0"),
@@ -292,6 +319,96 @@ def test_parse_checks_each_curve_once(monkeypatch):
     assert parse_mono(serialize_mono(w1)) == w1
     assert sorted(calls) == sorted(c.name for c in w1.curves)
     assert len(calls) == 23
+
+
+def test_plain_nonsep_hom_lines_skip_the_checking_constructors(monkeypatch):
+    # A chain relator's curves are nonsep lines with a primitive class and
+    # no word, built by the trusted constructor; a sep, boundary or worded
+    # curve runs each checking constructor once.
+    calls = {CurveClass: [], HomologyClass: []}
+
+    def count(cls):
+        post_init = cls.__post_init__
+
+        def counting(self):
+            calls[cls].append(self)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    count(CurveClass)
+    count(HomologyClass)
+    chain = ["1 0 0 0", "0 1 0 0", "-1 0 1 0", "0 0 0 1", "0 0 1 0"]
+    text = "genus 2\nboundary 1\n" + "".join(
+        f"curve c{k} kind nonsep hom {hom}\n" for k, hom in enumerate(chain, 1)
+    ) + (
+        "curve s kind sep 1\n"
+        "curve z kind sep 1 hom 0 0 0 0\n"
+        "curve p kind boundary 1\n"
+        "curve w kind nonsep word a1 b1\n"
+        "curve v kind nonsep hom 1 1 0 0 word a1 b1\n"
+    ) + "twist c1\ntwist c2\ntwist c3\ntwist c4\ntwist c5\n" * 6 + "target identity\n"
+    f = parse_mono(text)
+    assert [c.name for c in calls[CurveClass]] == ["s", "z", "p", "w", "v"]
+    assert [h.coords for h in calls[HomologyClass]] == [(0, 0, 0, 0), (1, 1, 0, 0)]
+    assert f.curve("c3").homology.coords == (-1, 0, 1, 0)
+    assert twists.verify_homological_relator(f).matrix_ok
+
+
+def test_parsed_curves_are_valid_by_construction():
+    # The parser builds a plain nonsep hom curve without CurveClass,
+    # HomologyClass or check_curve; each must accept every parsed curve
+    # and rebuild an equal value.
+    texts = [serialize_mono(entry.factorization) for entry in load_catalog()]
+    texts += seeded_mono_texts()
+    trusted = 0
+    for text in texts:
+        try:
+            f = parse_mono(text)
+        except MonoParseError:
+            continue
+        for c in f.curves:
+            coords = None if c.homology is None else c.homology.coords
+            if coords is not None:
+                assert all(type(x) is int for x in coords)
+                trusted += c.kind == NONSEP and c.word is None
+            rebuilt = CurveClass(
+                c.name, c.kind, h=c.h, boundary_index=c.boundary_index,
+                homology=None if coords is None else HomologyClass(coords),
+                word=c.word,
+            )
+            assert rebuilt == c
+            twists.check_curve(c, f.spec)
+    assert trusted
+
+
+# str.splitlines() also breaks at these; Python's text mode does not.
+NON_NEWLINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", NON_NEWLINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_text_mode_newlines_end_a_line(char):
+    plain = ("genus 1\nboundary 0\ncurve a kind nonsep hom 1 0 # a\n"
+             "# note\ntwist a\ntarget identity\n")
+    marked = plain.replace("# a\n", f"# a{char}b\n").replace(
+        "# note", f"# note{char}with separator")
+    assert parse_mono(marked) == parse_mono(plain)
+    # the error names the line counted by newlines
+    with pytest.raises(MonoParseError, match="^line 5: twist references"):
+        parse_mono(marked.replace("twist a", "twist zz"))
+    with pytest.raises(MonoParseError, match="^line 4: missing target"):
+        parse_mono(marked[: marked.index("# note")])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final_newline", [False, True])
+def test_text_mode_newlines_end_a_line(newline, final_newline):
+    text = MINIMAL.replace("\n", newline)
+    assert parse_mono(text) == parse_mono(MINIMAL)
+    head = newline.join(["genus 1", "boundary 0", "# x"])
+    # with or without a final newline, the missing target is on line 4
+    with pytest.raises(MonoParseError, match="^line 4: missing target"):
+        parse_mono(head + newline * final_newline)
 
 
 def test_worded_curve_without_class_does_not_grow_with_genus():
