@@ -96,10 +96,14 @@ def euler_characteristic(c: FiberCounts) -> int:
 
 def _s_terms(g: int, s: tuple[int, ...]) -> tuple[int, int, int]:
     """The s-only parts of the closed forms at genus g: sum(s), the congruence
-    weight sum_h 2h(4h+2) s_h and the signature part sum_h (4h(g-h) - q) s_h."""
+    weight sum_h 2h(4h+2) s_h and the signature part sum_h (4h(g-h) - q) s_h.
+    Zero counts are skipped before any arithmetic, so a long vector of
+    zeros costs little."""
     q = 2 * g + 1
     weighted = sigma_q = 0
     for h, count in enumerate(s, start=1):
+        if not count:
+            continue
         weighted += 2 * h * (4 * h + 2) * count
         sigma_q += (4 * h * (g - h) - q) * count
     return sum(s), weighted, sigma_q

@@ -8,13 +8,15 @@ M(c1) M(c2) ... M(cm) with the leftmost factor outermost.
 The homological action of a positive twist about a curve with class a is
 the transvection  x |-> x + <x, a> a ;  a negative twist uses -<x, a>.
 ``transvect`` applies it to one vector; products are built on rows with
-one sparse rank-1 update per letter.  Each update adds k times one row to
-another; a unit multiplier k = +-1 runs as a C-level ``map`` (95% of the
-updates in the ``monodromy`` benchmark: all of them on its starting words,
-91% after its Hurwitz walks grow the entries), any other k as a list
-comprehension, and each distinct class's support is found once per product.
-Rows are replaced, never changed in place, so a sum may start from a row
-itself.
+one sparse rank-1 update per letter, and each distinct class's support is
+found once per product.  Each row is packed into one int with a fixed-width
+field per entry (Kronecker substitution), so a row update is one int
+multiply-add, exact whatever the carries between fields.  A bound on the
+entries, grown per letter and reset from the rows when it nears the field
+width, says when the fields still decode; when the entries themselves
+would not fit, the product is redone at twice the width.  Matrices are
+decoded once, at the end; ``verify_homological_relator`` compares the
+packed rows with the packed identity without decoding.
 Separating and boundary-parallel curves act trivially (their class is
 zero after capping), so everything verified here is a necessary
 condition only: a matrix identity never certifies a relator, but a
@@ -39,8 +41,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
-from operator import add, attrgetter, neg, sub
+from operator import add, attrgetter, sub
 
 from .invariants import FiberCounts, twist_count_congruence
 from .surface import (
@@ -244,50 +247,123 @@ def is_symplectic(m: Matrix, genus: int) -> bool:
 # -- twist action ----------------------------------------------------------
 
 
-def _plus(x, k: int, y) -> list[int]:
-    """x + k y entrywise; a unit multiplier k runs as a C-level map."""
-    if k == 1:
-        return list(map(add, x, y))
-    if k == -1:
-        return list(map(sub, x, y))
-    return [xi + k * yi for xi, yi in zip(x, y)]
-
-
 def transvect(x: tuple[int, ...], a: tuple[int, ...], sign: int) -> tuple[int, ...]:
     """Image of the vector x under t_a^sign:  x |-> x + sign <x, a> a.
 
-    Returns x itself, not a copy, when <x, a> = 0.
+    Returns x itself, not a copy, when <x, a> = 0.  A unit multiplier
+    runs as a C-level map.
     """
     k = sign * pair_coords(x, a)
-    return tuple(_plus(x, k, a)) if k else x
+    if k == 1:
+        return tuple(map(add, x, a))
+    if k == -1:
+        return tuple(map(sub, x, a))
+    return tuple(xi + k * ai for xi, ai in zip(x, a)) if k else x
 
 
-def _twist_product(n: int, twists: list[tuple[tuple[int, ...], int]]) -> Matrix:
-    # Rows of P = M(c1) ... M(cm), built as P <- M(ck) P from the right.
-    # M(a)^s = I + s a w^T with w^T x = <x, a>, so w_{i^1} is -a_i for even
-    # i and +a_i for odd i: c = w^T P sums the rows i^1 over a's support,
-    # and only the rows in that support change, by s a_i c.  Words repeat
-    # few classes (80% of the monodromy benchmark's letters reuse one), so
-    # each support is built once per call.  c starts from the first term;
-    # _plus never mutates, so a +1 term aliases its row.
-    rows = [list(row) for row in identity_matrix(n)]
-    supports: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+# Entries are packed first into fields of this many bits, and into fields
+# twice as wide whenever a product's entries could outgrow them.
+_WIDTH = 64
+# to_bytes in native order puts field 0 first on a little-endian host and
+# last on a big-endian one; either way each field's bytes are native.
+_FIELD_STEP = 1 if sys.byteorder == "little" else -1
+
+
+def _packed_product(
+    n: int, twists: list[tuple[tuple[int, ...], int]], width: int = _WIDTH
+) -> tuple[list[int], int]:
+    """Rows of P = M(c1) ... M(cm), row i packed into one int as
+    sum_j P[i][j] 2^(width j), and the width they are packed at.
+
+    P is built as P <- M(ck) P from the right.  M(a)^s = I + s a w^T with
+    w^T x = <x, a>, so w_{i^1} is -a_i for even i and +a_i for odd i: the
+    pairing row c = w^T P sums the rows i^1 over a's support, and only the
+    rows in that support change, by s a_i c.  Packing is Z-linear, so each
+    of these is one int operation, exact whatever the carries between
+    fields.  Words repeat few classes, so each class's support is found
+    once per call.
+
+    Every entry lies in [-2^bits, 2^bits), the range of a (bits + 1)-bit
+    two's complement field, so the fields decode exactly while bits is
+    below the width.  A letter keeps entries of [-2^b, 2^b) inside
+    [-2^(b + grow), 2^(b + grow)) when 1 + max|a_i| sum|a_i| <= 2^grow,
+    since |c_j| <= sum|a_i| 2^b and P[i][j] <= 2^b - 1.  A letter that
+    would take bits to the width first resets it from the rows
+    themselves; if it still would, the product is redone at twice the
+    width.
+    """
+    rows = [1 << (width * i) for i in range(n)]
+    bits = 1
+    supports: dict[tuple[int, ...], tuple[list[tuple[int, int, int]], int]] = {}
     for a, sign in reversed(twists):
-        support = supports.get(a)
-        if support is None:
-            support = supports[a] = [(i, ai) for i, ai in enumerate(a) if ai]
+        entry = supports.get(a)
+        if entry is None:
+            support = [(i, ai if i & 1 else -ai, ai) for i, ai in enumerate(a) if ai]
+            grow = (max(map(abs, a), default=0) * sum(map(abs, a))).bit_length()
+            entry = supports[a] = support, grow
+        support, grow = entry
         if not support:  # the zero class acts as the identity
             continue
-        i, ai = support[0]
-        k = ai if i & 1 else -ai
-        c = rows[i ^ 1]
-        if k != 1:
-            c = list(map(neg, c)) if k == -1 else [k * x for x in c]
-        for i, ai in support[1:]:
-            c = _plus(c, ai if i & 1 else -ai, rows[i ^ 1])
-        for i, ai in support:
-            rows[i] = _plus(rows[i], sign * ai, c)
-    return tuple(map(tuple, rows))
+        bits += grow
+        if bits >= width:
+            bits = _magnitude(rows, width) + grow
+            if bits >= width:
+                return _packed_product(n, twists, 2 * width)
+        c = 0
+        for i, wi, _ in support:
+            c += wi * rows[i ^ 1]
+        if sign < 0:
+            c = -c
+        for i, _, ai in support:
+            rows[i] += ai * c
+    return rows, width
+
+
+def _twos(rows: list[int], width: int) -> list[int]:
+    """Packed rows with every field in width-bit two's complement, given
+    that every field lies in [-2^(width - 1), 2^(width - 1)).
+
+    Adding 2^(width - 1) to every field makes each nonnegative without
+    borrows, and the xor flips each field's top bit back.
+    """
+    offset = ((1 << (width * len(rows))) - 1) // ((1 << width) - 1) << (width - 1)
+    return [(row + offset) ^ offset for row in rows]
+
+
+def _magnitude(rows: list[int], width: int) -> int:
+    """The least e >= 0 with every field in [-2^e, 2^e), found without
+    decoding.
+
+    Bit t of u ^ (u >> 1) is set where bits t and t + 1 of a field differ;
+    above the highest such t, a field is all sign bits.  The fields are
+    ORed together, and the top bit of each, which met the next field's
+    low bit, is dropped.
+    """
+    acc = 0
+    for u in _twos(rows, width):
+        acc |= u ^ (u >> 1)
+    low = 0
+    while acc:
+        low |= acc
+        acc >>= width
+    return (low & ((1 << (width - 1)) - 1)).bit_length()
+
+
+def _unpack(rows: list[int], width: int) -> Matrix:
+    """The fields of packed rows as a matrix, field 0 first."""
+    size = len(rows) * width // 8
+    if width == 64:
+        return tuple(
+            tuple(memoryview(u.to_bytes(size, sys.byteorder)).cast("q")[::_FIELD_STEP])
+            for u in _twos(rows, width)
+        )
+    step = width // 8
+    out = []
+    for u in _twos(rows, width):
+        data = u.to_bytes(size, "little")
+        out.append(tuple(int.from_bytes(data[k : k + step], "little", signed=True)
+                         for k in range(0, size, step)))
+    return tuple(out)
 
 
 def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
@@ -299,7 +375,7 @@ def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
         raise ValueError(f"twist sign must be the int +1 or -1, got {sign!r}")
     if not a.is_zero() and not a.is_primitive():
         raise ValueError("twist class must be zero or primitive (gcd 1)")
-    return _twist_product(len(a.coords), [(a.coords, sign)])
+    return _unpack(*_packed_product(len(a.coords), [(a.coords, sign)]))
 
 
 def factorization_matrix(f: Factorization) -> Matrix:
@@ -309,7 +385,7 @@ def factorization_matrix(f: Factorization) -> Matrix:
     trivial after capping, so the product is compared against the identity
     regardless of target.
     """
-    return _twist_product(f.spec.homology_rank, _nonsep_twists(f))
+    return _unpack(*_packed_product(f.spec.homology_rank, _nonsep_twists(f)))
 
 
 def _nonsep_twists(f: Factorization) -> list[tuple[tuple[int, ...], int]]:
@@ -379,7 +455,8 @@ def verify_homological_relator(
     keep = [k for h in handles for k in (2 * h, 2 * h + 1)]
     if len(keep) < f.spec.homology_rank:
         twists = [(tuple(a[k] for k in keep), sign) for a, sign in twists]
-    matrix_ok = _twist_product(len(keep), twists) == identity_matrix(len(keep))
+    rows, width = _packed_product(len(keep), twists)
+    matrix_ok = rows == [1 << (width * j) for j in range(len(keep))]
     congruence_ok = None
     if hyperelliptic and counts is not None:
         congruence_ok = twist_count_congruence(counts)

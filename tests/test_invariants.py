@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from lefschetz.invariants import (
     signature_bound_check,
     twist_count_congruence,
 )
+from lefschetz.invariants import _s_terms
 
 
 def test_fiber_counts_validation():
@@ -101,6 +103,21 @@ def test_hyperelliptic_signature_builds_one_fraction(monkeypatch):
     assert len(built) == 1
     assert sigma == Fraction(numerator, q)
     assert integral == (numerator % q == 0)
+
+
+def test_s_terms_match_the_naive_sums():
+    # _s_terms skips zero counts; most counts drawn here are zero
+    rng = random.Random(2024)
+    for _ in range(500):
+        g = rng.randint(0, 40)
+        s = tuple(rng.choice((0, 0, 0, rng.randint(1, 30))) for _ in range(g // 2))
+        q = 2 * g + 1
+        naive = (
+            sum(s),
+            sum(2 * h * (4 * h + 2) * count for h, count in enumerate(s, start=1)),
+            sum((4 * h * (g - h) - q) * count for h, count in enumerate(s, start=1)),
+        )
+        assert _s_terms(g, s) == naive
 
 
 def test_ledger_totals():

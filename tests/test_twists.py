@@ -38,6 +38,7 @@ from lefschetz.twists import (
     twist_matrix,
     verify_homological_relator,
 )
+from lefschetz.twists import _magnitude, _unpack
 from lefschetz.words import parse_word
 
 A1 = HomologyClass.basis(1, "a1")
@@ -121,6 +122,7 @@ def test_torus_product_has_order_six():
 
 def test_twist_matrix_zero_class_is_identity():
     assert twist_matrix(HomologyClass.zero(2)) == identity_matrix(4)
+    assert twist_matrix(HomologyClass.zero(0)) == ()
 
 
 def test_twist_matrix_example_g1():
@@ -291,6 +293,77 @@ def test_seeded_products_digest():
         digest.update(repr(factorization_matrix(f)).encode())
         digest.update(repr(verify_homological_relator(f).matrix_ok).encode())
     assert digest.hexdigest() == PRODUCTS_DIGEST
+
+
+def growing_word(k, j=0):
+    # (t_a t_b^-1)^k t_a^j with <a, b> = 2: the largest entry grows about
+    # 2.5 bits per repetition and about 0.5 bits per trailing t_a.
+    curves = (
+        CurveClass("a", NONSEP, homology=HomologyClass((1, 0))),
+        CurveClass("b", NONSEP, homology=HomologyClass((1, 2))),
+    )
+    letters = (TwistLetter("a"), TwistLetter("b", -1)) * k + (TwistLetter("a"),) * j
+    return Factorization(SurfaceSpec(1), curves, letters)
+
+
+# (k, j, bit length of the largest entry): just below and just above 2^62,
+# 2^63, 2^126 and 2^127, where the product leaves its 64-bit fields for
+# 128-bit ones and those for 256-bit ones.
+@pytest.mark.parametrize("k, j, bits", [
+    (24, 0, 61), (24, 1, 62), (24, 2, 62), (24, 3, 63), (24, 4, 63), (25, 0, 64),
+    (49, 1, 125), (49, 2, 126), (49, 3, 127), (50, 0, 127), (50, 1, 128),
+])
+def test_product_at_field_boundaries(k, j, bits):
+    f = growing_word(k, j)
+    m = factorization_matrix(f)
+    assert max(abs(x) for row in m for x in row).bit_length() == bits
+    assert m == dense_factorization_matrix(f)
+    assert not verify_homological_relator(f).matrix_ok
+
+
+@pytest.mark.parametrize("k", [25, 51])
+def test_verify_cancels_entries_past_the_field_width(k):
+    # w w^-1 is the identity, though the product of w^-1 alone, built
+    # first, has entries past 2^63 (k = 25) or 2^127 (k = 51)
+    f = growing_word(k)
+    inverse = tuple(TwistLetter(t.curve, -t.sign) for t in reversed(f.letters))
+    closed = replace(f, letters=f.letters + inverse)
+    assert verify_homological_relator(closed).matrix_ok
+    assert factorization_matrix(closed) == identity_matrix(2)
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_packed_fields_decode_at_their_edges(width):
+    # Every value a width-bit field holds decodes back, its two ends
+    # included, and _magnitude is the least e with each field in [-2^e, 2^e).
+    top = 1 << (width - 1)
+    ends = (-top, -top + 1, -2, -1, 0, 1, 2, top - 2, top - 1)
+    rng = random.Random(width)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = tuple(
+            tuple(rng.choice(ends) >> rng.choice((0, 0, rng.randrange(width))) for _ in range(n))
+            for _ in range(n)
+        )
+        rows = [sum(x << (width * j) for j, x in enumerate(row)) for row in m]
+        assert _unpack(rows, width) == m
+        least = max((~x if x < 0 else x).bit_length() for row in m for x in row)
+        assert _magnitude(rows, width) == least
+
+
+@pytest.mark.parametrize("text", [
+    # genus 0: no rows at all
+    "genus 0\nboundary 1\ncurve p kind boundary 1\ntwist p\ntwist p -\ntarget identity\n",
+    "genus 3\nboundary 0\ntarget identity\n",
+    # zero-class letters around a nonseparating one
+    "genus 2\nboundary 0\ncurve d kind sep 1\ncurve c kind nonsep hom 1 0 0 1\n"
+    "twist d\ntwist c\ntwist d -\ntarget identity\n",
+])
+def test_product_of_edge_words(text):
+    f = parse_mono(text)
+    assert factorization_matrix(f) == dense_factorization_matrix(f)
+    full = dense_factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
+    assert verify_homological_relator(f).matrix_ok == full
 
 
 # -- verify_homological_relator -----------------------------------------------
