@@ -22,24 +22,30 @@ stages play different roles in the bound arguments.
 
 One integer kernel, ``_verdict``, decides every row for
 ``check_counts``, ``enumerate_feasible`` and the hyperelliptic floor; it
-takes the s-only sums from ``invariants._s_terms`` and adds the parts
-that depend on n.  A row's sigma is ``hyperelliptic_signature``, one
-exact ``Fraction`` of the same numerator, and chi_h comes from it and
-``euler_characteristic``; nothing is cached on the row.
-``enumerate_feasible`` returns sized, re-iterable lazy rows: each pass
-builds the compositions s with sum(s) <= max_total_fibers - 1 once, in
-lexicographic order and each with its s-only sums, and yields the rows
-one at a time while stepping n upwards.
+takes the s-only sums of ``invariants._s_terms`` and adds the parts that
+depend on n.  A row's sigma is ``hyperelliptic_signature``, one exact
+``Fraction`` of the same numerator, and chi_h comes from it and
+``euler_characteristic``; neither is cached on the row.
+``enumerate_feasible`` returns sized, re-iterable lazy rows.  Each pass
+builds the vectors s with sum(s) <= max_total_fibers - 1 once, as
+lexicographic blocks (``_blocks``: one per prefix s_1..s_{w-1}, with
+s_w rising), each entry with its s-only sums built by addition.  It
+then steps n upwards, reads each block's slice of totals below
+max_total_fibers - n and yields the rows one at a time.  An enumerated
+row holds its verdict, n and shared block entry; its counts are built
+on first read and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from itertools import count, repeat
 from math import comb
 
 from .invariants import (
     FiberCounts,
+    _h_coefficients,
     _s_terms,
     euler_characteristic,
     hyperelliptic_signature,
@@ -88,10 +94,19 @@ class ConstraintProfile:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FeasibilityRow:
-    """One evaluated count vector and its verdict; invariants derive on read."""
+    """One evaluated count vector and its verdict; invariants derive on read.
 
+    The checking constructor fills ``counts`` and ``verdict``.  An
+    enumerated row instead holds its verdict, its n in ``_n`` and in
+    ``_entry`` the block entry (g, s, *_s_terms(g, s)) that every row of
+    that s shares; its ``counts`` slot stays unset until the first read,
+    which builds the counts and keeps them.  Copies and pickles rebuild
+    through the checking constructor.
+    """
+
+    __slots__ = ("counts", "verdict", "_n", "_entry")
     counts: FiberCounts
     verdict: str
 
@@ -101,6 +116,26 @@ class FeasibilityRow:
                 f"a row needs FiberCounts and a verdict in {_VERDICTS}, "
                 f"got {self.counts!r} and {self.verdict!r}"
             )
+
+    def __getattr__(self, name: str) -> FiberCounts:
+        # Python calls this only when normal lookup fails, so for "counts"
+        # only on an enumerated row's first read.  The counts are filled
+        # through the slot setters, as in _rows: g is a checked profile
+        # genus, n and s come from range, and s has width g // 2.
+        if name != "counts":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        g, s = self._entry[:2]
+        counts = object.__new__(FiberCounts)
+        _set_genus(counts, g)
+        _set_n(counts, self._n)
+        _set_s(counts, s)
+        _set_counts(self, counts)
+        return counts
+
+    def __reduce__(self):
+        return type(self), (self.counts, self.verdict)
 
     @property
     def sigma(self) -> Fraction:
@@ -123,10 +158,18 @@ class FeasibilityRow:
         return self.verdict in (ADMITTED, REJECT_CHI_H)
 
 
-def _verdict(g: int, n: int, terms: tuple[int, int, int], bound: int) -> str:
+_set_genus, _set_n, _set_s = (f.__set__ for f in (FiberCounts.genus, FiberCounts.n, FiberCounts.s))
+_set_counts, _set_verdict, _set_row_n, _set_entry = (
+    f.__set__ for f in (FeasibilityRow.counts, FeasibilityRow.verdict,
+                        FeasibilityRow._n, FeasibilityRow._entry)
+)
+
+
+def _verdict(g: int, n: int, terms: tuple, bound: int) -> str:
     """The first failing stage for (n, s) at genus g below ``bound``, in
-    integers; ``terms`` is ``_s_terms(g, s)``, so only n's parts are added."""
-    s_total, s_weighted, s_sigma_q = terms
+    integers.  ``terms`` ends with ``_s_terms(g, s)``: it is those sums or a
+    block entry (g, s, *sums), so only n's parts are added."""
+    s_total, s_weighted, s_sigma_q = terms[-3:]
     total = n + s_total
     if total >= bound:
         return REJECT_TOTAL
@@ -153,19 +196,44 @@ def check_counts(c: FiberCounts, p: ConstraintProfile) -> FeasibilityRow:
     )
 
 
-def _compositions(
-    g: int, budget: int
-) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
-    """Each s of width floor(g/2) with entries >= 0 and sum(s) <= ``budget``,
-    in lexicographic order, paired with ``_s_terms(g, s)``.
+def _blocks(g: int, budget: int) -> list[tuple[int, list[tuple]]]:
+    """Every s of width w = floor(g/2) with entries >= 0 and sum(s) <=
+    ``budget``, as flat entries (g, s, *_s_terms(g, s)) in lexicographic
+    blocks.
 
-    Prefixes grow one entry at a time, each extended by 0, 1, ... up to
-    what the budget leaves, so every level stays in lexicographic order.
+    There is one block per prefix s_1..s_{w-1} (one block in all for
+    w <= 1), paired with the prefix's total t.  Inside a block s_w rises
+    from 0 to budget - t, so for t < room the entries with total < room are
+    ``block[:room - t]``.  The blocks come in lexicographic order of their
+    prefixes, so read in turn they give every s in lexicographic order.
+    Prefixes grow one entry at a time, and each step adds the entry's
+    coefficients (``invariants._h_coefficients``) to the prefix's sums.
+    Blocks are lists, so their slices are lists too: tuple slices of every
+    length up to 20 pile up on CPython's per-size tuple free lists over a
+    long run, which raised the ``enumerate`` benchmark's peak RSS by about
+    a quarter.
     """
-    level: list[tuple[int, ...]] = [()] if budget >= 0 else []
-    for _ in range(g // 2):
-        level = [s + (x,) for s in level for x in range(budget - sum(s) + 1)]
-    return [(s, _s_terms(g, s)) for s in level]
+    if budget < 0:
+        return []
+    w = g // 2
+    if not w:
+        return [(0, [(g, (), 0, 0, 0)])]
+    tails = [(x,) for x in range(budget + 1)]
+    level = [((), 0, 0, 0)]  # prefixes (s, total, weighted, sigma_q)
+    for h in range(1, w):
+        weight, sigma_coefficient = _h_coefficients(g, h)
+        level = [
+            prefix
+            for s, t, a, b in level
+            for prefix in zip(map(s.__add__, tails[: budget - t + 1]), count(t),
+                              count(a, weight), count(b, sigma_coefficient))
+        ]
+    weight, sigma_coefficient = _h_coefficients(g, w)
+    return [
+        (t, list(zip(repeat(g), map(s.__add__, tails[: budget - t + 1]), count(t),
+                      count(a, weight), count(b, sigma_coefficient))))
+        for s, t, a, b in level
+    ]
 
 
 def row_count(p: ConstraintProfile) -> int:
@@ -195,37 +263,38 @@ class _LazyRows:
 def _rows(p: ConstraintProfile):
     """Yield every row of ``p`` in (n, s) order.
 
-    Counts and rows are fresh ``object.__new__`` instances filled through
-    the slot descriptors' own setters, which skip the frozen
-    ``__setattr__`` and ``__post_init__``.  Each check those would make
-    holds by construction: the genus is a checked ``ConstraintProfile``
-    genus, an exact int >= 1; n and each s_h are exact ints >= 0 drawn
-    from ``range``; s has width g // 2 because the compositions are built
-    that wide; the one vector with total 0 (s = 0 at n = 0) is skipped;
-    and each verdict is a stage name.  Writing the slots directly is safe
-    because each instance is fresh and not yet shared, and each slot is
-    written once, as the frozen ``__init__`` would write it.  Every
-    vector kept at step n has total < the bound, so below n = 4g the
+    Each row is a fresh ``object.__new__`` instance whose verdict, n and
+    block entry are written through the slot descriptors' own setters,
+    which skip the frozen ``__setattr__`` and ``__post_init__``; its
+    counts are built on first read (``FeasibilityRow.__getattr__``).  Each
+    check the constructors would make holds by construction: the genus is
+    a checked ``ConstraintProfile`` genus, an exact int >= 1; n and each
+    s_h are exact ints >= 0 drawn from ``range``; s has width g // 2
+    because the blocks are built that wide; the one vector with total 0,
+    the first block's first entry at n = 0, is skipped; and each verdict
+    is a stage name.  Writing the slots directly is safe because each
+    instance is fresh and not yet shared, and each slot is written once.
+    Every vector read at step n has total < the bound, so below n = 4g the
     verdict is the n-lower stage without a call to ``_verdict``.
     """
     g, bound = p.genus, p.max_total_fibers
-    new, counts_cls, row_cls = object.__new__, FiberCounts, FeasibilityRow
-    set_g, set_n, set_s = (f.__set__ for f in (counts_cls.genus, counts_cls.n, counts_cls.s))
-    set_counts, set_verdict = row_cls.counts.__set__, row_cls.verdict.__set__
-    vectors = _compositions(g, bound - 1)
+    new, row_cls = object.__new__, FeasibilityRow
+    set_verdict, set_n, set_entry = _set_verdict, _set_row_n, _set_entry
+    blocks = _blocks(g, bound - 1)
+    skip = 1  # the trivial vector
     for n in range(bound):
-        # Each step drops the s whose sum no longer fits beside n.
-        vectors = [v for v in vectors if v[1][0] < bound - n]
+        room = bound - n
         fixed = REJECT_N_LOWER if n < 4 * g else None
-        for s, terms in vectors[1:] if n == 0 else vectors:  # n = 0: skip s = 0
-            counts = new(counts_cls)
-            set_g(counts, g)
-            set_n(counts, n)
-            set_s(counts, s)
-            row = new(row_cls)
-            set_counts(row, counts)
-            set_verdict(row, fixed or _verdict(g, n, terms, bound))
-            yield row
+        for t, block in blocks:
+            if t >= room:
+                continue
+            for entry in block[skip : room - t]:
+                row = new(row_cls)
+                set_verdict(row, fixed or _verdict(g, n, entry, bound))
+                set_n(row, n)
+                set_entry(row, entry)
+                yield row
+            skip = 0
 
 
 def enumerate_feasible(p: ConstraintProfile) -> _LazyRows:
@@ -311,15 +380,18 @@ def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
     """Least admitted hyperelliptic fiber total below a witness count.
 
     Totals t rise from 4g, each tried on every s with n = t - sum(s) >= 4g,
-    which covers every row the enumerator could admit.  The first admitted
-    total is the floor; when there is none the witness is optimal.
+    that is on each block's slice of totals below t - 4g + 1, which covers
+    every row the enumerator could admit.  The first admitted total is the
+    floor; when there is none the witness is optimal.
     """
-    vectors = _compositions(g, witness_fibers - 1 - 4 * g)
+    blocks = _blocks(g, witness_fibers - 1 - 4 * g)
     for t in range(4 * g, witness_fibers):
-        for _, terms in vectors:
-            n = t - terms[0]
-            if n >= 4 * g and _verdict(g, n, terms, witness_fibers) == ADMITTED:
-                return t
+        room = t - 4 * g + 1
+        for prefix_total, block in blocks:
+            if prefix_total < room:
+                for entry in block[: room - prefix_total]:
+                    if _verdict(g, t - entry[2], entry, witness_fibers) == ADMITTED:
+                        return t
     return witness_fibers
 
 

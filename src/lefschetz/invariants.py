@@ -14,9 +14,10 @@ The hyperelliptic signature is the closed form
 
     sigma = -((g+1)/(2g+1)) n + sum_h (4h(g-h)/(2g+1) - 1) s_h ,
 
-equivalently (-(g+1) n + sum_h (4h(g-h) - (2g+1)) s_h) / (2g+1).  Its
-s-only sums and the twist-count congruence's are written once, in
-``_s_terms``; the feasibility chain adds n's parts to the same sums.
+equivalently (-(g+1) n + sum_h (4h(g-h) - (2g+1)) s_h) / (2g+1).  The
+coefficients of s_h in it and in the twist-count congruence are written
+once, in ``_h_coefficients``; ``_s_terms`` sums them over s, and the
+feasibility chain adds n's parts to the same sums.
 Note: a misprinted genus-3 specialization, (4n - s)/5, circulates; the
 correct genus-3 value of the closed form is (-4n + s1)/7 and that is
 what this module computes.
@@ -94,18 +95,24 @@ def euler_characteristic(c: FiberCounts) -> int:
     return 4 - 4 * c.genus + c.total
 
 
+def _h_coefficients(g: int, h: int) -> tuple[int, int]:
+    """The coefficients of s_h at genus g: 2h(4h+2) in the congruence weight
+    and 4h(g-h) - q, q = 2g + 1, in the signature numerator."""
+    return 2 * h * (4 * h + 2), 4 * h * (g - h) - 2 * g - 1
+
+
 def _s_terms(g: int, s: tuple[int, ...]) -> tuple[int, int, int]:
     """The s-only parts of the closed forms at genus g: sum(s), the congruence
     weight sum_h 2h(4h+2) s_h and the signature part sum_h (4h(g-h) - q) s_h.
     Zero counts are skipped before any arithmetic, so a long vector of
     zeros costs little."""
-    q = 2 * g + 1
     weighted = sigma_q = 0
     for h, count in enumerate(s, start=1):
         if not count:
             continue
-        weighted += 2 * h * (4 * h + 2) * count
-        sigma_q += (4 * h * (g - h) - q) * count
+        weight, sigma_coefficient = _h_coefficients(g, h)
+        weighted += weight * count
+        sigma_q += sigma_coefficient * count
     return sum(s), weighted, sigma_q
 
 

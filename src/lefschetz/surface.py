@@ -103,12 +103,15 @@ class HomologyClass:
 
 
 def exact_ints(values, what: str) -> tuple[int, ...]:
-    """The values as exact ints; ValueError names a non-integer (no truncation)."""
+    """The values as exact ints; ValueError names a non-integer (no
+    truncation) or a bool, which ``operator.index`` would read as 0 or 1."""
     try:
-        return tuple(map(operator.index, values))
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
     except TypeError:
-        bad = next(v for v in values if not hasattr(v, "__index__"))
-        raise ValueError(f"{what} must be integers, got {bad!r}") from None
+        pass
+    bad = next(v for v in values if type(v) is bool or not hasattr(v, "__index__"))
+    raise ValueError(f"{what} must be integers, got {bad!r}")
 
 
 def integer(text: str) -> int:

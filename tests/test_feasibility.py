@@ -23,6 +23,7 @@ from lefschetz.feasibility import (
     REJECT_TOTAL,
     ConstraintProfile,
     FeasibilityRow,
+    _blocks,
     _hyperelliptic_floor,
     _s_terms,
     _verdict,
@@ -200,11 +201,13 @@ def test_check_counts_genus_mismatch():
 
 @pytest.mark.parametrize(
     "genus,bound,bad",
-    [(4, 21.5, "21.5"), (4.0, 22, "4.0"), (4, "24", "'24'"), (Fraction(4), 24, "Fraction")],
+    [(4, 21.5, "21.5"), (4.0, 22, "4.0"), (4, "24", "'24'"), (Fraction(4), 24, "Fraction"),
+     (True, 5, "True"), (2, True, "True")],
 )
 def test_constraint_profile_rejects_non_integers(genus, bound, bad):
     # A float bound used to admit rows in check_counts and crash range()
-    # in enumerate_feasible; a float genus passed the genus-mismatch check.
+    # in enumerate_feasible; a float genus passed the genus-mismatch check;
+    # True used to read as 1, a genus-1 profile or a bound of 1.
     with pytest.raises(ValueError, match=f"must be integers, got {re.escape(bad)}"):
         ConstraintProfile(genus, bound)
 
@@ -547,6 +550,87 @@ def test_lazy_rows_match_recorded_refs():
         assert dict(Counter(r.verdict for r in rows)) == ref["hist"], key
         assert [list(counts_tuple(r)) for r in rows if r.pre_chi_survivor] == ref["pre_chi"], key
         assert [list(counts_tuple(r)) for r in rows if r.admitted] == ref["admitted"], key
+
+
+# -- enumerated rows whose counts were never read -------------------------------
+# An enumerated row builds its counts on first read; every part of the row
+# contract must hold on a row that has not been read yet.
+
+
+def unread_rows(p, want):
+    """A fresh pass of enumerated rows, each beside its checked twin."""
+    return zip(enumerate_feasible(p), want, strict=True)
+
+
+@pytest.mark.parametrize("g,bound", [(1, 14), (2, 14), (3, 18), (4, 24), (6, 20)])
+def test_unread_enumerated_rows_keep_the_row_contract(g, bound):
+    p = ConstraintProfile(g, bound)
+    want = [check_counts(FiberCounts(g, n, tuple(s)), p) for (n, *s), _ in oracle_rows(g, bound)]
+    for row, twin in unread_rows(p, want):
+        assert hash(row) == hash(twin)
+    for row, twin in unread_rows(p, want):
+        assert row == twin
+    for row, twin in unread_rows(p, want):
+        assert twin == row
+    for row, twin in unread_rows(p, want):
+        assert repr(row) == repr(twin)
+    for copier in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        for row, twin in unread_rows(p, want):
+            copied = copier(row)
+            assert type(copied) is FeasibilityRow
+            assert copied == twin and hash(copied) == hash(twin)
+    for row, twin in unread_rows(p, want):
+        verdict = REJECT_CHI_H if twin.admitted else ADMITTED
+        assert replace(row, verdict=verdict) == FeasibilityRow(twin.counts, verdict)
+    for row, twin in unread_rows(p, want):
+        assert [f.name for f in fields(row)] == ["counts", "verdict"]
+        counts = row.counts
+        assert counts == twin.counts and row.counts is counts
+    for row, twin in unread_rows(p, want):
+        with pytest.raises(AttributeError, match="'nope'"):
+            row.nope
+        assert row.counts == twin.counts
+
+
+# -- the lexicographic blocks ---------------------------------------------------
+# The product oracle costs (budget + 1)^w tuples for width w = g // 2, so
+# widths 5 and 6 (g = 10..12) stop below budget 25, at under 2 million.
+BLOCK_BUDGETS = {0: 25, 1: 25, 2: 25, 3: 25, 4: 25, 5: 14, 6: 10}
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_blocks_match_product_oracle(g):
+    width, top = g // 2, BLOCK_BUDGETS[g // 2]
+    every = [s for s in product(range(top + 1), repeat=width) if sum(s) <= top]
+    for budget in range(-1, top + 1):
+        blocks = _blocks(g, budget)
+        flat = [entry for _, block in blocks for entry in block]
+        assert flat == [(g, s, *_s_terms(g, s)) for s in every if sum(s) <= budget]
+        prefixes = [block[0][1][:-1] for _, block in blocks]
+        assert len(set(prefixes)) == len(prefixes)  # one block per prefix
+        for (t, block), prefix in zip(blocks, prefixes):
+            assert t == sum(prefix)
+            assert all(entry[1][:-1] == prefix for entry in block)
+            for room in range(budget + 3):
+                below = [entry for entry in block if entry[2] < room]
+                assert list(block[: room - t] if t < room else ()) == below
+
+
+def naive_floor(g, witness):
+    for t in range(4 * g, witness):
+        for s in product(range(t - 4 * g + 1), repeat=g // 2):
+            n = t - sum(s)
+            if n >= 4 * g and oracle_verdict(g, n, s, witness) == ADMITTED:
+                return t
+    return witness
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_hyperelliptic_floor_matches_naive_scan(g):
+    # From g = 4 on the first admitted total is 4g + 5, so 4g + 5 is a
+    # witness with nothing admitted below it and 4g + 6 the first above it.
+    for witness in (1, 4 * g, 4 * g + 1, 4 * g + 5, 4 * g + 6, 4 * g + 9, 4 * g + 12):
+        assert _hyperelliptic_floor(g, witness) == naive_floor(g, witness), witness
 
 
 def test_admitted_rows_have_consistent_betti_arithmetic():

@@ -35,6 +35,8 @@ def test_fiber_counts_validation():
         FiberCounts(2, 8, (1.5,))  # no silent truncation to 1
     with pytest.raises(ValueError, match="8.5"):
         FiberCounts(2, 8.5, (1,))
+    with pytest.raises(ValueError, match="must be integers, got True"):
+        FiberCounts(4, True, (0, 0))  # not n = 1
 
 
 def test_fiber_counts_of_pads():

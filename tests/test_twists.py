@@ -535,7 +535,9 @@ def test_hurwitz_position_out_of_range():
         hurwitz_move(f, 2)
 
 
-@pytest.mark.parametrize("i,bad", [(1.0, "1.0"), ("1", "'1'"), (None, "None")])
+@pytest.mark.parametrize(
+    "i,bad", [(1.0, "1.0"), ("1", "'1'"), (None, "None"), (True, "True")]
+)
 def test_hurwitz_position_must_be_an_integer(i, bad):
     f = torus_factorization(("ta", "tb"))
     with pytest.raises(ValueError, match=f"must be integers, got {bad}"):
