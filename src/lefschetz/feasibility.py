@@ -32,8 +32,9 @@ lexicographic blocks (``_blocks``: one per prefix s_1..s_{w-1}, with
 s_w rising), each entry with its s-only sums built by addition.  It
 then steps n upwards, reads each block's slice of totals below
 max_total_fibers - n and yields the rows one at a time.  An enumerated
-row holds its verdict, n and shared block entry; its counts are built
-on first read and kept.
+row holds its verdict and one pair (n, shared block entry); its counts
+are built on first read, by a descriptor on the ``counts`` slot, and
+kept.
 """
 
 from __future__ import annotations
@@ -99,14 +100,15 @@ class FeasibilityRow:
     """One evaluated count vector and its verdict; invariants derive on read.
 
     The checking constructor fills ``counts`` and ``verdict``.  An
-    enumerated row instead holds its verdict, its n in ``_n`` and in
-    ``_entry`` the block entry (g, s, *_s_terms(g, s)) that every row of
-    that s shares; its ``counts`` slot stays unset until the first read,
-    which builds the counts and keeps them.  Copies and pickles rebuild
-    through the checking constructor.
+    enumerated row instead holds its verdict and, in ``_source``, the pair
+    (n, entry), where entry is the block entry (g, s, *_s_terms(g, s)) that
+    every row of that s shares.  Its ``counts`` slot stays unset until the
+    first read, which builds the counts and keeps them (``_CountsSlot``).
+    Every other attribute is a plain slot or class lookup.  Copies and
+    pickles rebuild through the checking constructor.
     """
 
-    __slots__ = ("counts", "verdict", "_n", "_entry")
+    __slots__ = ("counts", "verdict", "_source")
     counts: FiberCounts
     verdict: str
 
@@ -116,23 +118,6 @@ class FeasibilityRow:
                 f"a row needs FiberCounts and a verdict in {_VERDICTS}, "
                 f"got {self.counts!r} and {self.verdict!r}"
             )
-
-    def __getattr__(self, name: str) -> FiberCounts:
-        # Python calls this only when normal lookup fails, so for "counts"
-        # only on an enumerated row's first read.  The counts are filled
-        # through the slot setters, as in _rows: g is a checked profile
-        # genus, n and s come from range, and s has width g // 2.
-        if name != "counts":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        g, s = self._entry[:2]
-        counts = object.__new__(FiberCounts)
-        _set_genus(counts, g)
-        _set_n(counts, self._n)
-        _set_s(counts, s)
-        _set_counts(self, counts)
-        return counts
 
     def __reduce__(self):
         return type(self), (self.counts, self.verdict)
@@ -158,10 +143,46 @@ class FeasibilityRow:
         return self.verdict in (ADMITTED, REJECT_CHI_H)
 
 
+class _CountsSlot:
+    """``FeasibilityRow.counts``: the slot, filled on an enumerated row's
+    first read.
+
+    It wraps the slot's member descriptor and is installed after
+    ``@dataclass`` has run, so the fields stay (counts, verdict).  Being a
+    data descriptor, it is found before any instance lookup, and a row's
+    other attributes need no fallback hook.  An empty slot is filled
+    through the slot setters, as in ``_rows``: g is a checked profile
+    genus, n and s come from ``range``, and s has width g // 2.
+    """
+
+    __slots__ = ("_get", "_set")
+
+    def __init__(self, member) -> None:
+        self._get, self._set = member.__get__, member.__set__
+
+    def __get__(self, row, owner=None):
+        if row is None:
+            return self
+        try:
+            return self._get(row)
+        except AttributeError:
+            pass
+        n, (g, s, *_) = row._source
+        counts = object.__new__(FiberCounts)
+        _set_genus(counts, g)
+        _set_n(counts, n)
+        _set_s(counts, s)
+        self._set(row, counts)
+        return counts
+
+    def __set__(self, row, counts: FiberCounts) -> None:
+        self._set(row, counts)
+
+
+FeasibilityRow.counts = _CountsSlot(FeasibilityRow.counts)
 _set_genus, _set_n, _set_s = (f.__set__ for f in (FiberCounts.genus, FiberCounts.n, FiberCounts.s))
-_set_counts, _set_verdict, _set_row_n, _set_entry = (
-    f.__set__ for f in (FeasibilityRow.counts, FeasibilityRow.verdict,
-                        FeasibilityRow._n, FeasibilityRow._entry)
+_set_verdict, _set_source = (
+    f.__set__ for f in (FeasibilityRow.verdict, FeasibilityRow._source)
 )
 
 
@@ -263,10 +284,11 @@ class _LazyRows:
 def _rows(p: ConstraintProfile):
     """Yield every row of ``p`` in (n, s) order.
 
-    Each row is a fresh ``object.__new__`` instance whose verdict, n and
-    block entry are written through the slot descriptors' own setters,
-    which skip the frozen ``__setattr__`` and ``__post_init__``; its
-    counts are built on first read (``FeasibilityRow.__getattr__``).  Each
+    Each row is a fresh ``object.__new__`` instance whose verdict and
+    source pair (n, block entry) are written through the slot
+    descriptors' own setters, which skip the frozen ``__setattr__`` and
+    ``__post_init__``; its counts are built on first read
+    (``_CountsSlot``), so a row costs two slot writes.  Each
     check the constructors would make holds by construction: the genus is
     a checked ``ConstraintProfile`` genus, an exact int >= 1; n and each
     s_h are exact ints >= 0 drawn from ``range``; s has width g // 2
@@ -279,7 +301,7 @@ def _rows(p: ConstraintProfile):
     """
     g, bound = p.genus, p.max_total_fibers
     new, row_cls = object.__new__, FeasibilityRow
-    set_verdict, set_n, set_entry = _set_verdict, _set_row_n, _set_entry
+    set_verdict, set_source = _set_verdict, _set_source
     blocks = _blocks(g, bound - 1)
     skip = 1  # the trivial vector
     for n in range(bound):
@@ -291,8 +313,7 @@ def _rows(p: ConstraintProfile):
             for entry in block[skip : room - t]:
                 row = new(row_cls)
                 set_verdict(row, fixed or _verdict(g, n, entry, bound))
-                set_n(row, n)
-                set_entry(row, entry)
+                set_source(row, (n, entry))
                 yield row
             skip = 0
 

@@ -104,9 +104,17 @@ class HomologyClass:
 
 def exact_ints(values, what: str) -> tuple[int, ...]:
     """The values as exact ints; ValueError names a non-integer (no
-    truncation) or a bool, which ``operator.index`` would read as 0 or 1."""
+    truncation) or a bool, which ``operator.index`` would read as 0 or 1.
+
+    One pass collects the value types.  In the common case, where every
+    value is an int, the values are returned as a tuple with no
+    ``operator.index`` call.
+    """
+    types = set(map(type, values))
+    if types == {int}:
+        return tuple(values)
     try:
-        if bool not in map(type, values):
+        if bool not in types:
             return tuple(map(operator.index, values))
     except TypeError:
         pass

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import feasibility
 from lefschetz.feasibility import (
     ADMITTED,
     REJECT_CHI_H,
@@ -590,6 +591,47 @@ def test_unread_enumerated_rows_keep_the_row_contract(g, bound):
         with pytest.raises(AttributeError, match="'nope'"):
             row.nope
         assert row.counts == twin.counts
+
+
+def test_no_class_in_the_row_mro_defines_getattr():
+    # A __getattr__ anywhere in the MRO sends every attribute read on every
+    # row through the fallback hook, not only the first counts read.
+    assert [k for k in FeasibilityRow.__mro__ if "__getattr__" in vars(k)] == []
+
+
+def test_counts_descriptor_reads_on_the_class_and_keeps_the_fields():
+    descriptor = FeasibilityRow.counts
+    assert hasattr(type(descriptor), "__get__") and hasattr(type(descriptor), "__set__")
+    assert [f.name for f in fields(FeasibilityRow)] == ["counts", "verdict"]
+
+
+def test_verdict_only_pass_builds_no_counts(monkeypatch):
+    built = []
+    trusted_genus, checked = feasibility._set_genus, FiberCounts.__post_init__
+
+    def count_trusted(counts, g):
+        built.append("trusted")
+        trusted_genus(counts, g)
+
+    def count_checked(counts):
+        built.append("checked")
+        checked(counts)
+
+    monkeypatch.setattr(feasibility, "_set_genus", count_trusted)
+    monkeypatch.setattr(FiberCounts, "__post_init__", count_checked)
+    rows = enumerate_feasible(ConstraintProfile(5, 30))
+    hist = Counter(row.verdict for row in rows)
+    assert sum(hist.values()) == len(rows) and hist[ADMITTED] and built == []
+    row = next(iter(rows))
+    assert row.counts is row.counts and built == ["trusted"]
+
+
+def test_enumerated_rows_hold_one_private_slot():
+    slots = [name for k in FeasibilityRow.__mro__ for name in vars(k).get("__slots__", ())]
+    private = sorted(set(slots) - {"counts", "verdict"})
+    assert len(slots) == 3 and len(private) == 1 and private[0].startswith("_")
+    for row in enumerate_feasible(ConstraintProfile(4, 24)):
+        getattr(row, private[0])
 
 
 # -- the lexicographic blocks ---------------------------------------------------
