@@ -22,13 +22,20 @@ commutator x y x~ y~.
 
 Parsing is total: every byte sequence either parses or raises
 MonoParseError carrying the offending line number.  Each curve line is
-checked once.  A ``nonsep`` line with a ``hom`` class of coordinate gcd 1
-and no ``word`` needs no check past its tokens and that gcd, so
-``twists._minted`` builds it, as it builds a Hurwitz move's new curve;
-``CurveClass``, ``HomologyClass`` and ``check_curve`` run on every other
-curve line.  That took parsing from 0.335 to 0.234 ms of a ``monodromy``
-job (in process, seed 1, 8 decks, best of 12 passes), whose second parse
-reads a table grown by minted curves.  Each distinct twist line is read
+checked once.  A ``nonsep`` line with a ``hom`` class and no ``word``,
+spelled as ``serialize_mono`` writes it (single spaces, no comment), is
+read whole: one ``fullmatch`` gives its name and integers.  When the
+stage takes curves, the name is new, there are 2g integers, each
+``int()`` succeeds and their gcd is 1 (so the class is nonzero and
+g >= 1), nothing is left to check, and ``twists._minted`` builds the
+curve, as it builds a Hurwitz move's new curve.  Every other line is
+tokenised, and ``CurveClass``, ``HomologyClass`` and ``check_curve`` run
+on every other curve line, so a line gives the same curve or the same
+error whichever way it is read.  Building plain lines with ``_minted``
+took parsing from 0.335 to 0.234 ms of a ``monodromy`` job (in process,
+seed 1, 8 decks, best of 12 passes), whose second parse reads a table
+grown by minted curves; reading them whole took it from 0.237 to 0.201
+ms (same measure).  Each distinct twist line is read
 once: a raw line seen before in the twist section gives the same letter
 again, since the curve table is closed once the twists start and the
 section does not change until the target line, after which any line is
@@ -65,6 +72,12 @@ def _int(token: str, line: int, what: str) -> int:
 # One or more space-separated <INT> tokens.
 _INTS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
+# A plain curve line, as serialize_mono writes one: a name and one or more
+# <INT>, single-spaced, with no comment and no word.
+_PLAIN_CURVE = re.compile(
+    r"curve ([^\s#]+) kind nonsep hom (-?[0-9]+(?: -?[0-9]+)*)"
+).fullmatch
+
 # The header directives in order, each with the rule that places it.
 _HEADER = {"genus": "be the first directive", "boundary": "come second, after genus"}
 
@@ -92,6 +105,17 @@ def parse_mono(text: str) -> Factorization:
         if letter is not None:  # the curve table and stage are as it left them
             letters.append(letter)
             continue
+        if stage == "curves" and (plain := _PLAIN_CURVE(raw)):
+            name, hom = plain.groups()
+            hom = hom.split(" ")
+            if len(hom) == rank and name not in curves:
+                try:
+                    coords = tuple(map(int, hom))
+                except ValueError:  # past int()'s digit limit: tokenised, it is an error
+                    coords = ()
+                if gcd(*coords) == 1:
+                    curves[name] = _minted(name, coords)
+                    continue
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -110,6 +134,7 @@ def parse_mono(text: str) -> Factorization:
                 stage = "boundary"
             else:
                 stage, spec = "curves", SurfaceSpec(header["genus"], value)
+                rank = spec.homology_rank
         elif head == "curve":
             if stage != "curves":
                 raise MonoParseError(
@@ -207,11 +232,6 @@ def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
             lineno, f"unexpected trailing tokens {' '.join(rest[pos:])!r}"
         )
 
-    if kind == NONSEP and word is None and coords is not None and gcd(*coords) == 1:
-        # Every check holds already: the name is one token of a split,
-        # comment-stripped line; the class is 2g exact ints; gcd 1 makes it
-        # nonzero, so g >= 1 (at genus 0 the class is () and gcd() is 0).
-        return _minted(name, coords)
     try:
         homology = None if coords is None else HomologyClass(coords)
         curve = CurveClass(name, kind, homology=homology, word=word, **fields)

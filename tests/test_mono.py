@@ -497,6 +497,82 @@ def test_seeded_parse_digest():
     assert digest.hexdigest() == PARSE_DIGEST
 
 
+# -- the whole-line read of plain curve lines ------------------------------------
+
+BIG = "1" + "0" * 4300  # 4,301 digits, past int()'s default digit limit
+
+
+def mutated_mono_texts():
+    """Seeded plain documents, as serialize_mono writes them, once as they
+    are and then with one curve or twist line mutated."""
+    rng = random.Random(1401)
+    for _ in range(300):
+        genus = rng.randint(1, 4)
+        homs = []
+        for _ in range(rng.randint(1, 4)):
+            hom = [0]
+            while math.gcd(*hom) != 1:
+                hom = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(2 * genus)]
+            homs.append(hom)
+        curves = [f"curve c{k} kind nonsep hom " + " ".join(map(str, hom))
+                  for k, hom in enumerate(homs)]
+        twists = [f"twist c{rng.randrange(len(homs))}" + rng.choice(("", " -"))
+                  for _ in range(rng.randint(1, 6))]
+
+        def render(curves, twists):
+            lines = [f"genus {genus}", "boundary 0", *curves, *twists, "target identity"]
+            return "\n".join(lines) + "\n"
+
+        yield render(curves, twists)
+        k = rng.randrange(len(homs))
+        line, hom = curves[k], homs[k]
+        head = f"curve c{k} kind nonsep hom "
+        mutations = [
+            line.replace(" ", "\t", 1), line.replace(" ", "  ", 1), line + " ",
+            line + " # note", line + "#", line + " word a1", line + " 1",
+            line.rsplit(" ", 1)[0], head.replace("hom", "word a1 hom") + "1 0",
+            f"{line}\n{line}", f"{line}\ncurve c{k} kind nonsep hom 1 0",
+        ]
+        i = rng.randrange(len(hom))
+        for bad in ("-0", "007", "-007", BIG, "x", "+1"):
+            mutations.append(head + " ".join(bad if j == i else str(c)
+                                             for j, c in enumerate(hom)))
+        mutations += [head + " ".join(str(scale * c) for c in hom) for scale in (0, 2, -1)]
+        for mutated in mutations:
+            yield render(curves[:k] + [mutated] + curves[k + 1:], twists)
+        yield render(curves, twists + [line.replace(f"c{k}", "late", 1)])
+        yield render(curves, twists + [line])
+        t = rng.randrange(len(twists))
+        for mutated in (twists[t] + " ", twists[t].replace(" ", "\t"),
+                        twists[t] + " # c", twists[t] + " +", twists[t] + " *"):
+            yield render(curves, twists[:t] + [mutated] + twists[t + 1:])
+
+
+def test_whole_line_curve_read_matches_the_general_path(monkeypatch):
+    # Each document gives the same Factorization, or the same error message
+    # and line, with the whole-line read as with every line tokenised.
+    def outcome(text):
+        try:
+            return parse_mono(text)
+        except MonoParseError as exc:
+            return str(exc), exc.line
+
+    tokenised = []  # curve lines _parse_curve read
+    parse_curve = mono._parse_curve
+    monkeypatch.setattr(mono, "_parse_curve",
+                        lambda *args: tokenised.append(args) or parse_curve(*args))
+    texts = list(mutated_mono_texts())
+    fast = [outcome(text) for text in texts]
+    whole_line_run = len(tokenised)
+    monkeypatch.setattr(mono, "_PLAIN_CURVE", lambda raw: None)
+    general = [outcome(text) for text in texts]
+    assert fast == general
+    errors = sum(isinstance(out, tuple) for out in fast)
+    assert 0 < errors < len(texts)
+    # most curve lines took the whole-line read
+    assert 3 * whole_line_run < len(tokenised) - whole_line_run
+
+
 # -- round trip over random factorizations --------------------------------------
 
 NAME = st.text(

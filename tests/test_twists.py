@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz.invariants import FiberCounts
+from lefschetz.invariants import FiberCounts, twist_count_congruence
 from lefschetz.mono import parse_mono, serialize_mono
 from lefschetz.surface import (
     BOUNDARY,
@@ -21,6 +21,7 @@ from lefschetz.surface import (
     pairing_matrix,
 )
 from lefschetz.twists import (
+    NECESSITY_NOTE,
     Factorization,
     MissingHomology,
     TwistLetter,
@@ -459,6 +460,68 @@ def test_verify_hyperelliptic_congruence_flag():
     assert verify_homological_relator(f, hyperelliptic=True).congruence_ok
     f5 = torus_factorization(("ta", "tb") * 5)
     assert not verify_homological_relator(f5, hyperelliptic=True).congruence_ok
+
+
+def seeded_verify_words():
+    """Seeded words mixing nonsep, sep and boundary letters, half of them
+    closed up as w w^-1, some over a classless nonsep curve; then the
+    empty word and a boundary-only word."""
+    rng = random.Random(4321)
+    for _ in range(400):
+        genus, boundary = rng.randint(1, 6), rng.randint(0, 2)
+        curves = []
+        for k in range(rng.randint(1, 4)):
+            coords = (0,)
+            while math.gcd(*coords) != 1:
+                coords = tuple(rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(2 * genus))
+            homology = None if rng.random() < 0.08 else HomologyClass(coords)
+            curves.append(CurveClass(f"n{k}", NONSEP, homology=homology))
+        if genus >= 2:
+            curves.append(CurveClass("s", SEP, h=rng.randint(1, genus // 2)))
+        curves += [CurveClass(f"d{i}", BOUNDARY, boundary_index=i)
+                   for i in range(1, boundary + 1)]
+        signs = (1, -1) if rng.random() < 0.5 else (1,)
+        letters = [TwistLetter(rng.choice(curves).name, rng.choice(signs))
+                   for _ in range(rng.randint(0, 20))]
+        if rng.random() < 0.5:
+            letters += [TwistLetter(t.curve, -t.sign) for t in reversed(letters)]
+        yield Factorization(SurfaceSpec(genus, boundary), tuple(curves), tuple(letters))
+    curves = (CurveClass("c", NONSEP, homology=A1), CurveClass("p", BOUNDARY, boundary_index=1))
+    yield Factorization(SurfaceSpec(1, 1), curves, ())
+    yield Factorization(SurfaceSpec(1, 1), curves, (TwistLetter("p"), TwistLetter("p", -1)))
+
+
+def test_verify_report_matches_letter_by_letter_oracles():
+    # Every field of the one-pass report against the separate functions
+    # that compute it; MissingHomology names the leftmost classless letter.
+    outcomes = set()
+    for f in seeded_verify_words():
+        classless = [t.curve for t in f.letters
+                     if f.curve(t.curve).kind == NONSEP and f.curve(t.curve).homology is None]
+        for hyperelliptic in (False, True):
+            if classless:
+                with pytest.raises(MissingHomology) as info:
+                    verify_homological_relator(f, hyperelliptic=hyperelliptic)
+                assert info.value.curve_name == classless[0]
+                outcomes.add("missing")
+                continue
+            report = verify_homological_relator(f, hyperelliptic=hyperelliptic)
+            counts = letter_counts(f)
+            matrix_ok = factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
+            assert report.matrix_ok == matrix_ok
+            assert report.counts == counts
+            assert report.congruence_ok == (
+                twist_count_congruence(counts) if hyperelliptic and counts else None
+            )
+            assert report.letter_kinds == tuple(
+                (t.curve, f.curve(t.curve).kind_label()) for t in f.letters
+            )
+            assert report.all_positive == f.all_positive()
+            assert report.note == NECESSITY_NOTE
+            outcomes |= {("closed", matrix_ok), ("fiberless", counts is None),
+                         ("positive", report.all_positive)}
+    assert outcomes == {"missing"} | {(what, value) for value in (True, False)
+                                      for what in ("closed", "fiberless", "positive")}
 
 
 # -- hurwitz_move ---------------------------------------------------------------
