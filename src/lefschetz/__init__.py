@@ -20,11 +20,13 @@ _EXPORTS = {
         "SurfaceSpec", "classify_kind_from_word", "homology_of_word",
         "pairing_matrix", "symplectic_pairing",
     ),
-    "twists": (
+    "factorization": (
         "Factorization", "MissingHomology", "TwistLetter",
-        "VerificationReport", "cancel_adjacent_inverses", "cap_boundary",
-        "conjugate_factorization", "factorization_matrix", "hurwitz_move",
-        "is_symplectic", "twist_matrix", "verify_homological_relator",
+        "cancel_adjacent_inverses", "cap_boundary",
+    ),
+    "twists": (
+        "VerificationReport", "conjugate_factorization", "factorization_matrix",
+        "hurwitz_move", "is_symplectic", "twist_matrix", "verify_homological_relator",
     ),
     "invariants": (
         "FiberCounts", "InvariantReport", "LedgerEntry", "chi_and_betti",

@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .factorization import Factorization, Target, TwistLetter, cap_boundary
+from .factorization import letter_counts
 from .invariants import (
     LEDGER_BLOCK,
     LEDGER_MATSUMOTO_EVEN,
@@ -51,7 +53,6 @@ from .invariants import (
     hyperelliptic_signature,
 )
 from .surface import NONSEP, SEP, CurveClass, SurfaceSpec, homology_of_word
-from .twists import Factorization, Target, TwistLetter, cap_boundary, letter_counts
 from .words import parse_word
 
 TYPE_CHECKING = False

@@ -19,7 +19,7 @@ from .surface import integer
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names for annotations only
     from .invariants import FiberCounts, LedgerEntry
-    from .twists import Factorization
+    from .factorization import Factorization
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -102,7 +102,8 @@ def _load_mono(source: str) -> Factorization:
 
 
 def _cmd_verify(args) -> int:
-    from .twists import MissingHomology, verify_homological_relator
+    from .factorization import MissingHomology
+    from .twists import verify_homological_relator
 
     f = _load_mono(args.file)
     try:
@@ -298,7 +299,7 @@ def _cmd_pi1(args) -> int:
 
     from . import catalog as cat
     from .fpgroup import abelianization, todd_coxeter
-    from .twists import cap_boundary
+    from .factorization import cap_boundary
 
     source = args.source
     try:

@@ -40,7 +40,6 @@ kept.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from fractions import Fraction
 from itertools import count, repeat
 from math import comb
 
@@ -53,6 +52,10 @@ from .invariants import (
     min_nonseparating_bound,
 )
 from .surface import exact_ints
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only; fractions loads on first use
+    from fractions import Fraction
 
 ADMITTED = "admitted"
 REJECT_TOTAL = "total"
@@ -132,7 +135,7 @@ class FeasibilityRow:
 
     @property
     def chi_h(self) -> Fraction:
-        return Fraction(euler_characteristic(self.counts) + self.sigma, 4)
+        return (euler_characteristic(self.counts) + self.sigma) / 4
 
     @property
     def admitted(self) -> bool:
@@ -389,8 +392,8 @@ _RECORDED = {
 
 def _witness(name: str, fibers: int | str, hyperelliptic: bool) -> Witness:
     if isinstance(fibers, str):
-        # Deferred so that enumerate, and bounds for g not in {3, 4}, load
-        # neither catalog nor twists.
+        # Deferred so that enumerate, and bounds for g not in {3, 4}, never
+        # load the catalog.
         from .catalog import get_entry
 
         fibers = get_entry(fibers).counts.total

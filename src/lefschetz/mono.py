@@ -27,8 +27,8 @@ spelled as ``serialize_mono`` writes it (single spaces, no comment), is
 read whole: one ``fullmatch`` gives its name and integers.  When the
 stage takes curves, the name is new, there are 2g integers, each
 ``int()`` succeeds and their gcd is 1 (so the class is nonzero and
-g >= 1), nothing is left to check, and ``twists._minted`` builds the
-curve, as it builds a Hurwitz move's new curve.  Every other line is
+g >= 1), nothing is left to check, and ``factorization._minted`` builds
+the curve, as it builds a Hurwitz move's new curve.  Every other line is
 tokenised, and ``CurveClass``, ``HomologyClass`` and ``check_curve`` run
 on every other curve line, so a line gives the same curve or the same
 error whichever way it is read.  Building plain lines with ``_minted``
@@ -47,10 +47,10 @@ from __future__ import annotations
 import re
 from math import gcd
 
+from .factorization import Factorization, Target, TwistLetter, _minted, check_curve
+from .factorization import check_target
 from .surface import KIND_INT, NONSEP, CurveClass, HomologyClass, SurfaceSpec
 from .surface import integer
-from .twists import Factorization, Target, TwistLetter, check_curve, check_target
-from .twists import _minted
 from .words import WordSyntaxError, format_word, parse_word
 
 

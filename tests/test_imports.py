@@ -2,8 +2,9 @@
 
 In-process CLI tests cannot see a lazy import that is missing, because
 earlier tests have already loaded every module.  Here every case starts
-its own ``python -c``: the set of ``lefschetz`` modules it leaves loaded is
-pinned, and its stdout and exit code must match the recorded bytes.
+its own ``python -c``: the set of ``lefschetz`` modules it leaves loaded,
+and whether it loaded the standard library's ``fractions``, are pinned, and
+its stdout and exit code must match the recorded bytes.
 """
 
 import json
@@ -18,7 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI_REFS = ROOT / "bench" / "refs" / "cli.json"
 
 # Runs the argv through cli.main (or only imports the package when there is
-# none), then writes the loaded lefschetz modules as the last stderr line.
+# none), then writes the loaded lefschetz modules, and fractions when it is
+# loaded, as the last stderr line.
 SCRIPT = """
 import sys
 if sys.argv[1:]:
@@ -28,27 +30,45 @@ else:
     import lefschetz
     code = 0
 sys.stdout.flush()
-print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "lefschetz")),
+print(" ".join(sorted(m for m in sys.modules
+                      if m.partition(".")[0] == "lefschetz" or m == "fractions")),
       file=sys.stderr)
 sys.exit(code)
 """
 
 BASE = {"cli", "invariants", "surface", "words"}
-CATALOG = BASE | {"catalog", "twists"}
+# The catalog is built from factorization values; the calculus on them
+# (twists) is loaded only by verify.
+CATALOG = BASE | {"catalog", "factorization"}
 
-# argv (a key of the recorded refs, or None) -> lefschetz submodules loaded.
+# argv (a key of the recorded refs, or None) -> (lefschetz submodules loaded,
+# whether fractions is loaded: only commands that print a rational load it).
 CASES = {
-    "import lefschetz": (None, set()),
-    "catalog list": ("catalog list", CATALOG),
-    "catalog show": ("catalog show W1 --json", CATALOG),
-    "catalog export": ("catalog export W2", CATALOG | {"mono"}),
-    "verify": ("verify .bench-tmp/W1.mono", BASE | {"mono", "twists"}),
-    "invariants": ("invariants --genus 3 --n 12 --s1 6 --hyperelliptic", BASE),
-    "pi1": ("pi1 W1", CATALOG | {"fpgroup"}),
-    "bounds g=2": ("bounds --genus 2", BASE | {"feasibility"}),
-    "bounds g=4": ("bounds --genus 4 --json", CATALOG | {"feasibility"}),
-    "enumerate": ("enumerate --genus 3 --max-fibers 18 --hyperelliptic", BASE | {"feasibility"}),
+    "import lefschetz": (None, set(), False),
+    "catalog list": ("catalog list", CATALOG, False),
+    "catalog show": ("catalog show W1 --json", CATALOG, True),
+    "catalog export": ("catalog export W2", CATALOG | {"mono"}, False),
+    "verify": ("verify .bench-tmp/W1.mono", BASE | {"factorization", "mono", "twists"}, False),
+    "invariants": ("invariants --genus 3 --n 12 --s1 6 --hyperelliptic", BASE, True),
+    "pi1": ("pi1 W1", CATALOG | {"fpgroup"}, False),
+    "bounds g=2": ("bounds --genus 2", BASE | {"feasibility"}, False),
+    "bounds g=4": ("bounds --genus 4 --json", CATALOG | {"feasibility"}, False),
+    "enumerate": (
+        "enumerate --genus 3 --max-fibers 18 --hyperelliptic", BASE | {"feasibility"}, True
+    ),
 }
+
+
+def run_fresh(args, cwd):
+    """``python *args`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -58,25 +78,28 @@ def refs():
 
 @pytest.mark.parametrize("case", CASES)
 def test_fresh_process_imports_and_output(case, refs, tmp_path):
-    key, submodules = CASES[case]
+    key, submodules, fractions = CASES[case]
     argv = key.split() if key else []
     if argv[:1] == ["verify"]:
         mono = tmp_path / argv[1]
         mono.parent.mkdir()
         mono.write_text(refs[f"catalog export {mono.stem}"]["stdout"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_fresh(["-c", SCRIPT, *argv], tmp_path)
     loaded = proc.stderr.splitlines()[-1].split()
     assert sorted(loaded) == sorted(
         {"lefschetz"} | {f"lefschetz.{name}" for name in submodules}
+        | ({"fractions"} if fractions else set())
     )
     if key is None:
         assert (proc.returncode, proc.stdout) == (0, "")
     else:
         assert (proc.returncode, proc.stdout) == (refs[key]["exit"], refs[key]["stdout"])
+
+
+def test_a_public_value_name_loads_neither_the_calculus_nor_fractions(tmp_path):
+    proc = run_fresh(["-c", "import sys, lefschetz; lefschetz.Factorization; "
+                            "print(*sorted(sys.modules))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "lefschetz.factorization" in loaded
+    assert not loaded & {"lefschetz.twists", "fractions"}

@@ -96,7 +96,7 @@ def test_hyperelliptic_signature_builds_one_fraction(monkeypatch):
             built.append(args)
             return super().__new__(cls, *args)
 
-    monkeypatch.setattr("lefschetz.invariants.Fraction", CountingFraction)
+    monkeypatch.setattr("lefschetz.invariants._fraction", CountingFraction)
     g = 10**5
     counts = FiberCounts.of(g, 3, 1, *([0] * (g // 2 - 2)), 2)
     sigma, integral = hyperelliptic_signature(counts)
@@ -105,6 +105,15 @@ def test_hyperelliptic_signature_builds_one_fraction(monkeypatch):
     assert len(built) == 1
     assert sigma == Fraction(numerator, q)
     assert integral == (numerator % q == 0)
+
+
+def test_first_rational_puts_the_fraction_class_in_place():
+    # fractions loads on the first rational; from then on the module-level
+    # name is the class itself, so later calls pay no import.
+    from lefschetz import invariants
+
+    assert chi_and_betti(-5, -7).chi_h == Fraction(-3)
+    assert invariants._fraction is Fraction
 
 
 def test_s_terms_match_the_naive_sums():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz import mono, twists
+from lefschetz import factorization, mono, twists
 from lefschetz.catalog import get_entry, load_catalog
 from lefschetz.mono import MonoParseError, parse_mono, serialize_mono
 from lefschetz.surface import (
@@ -312,9 +312,9 @@ def test_parse_checks_each_curve_once(monkeypatch):
         calls.append(curve.name)
         return check_curve(curve, spec)
 
-    check_curve = twists.check_curve
+    check_curve = factorization.check_curve
     monkeypatch.setattr(mono, "check_curve", counting)
-    monkeypatch.setattr(twists, "check_curve", counting)
+    monkeypatch.setattr(factorization, "check_curve", counting)
     w1 = get_entry("W1").factorization
     assert parse_mono(serialize_mono(w1)) == w1
     assert sorted(calls) == sorted(c.name for c in w1.curves)

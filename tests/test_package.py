@@ -88,3 +88,36 @@ def test_public_names():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         lefschetz.no_such_name
+
+
+# Every public name lefschetz.twists defined before the factorization values
+# moved to their own module; each must still import from there.
+TWISTS_NAMES = """
+IDENTITY_TARGET Factorization Matrix MissingHomology NECESSITY_NOTE Target
+TwistLetter VerificationReport cancel_adjacent_inverses cap_boundary check_curve
+check_target conjugate_factorization effective_class factorization_matrix
+hurwitz_move identity_matrix is_symplectic letter_counts mat_vec transvect
+twist_matrix verify_homological_relator
+""".split()
+
+# The names lefschetz.factorization defines that twists re-imports.
+MOVED_NAMES = """
+IDENTITY_TARGET Factorization MissingHomology Target TwistLetter _minted
+cancel_adjacent_inverses cap_boundary check_curve check_target effective_class
+letter_counts
+""".split()
+
+
+def test_moved_value_names_keep_their_twists_path():
+    import lefschetz
+    from lefschetz import factorization, twists
+
+    namespace = {}
+    exec(f"from lefschetz.twists import {', '.join(TWISTS_NAMES)}", namespace)
+    assert set(TWISTS_NAMES) <= namespace.keys()
+    for name in MOVED_NAMES:
+        value = vars(factorization)[name]
+        assert vars(twists)[name] is value, name
+        if name in PUBLIC_NAMES:
+            assert getattr(lefschetz, name) is value, name
+            assert lefschetz._MODULE_OF[name] == "factorization", name
