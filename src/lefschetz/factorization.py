@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .invariants import FiberCounts
+from .invariants import FiberCounts, exact_ints
 from .surface import BOUNDARY, KIND_INT, NONSEP, SEP, CurveClass, HomologyClass
-from .surface import SurfaceSpec, exact_ints, generator_index
+from .surface import SurfaceSpec, generator_index
 from .words import exponent_sums, free_reduce
 
 # Target of a factorization: () means the identity, otherwise a tuple of

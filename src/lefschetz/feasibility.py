@@ -48,10 +48,10 @@ from .invariants import (
     _h_coefficients,
     _s_terms,
     euler_characteristic,
+    exact_ints,
     hyperelliptic_signature,
     min_nonseparating_bound,
 )
-from .surface import exact_ints
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names for annotations only; fractions loads on first use

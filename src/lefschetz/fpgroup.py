@@ -41,7 +41,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 
-from .surface import exact_ints
+from .invariants import exact_ints
 from .words import Word, exponent_sums, free_reduce, parse_word
 
 

@@ -6,6 +6,12 @@ floating point, tolerance zero.  All functions are stateless and pure.
 (``_fraction``), so a process that only tallies counts, as the catalog,
 ``verify``, ``pi1`` and ``bounds`` do, never loads it.
 
+The package's two integer readers live here too: ``exact_ints`` (values
+as exact ints, rejecting bools) and ``integer`` (integer text, for
+``.mono`` files, options and ledgers).  This module imports nothing from
+the package, so a command that only counts fibers loads neither
+``surface`` nor ``words``; ``surface`` re-imports both names.
+
 For a genus-g fibration over the 2-sphere with n nonseparating and s_h
 type-h separating vanishing cycles (s = sum s_h):
 
@@ -34,9 +40,8 @@ multiplicity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-
-from .surface import exact_ints
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names for annotations only; fractions loads on first use
@@ -48,6 +53,34 @@ LEDGER_SEPARATING = "sep"
 LEDGER_BLOCK = "block"
 
 _FIXED_CONTRIBUTIONS = {LEDGER_MATSUMOTO_EVEN: -4, LEDGER_SEPARATING: -1}
+
+
+def exact_ints(values, what: str) -> tuple[int, ...]:
+    """The values as exact ints; ValueError names a non-integer (no
+    truncation) or a bool, which ``operator.index`` would read as 0 or 1.
+
+    One pass collects the value types.  In the common case, where every
+    value is an int, the values are returned as a tuple with no
+    ``operator.index`` call.
+    """
+    types = set(map(type, values))
+    if types == {int}:
+        return tuple(values)
+    try:
+        if bool not in types:
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    bad = next(v for v in values if type(v) is bool or not hasattr(v, "__index__"))
+    raise ValueError(f"{what} must be integers, got {bad!r}")
+
+
+def integer(text: str) -> int:
+    """The int spelled ``-?[0-9]+`` in ASCII digits; stricter than ``int()``."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isdecimal() and digits.isascii()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True, slots=True)

@@ -49,8 +49,8 @@ from math import gcd
 
 from .factorization import Factorization, Target, TwistLetter, _minted, check_curve
 from .factorization import check_target
+from .invariants import integer
 from .surface import KIND_INT, NONSEP, CurveClass, HomologyClass, SurfaceSpec
-from .surface import integer
 from .words import WordSyntaxError, format_word, parse_word
 
 

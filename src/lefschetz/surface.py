@@ -25,6 +25,9 @@ import operator
 import re
 from dataclasses import dataclass
 
+# The integer readers live in invariants, which imports nothing from the
+# package; integer is re-imported so its old import path keeps working.
+from .invariants import exact_ints, integer  # noqa: F401
 from .words import Word, exponent_sums
 
 # Curve kinds.
@@ -100,34 +103,6 @@ class HomologyClass:
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         _check_same_rank(self, other)
         return HomologyClass(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-
-def exact_ints(values, what: str) -> tuple[int, ...]:
-    """The values as exact ints; ValueError names a non-integer (no
-    truncation) or a bool, which ``operator.index`` would read as 0 or 1.
-
-    One pass collects the value types.  In the common case, where every
-    value is an int, the values are returned as a tuple with no
-    ``operator.index`` call.
-    """
-    types = set(map(type, values))
-    if types == {int}:
-        return tuple(values)
-    try:
-        if bool not in types:
-            return tuple(map(operator.index, values))
-    except TypeError:
-        pass
-    bad = next(v for v in values if type(v) is bool or not hasattr(v, "__index__"))
-    raise ValueError(f"{what} must be integers, got {bad!r}")
-
-
-def integer(text: str) -> int:
-    """The int spelled ``-?[0-9]+`` in ASCII digits; stricter than ``int()``."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isdecimal() and digits.isascii()):
-        raise ValueError(f"expected an integer, got {text!r}")
-    return int(text)
 
 
 def _check_same_rank(x: HomologyClass, y: HomologyClass) -> None:

@@ -56,8 +56,8 @@ from .factorization import (  # noqa: F401
     cancel_adjacent_inverses, cap_boundary, check_curve, check_target,
     effective_class, letter_counts,
 )
-from .invariants import FiberCounts, twist_count_congruence
-from .surface import NONSEP, CurveClass, HomologyClass, exact_ints, pair_coords
+from .invariants import FiberCounts, exact_ints, twist_count_congruence
+from .surface import NONSEP, CurveClass, HomologyClass, pair_coords
 
 Matrix = tuple[tuple[int, ...], ...]
 

@@ -579,6 +579,27 @@ def test_no_subcommand_exit_2(capsys):
     assert main([]) == 2
 
 
+SUBCOMMANDS = ("verify", "invariants", "enumerate", "pi1", "catalog", "bounds")
+
+
+@pytest.mark.parametrize("argv", [[name] for name in SUBCOMMANDS] + [["catalog", "show"]])
+def test_subcommand_help(capsys, argv):
+    # Only the usage line's start is pinned: the headings differ across Python
+    # versions, and argparse wraps lines to the terminal width.
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.split()[:len(argv) + 3] == ["usage:", "lefschetz", *argv, "[-h]"]
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.split()[:3] == ["usage:", "lefschetz", "[-h]"]
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+    for name in SUBCOMMANDS:
+        assert re.search(rf"^ +{name}\b", out, re.MULTILINE), name
+
+
 def test_module_entry_point(capsys):
     # python -m lefschetz runs __main__.py, the only module entry point
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -4,7 +4,8 @@ In-process CLI tests cannot see a lazy import that is missing, because
 earlier tests have already loaded every module.  Here every case starts
 its own ``python -c``: the set of ``lefschetz`` modules it leaves loaded,
 and whether it loaded the standard library's ``fractions``, are pinned, and
-its stdout and exit code must match the recorded bytes.
+its stdout and exit code must match the recorded bytes.  Each subcommand
+loads one handler module, ``lefschetz._cli_<subcommand>``, and no other.
 """
 
 import json
@@ -36,19 +37,26 @@ print(" ".join(sorted(m for m in sys.modules
 sys.exit(code)
 """
 
-BASE = {"cli", "invariants", "surface", "words"}
-# The catalog is built from factorization values; the calculus on them
-# (twists) is loaded only by verify.
-CATALOG = BASE | {"catalog", "factorization"}
+# ``cli`` and invariants, which holds the option reader ``integer``:
+# all that a usage error loads, and with its handler, all that a command
+# that only counts fibers loads.
+BASE = {"cli", "invariants"}
+# The catalog is built from factorization values over surface curves; the
+# calculus on them (twists) is loaded only by verify.
+CATALOG = BASE | {"surface", "words", "catalog", "factorization"}
 
-# argv (a key of the recorded refs, or None) -> (lefschetz submodules loaded,
-# whether fractions is loaded: only commands that print a rational load it).
+# argv (a key of the recorded refs, or None) -> (lefschetz submodules loaded
+# besides the handler module, whether fractions is loaded: only commands that
+# print a rational load it).
 CASES = {
     "import lefschetz": (None, set(), False),
     "catalog list": ("catalog list", CATALOG, False),
     "catalog show": ("catalog show W1 --json", CATALOG, True),
     "catalog export": ("catalog export W2", CATALOG | {"mono"}, False),
-    "verify": ("verify .bench-tmp/W1.mono", BASE | {"factorization", "mono", "twists"}, False),
+    "verify": (
+        "verify .bench-tmp/W1.mono",
+        BASE | {"surface", "words", "factorization", "mono", "twists"}, False,
+    ),
     "invariants": ("invariants --genus 3 --n 12 --s1 6 --hyperelliptic", BASE, True),
     "pi1": ("pi1 W1", CATALOG | {"fpgroup"}, False),
     "bounds g=2": ("bounds --genus 2", BASE | {"feasibility"}, False),
@@ -57,6 +65,13 @@ CASES = {
         "enumerate --genus 3 --max-fibers 18 --hyperelliptic", BASE | {"feasibility"}, True
     ),
 }
+# Commands that only count fibers build no curve.
+COUNT_ONLY = ("invariants", "bounds g=2", "enumerate")
+
+
+def loaded_modules(proc):
+    """The module names ``SCRIPT`` wrote as its last stderr line."""
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 def run_fresh(args, cwd):
@@ -85,15 +100,36 @@ def test_fresh_process_imports_and_output(case, refs, tmp_path):
         mono.parent.mkdir()
         mono.write_text(refs[f"catalog export {mono.stem}"]["stdout"])
     proc = run_fresh(["-c", SCRIPT, *argv], tmp_path)
-    loaded = proc.stderr.splitlines()[-1].split()
-    assert sorted(loaded) == sorted(
+    loaded = loaded_modules(proc)
+    handlers = {m for m in loaded if m.startswith("lefschetz._cli_")}
+    assert handlers == ({f"lefschetz._cli_{argv[0]}"} if argv else set())
+    assert sorted(loaded - handlers) == sorted(
         {"lefschetz"} | {f"lefschetz.{name}" for name in submodules}
         | ({"fractions"} if fractions else set())
     )
+    if case in COUNT_ONLY:
+        assert not loaded & {"lefschetz.surface", "lefschetz.words"}
     if key is None:
         assert (proc.returncode, proc.stdout) == (0, "")
     else:
         assert (proc.returncode, proc.stdout) == (refs[key]["exit"], refs[key]["stdout"])
+
+
+# argv that argparse answers itself -> exit code and the start of stdout.
+PARSER_ONLY = {
+    "unknown subcommand": ("frobnicate", 2, ""),
+    "missing option": ("enumerate --max-fibers 18 --hyperelliptic", 2, ""),
+    "subcommand help": ("enumerate --help", 0, "usage: lefschetz enumerate "),
+}
+
+
+@pytest.mark.parametrize("case", PARSER_ONLY)
+def test_parser_answers_load_no_handler_or_layer(case, tmp_path):
+    argv, code, stdout = PARSER_ONLY[case]
+    proc = run_fresh(["-c", SCRIPT, *argv.split()], tmp_path)
+    assert proc.returncode == code
+    assert proc.stdout.startswith(stdout) and bool(proc.stdout) == bool(stdout)
+    assert loaded_modules(proc) == {"lefschetz", "lefschetz.cli", "lefschetz.invariants"}
 
 
 def test_a_public_value_name_loads_neither_the_calculus_nor_fractions(tmp_path):

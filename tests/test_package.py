@@ -121,3 +121,23 @@ def test_moved_value_names_keep_their_twists_path():
         if name in PUBLIC_NAMES:
             assert getattr(lefschetz, name) is value, name
             assert lefschetz._MODULE_OF[name] == "factorization", name
+
+
+def test_integer_readers_keep_their_surface_path():
+    from lefschetz import invariants, surface
+
+    assert surface.exact_ints is invariants.exact_ints
+    assert surface.integer is invariants.integer
+    namespace = {}
+    exec("from lefschetz.surface import exact_ints, integer", namespace)
+    assert namespace["integer"] is invariants.integer
+
+
+def test_cli_keeps_its_entry_points_and_constants():
+    # The handlers moved to one private module each; these names stay in cli.
+    from lefschetz import cli
+
+    assert callable(cli.main) and callable(cli.console_entry)
+    assert (cli.EXIT_OK, cli.EXIT_NEGATIVE, cli.EXIT_USAGE) == (0, 1, 2)
+    assert cli._MAX_S_FLAGS == 8
+    assert cli.ENUMERATE_WARN_ROWS == 10**6
