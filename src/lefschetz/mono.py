@@ -69,9 +69,6 @@ def _int(token: str, line: int, what: str) -> int:
         raise MonoParseError(line, f"{what}: {exc}")
 
 
-# One or more space-separated <INT> tokens.
-_INTS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
-
 # A plain curve line, as serialize_mono writes one: a name and one or more
 # <INT>, single-spaced, with no comment and no word.
 _PLAIN_CURVE = re.compile(
@@ -208,16 +205,8 @@ def _parse_curve(rest: list[str], spec: SurfaceSpec, lineno: int) -> CurveClass:
             raise MonoParseError(
                 lineno, f"hom needs {rank} integers (basis a1 b1 ... ag bg)"
             )
-        tokens = rest[pos : pos + rank]
-        # hom clauses hold most of a file's integers: one match for the clause,
-        # and ``integer`` per token only to name the first bad one
-        if not _INTS.fullmatch(" ".join(tokens)):
-            for token in tokens:
-                _int(token, lineno, "hom coordinate")
-        try:  # int() still refuses a token past its digit limit
-            coords = tuple(map(int, tokens))
-        except ValueError as exc:
-            raise MonoParseError(lineno, f"hom coordinate: {exc}")
+        coords = tuple([_int(token, lineno, "hom coordinate")
+                        for token in rest[pos : pos + rank]])
         pos += rank
 
     word = None

@@ -278,9 +278,11 @@ def verify_homological_relator(
     ``MissingHomology`` names the leftmost letter without a class.  Each
     distinct class is restricted to the touched handles once.  The fields
     are what ``letter_counts``, ``factorization_matrix``, ``kind_label``
-    and ``all_positive`` give.  Their four passes made a call on the
-    ``monodromy`` deck take 117 us, the one pass 91 us, of which the
-    product is about 68 (in process, seed 1, 8 decks, best of 15).
+    and ``all_positive`` give.  The pass stays its own: sharing a letter
+    pass with them, as a lazy loop in ``factorization`` or as a curve
+    table in order of first appearance, made a call 4-10% slower, and
+    C-level passes over that table about 16% slower (in process, seed 1,
+    8 decks, beside an identical control copy).
     """
     spec = f.spec
     index = f._index

@@ -343,6 +343,26 @@ def test_pi1_mono_file(tmp_path, capsys):
     code, out, _ = run(capsys, "pi1", str(path))
     assert code == 0
     assert "order 1" in out
+    # Relators are the surface relator and the words of the distinct letter
+    # curves left after capping: not idle's (no letter), nor d's (capped away);
+    # w is a letter curve without a word.
+    path = tmp_path / "capped.mono"
+    path.write_text(
+        "genus 1\nboundary 1\n"
+        "curve idle kind nonsep hom 1 1 word a1 b1\n"
+        "curve u kind nonsep hom 1 0 word a1\n"
+        "curve d kind boundary 1 word a1 b1 a1~ b1~\n"
+        "curve w kind nonsep hom 1 1\n"
+        "curve v kind nonsep hom 0 1 word b1\n"
+        "twist u\ntwist d\ntwist v\ntwist u\ntwist w\ntwist v -\ntwist d\n"
+        "target identity\n"
+    )
+    code, out, _ = run(capsys, "pi1", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == (
+        f"pi_1 of {path}: 2 generators, 3 relators "
+        "(2/3 distinct letter curves carry words)"
+    )
 
 
 def test_pi1_exceeded(tmp_path, capsys):

@@ -6,6 +6,10 @@ its own ``python -c``: the set of ``lefschetz`` modules it leaves loaded,
 and whether it loaded the standard library's ``fractions``, are pinned, and
 its stdout and exit code must match the recorded bytes.  Each subcommand
 loads one handler module, ``lefschetz._cli_<subcommand>``, and no other.
+
+CI also runs this file against the installed package, from a copy of
+``tests`` outside the checkout: ``run_fresh``'s ``src`` entry then names a
+missing directory, so each case imports the wheel.
 """
 
 import json

@@ -208,6 +208,13 @@ def test_missing_homology_error_names_curve():
     assert info.value.curve_name == "early"
     with pytest.raises(MissingHomology, match="'early'"):
         verify_homological_relator(f)
+    # declared late before early: the letters, not the curve table, decide
+    curves = (curves[0], curves[2], curves[1])
+    f = Factorization(SurfaceSpec(1), curves, letters)
+    for check in (factorization_matrix, verify_homological_relator):
+        with pytest.raises(MissingHomology, match="'early'") as info:
+            check(f)
+        assert info.value.curve_name == "early"
 
 
 def sparse_primitive_classes(genus):
