@@ -1,15 +1,12 @@
-"""``lefschetz enumerate``: feasible fiber-count vectors below a bound.
-
-The warning threshold is read as ``cli.ENUMERATE_WARN_ROWS`` on each call,
-so setting that name changes it.
-"""
+"""``lefschetz enumerate``: feasible fiber-count vectors below a bound."""
 
 from __future__ import annotations
 
 import sys
 
-from . import cli
 from .cli import EXIT_NEGATIVE, EXIT_OK, _emit
+
+ENUMERATE_WARN_ROWS = 10**6  # above this many rows, enumerate warns first
 
 
 def _row_doc(row) -> dict:
@@ -31,10 +28,10 @@ def _cmd_enumerate(args) -> int:
         hyperelliptic=args.hyperelliptic,
     )
     expected = row_count(profile)
-    if expected > cli.ENUMERATE_WARN_ROWS:
+    if expected > ENUMERATE_WARN_ROWS:
         print(
             f"warning: evaluating {expected:,} count vectors "
-            f"(more than {cli.ENUMERATE_WARN_ROWS:,}); this may take minutes",
+            f"(more than {ENUMERATE_WARN_ROWS:,}); this may take minutes",
             file=sys.stderr,
         )
     rows = enumerate_feasible(profile)

@@ -30,9 +30,10 @@ def _cmd_pi1(args) -> int:
         presentation = cat.presentation_from_factorization(f)
     except cat.NoWordData as exc:
         raise ValueError(f"{label}: {exc}")
-    distinct = {letter.curve for letter in f.letters}
-    carried = sum(f.curve(name).word is not None for name in distinct)
-    worded = f"{carried}/{len(distinct)} distinct letter curves carry words"
+    # The surface relator, then one relator per distinct worded letter curve.
+    carried = len(presentation.relators) - 1
+    distinct = len({letter.curve for letter in f.letters})
+    worded = f"{carried}/{distinct} distinct letter curves carry words"
 
     if args.max_cosets < 1:  # todd_coxeter's own check, before it may be skipped
         raise ValueError("max_cosets must be >= 1")

@@ -32,7 +32,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 _MAX_S_FLAGS = 8  # supports genus up to 17
-ENUMERATE_WARN_ROWS = 10**6  # above this many rows, enumerate warns first
 
 
 def _emit(args, document: dict, human: str) -> None:
@@ -93,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--hyperelliptic", action="store_true",
                    help="also check the twist-count congruence")
-    p.set_defaults(func="verify")
 
     p = sub.add_parser("invariants", parents=[common],
                        help="e, sigma, chi_h, Betti from counts")
@@ -105,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="take sigma from the hyperelliptic closed form")
     p.add_argument("--ledger", metavar="SPEC",
                    help="take sigma from a block ledger, e.g. mats*1,block:-6*1,sep*-3")
-    p.set_defaults(func="invariants")
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="feasible fiber-count vectors below a bound")
@@ -115,16 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyperelliptic", action="store_true")
     p.add_argument("--show-rejected", action="store_true",
                    help="also print rows rejected before the chi_h stage")
-    p.set_defaults(func="enumerate")
 
     p = sub.add_parser("pi1", parents=[common],
                        help="coset enumeration of a total-space pi_1")
     p.add_argument("source", help="catalog entry name or .mono file")
     p.add_argument("--max-cosets", type=integer, default=10**6)
-    p.set_defaults(func="pi1")
 
     p = sub.add_parser("catalog", help="list, show, or export catalog entries")
-    p.set_defaults(func="catalog")
     catsub = p.add_subparsers(dest="action", required=True)
     catsub.add_parser("list", parents=[common])
     catsub.add_parser("show", parents=[common]).add_argument("name")
@@ -133,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common],
                        help="bounds on minimal singular-fiber counts")
     p.add_argument("--genus", type=integer, required=True)
-    p.set_defaults(func="bounds")
 
     return parser
 
@@ -145,9 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # Only now is the subcommand known: load its handler module alone.
-    module = import_module(f"{__package__}._cli_{args.func}")
+    module = import_module(f"{__package__}._cli_{args.subcommand}")
     try:
-        return getattr(module, f"_cmd_{args.func}")(args)
+        return getattr(module, f"_cmd_{args.subcommand}")(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

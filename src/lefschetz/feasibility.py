@@ -373,31 +373,22 @@ class BoundsReport:
 # Per genus: the best recorded witness (name, fibers), the hyperelliptic
 # witness when that is a different fibration (otherwise the best one is
 # hyperelliptic), and the note on the hyperelliptic floor.  A catalog
-# witness gives its entry name as ``fibers`` and takes the singular-fiber
-# total of the entry's audited counts (boundary letters are not fibers).
+# witness's name starts with its entry name, and a test ties its total to
+# the singular-fiber total of that entry's audited counts (boundary letters
+# are not fibers) and its flag to the entry's.
 _RECORDED = {
     1: (("elliptic surface E(1)", 12), None,
         "no admissible count vector exists below 12 fibers"),
     2: (("Baykur-Korkmaz genus-2 fibration", 14), None,
         "below 14 fibers only (n,s) = (8,1) and (10,0) pass the "
         "sigma constraints and both have chi_h = 0"),
-    3: (("W (genus-3 hyperelliptic)", "W"), None,
+    3: (("W (genus-3 hyperelliptic)", 18), None,
         "below 18 fibers only (n,s) = (16,1) passes the sigma "
         "constraints and it has chi_h = 0"),
-    4: (("W1 (genus-4, nonhyperelliptic)", "W1"), ("W2 (genus-4 hyperelliptic)", "W2"),
+    4: (("W1 (genus-4, nonhyperelliptic)", 23), ("W2 (genus-4 hyperelliptic)", 24),
         "below 24 fibers the admitted counts are (16,0,5), (16,4,2) "
         "and (18,2,3), with totals 21, 22 and 23"),
 }
-
-
-def _witness(name: str, fibers: int | str, hyperelliptic: bool) -> Witness:
-    if isinstance(fibers, str):
-        # Deferred so that enumerate, and bounds for g not in {3, 4}, never
-        # load the catalog.
-        from .catalog import get_entry
-
-        fibers = get_entry(fibers).counts.total
-    return Witness(name, fibers, hyperelliptic)
 
 
 def _hyperelliptic_floor(g: int, witness_fibers: int) -> int:
@@ -437,8 +428,8 @@ def min_fiber_bounds(g: int) -> BoundsReport:
         raise ValueError(f"genus must be >= 1, got {g}")
     if g in _RECORDED:
         (name, fibers), hyp, floor_note = _RECORDED[g]
-        best = _witness(name, fibers, hyp is None)
-        hyp = _witness(*hyp, True) if hyp else best
+        best = Witness(name, fibers, hyp is None)
+        hyp = Witness(*hyp, True) if hyp else best
         floor = _hyperelliptic_floor(g, hyp.fibers)
         if g <= 2:
             n_lower = floor

@@ -10,7 +10,7 @@ The package's two integer readers live here too: ``exact_ints`` (values
 as exact ints, rejecting bools) and ``integer`` (integer text, for
 ``.mono`` files, options and ledgers).  This module imports nothing from
 the package, so a command that only counts fibers loads neither
-``surface`` nor ``words``; ``surface`` re-imports both names.
+``surface`` nor ``words``.
 
 For a genus-g fibration over the 2-sphere with n nonseparating and s_h
 type-h separating vanishing cycles (s = sum s_h):

@@ -25,9 +25,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-# The integer readers live in invariants, which imports nothing from the
-# package; integer is re-imported so its old import path keeps working.
-from .invariants import exact_ints, integer  # noqa: F401
+from .invariants import exact_ints
 from .words import Word, exponent_sums
 
 # Curve kinds.

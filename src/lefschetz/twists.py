@@ -1,10 +1,9 @@
 """Dehn-twist word calculus on the integral symplectic representation.
 
 The values it acts on, ``Factorization``, ``TwistLetter`` and the curve
-and target checks, are defined in ``factorization`` and re-imported here,
-so ``from lefschetz.twists import Factorization`` keeps working.  The
-catalog, the ``.mono`` reader and ``pi1`` import them from there and never
-load this module.
+and target checks, are defined in ``factorization``.  The catalog, the
+``.mono`` reader and ``pi1`` import them from there and never load this
+module.
 
 A factorization stores its twist letters left to right exactly as the
 word is written.  Composition is functional (the rightmost letter acts
@@ -49,13 +48,7 @@ import sys
 from dataclasses import dataclass, replace
 from operator import add, attrgetter, sub
 
-# Every name defined with the values; those this module does not use are
-# re-imported so that their old import path keeps working.
-from .factorization import (  # noqa: F401
-    IDENTITY_TARGET, Factorization, MissingHomology, Target, TwistLetter, _minted,
-    cancel_adjacent_inverses, cap_boundary, check_curve, check_target,
-    effective_class, letter_counts,
-)
+from .factorization import Factorization, TwistLetter, _minted, effective_class
 from .invariants import FiberCounts, exact_ints, twist_count_congruence
 from .surface import NONSEP, CurveClass, HomologyClass, pair_coords
 

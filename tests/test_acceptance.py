@@ -11,6 +11,7 @@ from itertools import product
 
 from lefschetz.catalog import load_catalog, pi1_presentation
 from lefschetz.cli import main as cli_main
+from lefschetz.factorization import Factorization, TwistLetter, letter_counts
 from lefschetz.feasibility import ADMITTED, REJECT_CHI_H, ConstraintProfile, enumerate_feasible
 from lefschetz.fpgroup import abelianization, surface_group, todd_coxeter
 from lefschetz.invariants import (
@@ -33,11 +34,8 @@ from lefschetz.surface import (
     pairing_matrix,
 )
 from lefschetz.twists import (
-    Factorization,
-    TwistLetter,
     factorization_matrix,
     hurwitz_move,
-    letter_counts,
     twist_matrix,
     verify_homological_relator,
 )

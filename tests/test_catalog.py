@@ -9,10 +9,10 @@ from lefschetz.catalog import (
     load_catalog,
     pi1_presentation,
 )
+from lefschetz.factorization import letter_counts
 from lefschetz.fpgroup import abelianization, todd_coxeter
 from lefschetz.invariants import FiberCounts, twist_count_congruence
 from lefschetz.surface import NONSEP, SEP, classify_kind_from_word
-from lefschetz.twists import letter_counts
 
 
 def test_catalog_has_six_entries():

@@ -51,13 +51,13 @@ def test_enumerate_warns_before_many_rows(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert err == ""
     # 2,599 rows = C(26, 3) - 1
-    monkeypatch.setattr("lefschetz.cli.ENUMERATE_WARN_ROWS", 2598)
+    monkeypatch.setattr("lefschetz._cli_enumerate.ENUMERATE_WARN_ROWS", 2598)
     assert run(capsys, *argv) == (
         code, out,
         "warning: evaluating 2,599 count vectors (more than 2,598); "
         "this may take minutes\n",
     )
-    monkeypatch.setattr("lefschetz.cli.ENUMERATE_WARN_ROWS", 2599)
+    monkeypatch.setattr("lefschetz._cli_enumerate.ENUMERATE_WARN_ROWS", 2599)
     assert run(capsys, *argv) == (code, out, "")
 
 

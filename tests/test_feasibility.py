@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import feasibility
+from lefschetz.catalog import get_entry
 from lefschetz.feasibility import (
     ADMITTED,
     REJECT_CHI_H,
@@ -26,15 +27,16 @@ from lefschetz.feasibility import (
     FeasibilityRow,
     _blocks,
     _hyperelliptic_floor,
-    _s_terms,
     _verdict,
     check_counts,
     enumerate_feasible,
     min_fiber_bounds,
     row_count,
 )
+from lefschetz.factorization import TwistLetter, letter_counts
 from lefschetz.invariants import (
     FiberCounts,
+    _s_terms,
     euler_characteristic,
     hyperelliptic_signature,
     min_nonseparating_bound,
@@ -43,7 +45,7 @@ from lefschetz.invariants import (
 )
 from lefschetz.mono import parse_mono
 from lefschetz.surface import BOUNDARY, NONSEP, CurveClass, HomologyClass
-from lefschetz.twists import TwistLetter, hurwitz_move
+from lefschetz.twists import hurwitz_move
 from lefschetz.words import parse_word
 
 
@@ -728,22 +730,28 @@ def test_bounds_g4():
     assert b.n_exact is None and b.m_exact is None
 
 
-def test_bounds_witness_counts_fibers_not_boundary_letters(monkeypatch):
+def test_bounds_witness_counts_fibers_not_boundary_letters():
     # W with one boundary twist appended still has 18 singular fibers.
-    from lefschetz import catalog
-
-    w = catalog.get_entry("W")
-    f = w.factorization
+    f = get_entry("W").factorization
     f = replace(
         f,
         curves=f.curves + (CurveClass("delta1", BOUNDARY, boundary_index=1),),
         letters=f.letters + (TwistLetter("delta1"),),
     )
-    patched = replace(w, factorization=f)
-    monkeypatch.setattr(catalog, "get_entry", lambda name: patched)
+    assert letter_counts(f).total == 18 < len(f.letters)
     b = min_fiber_bounds(3)
     assert [witness.fibers for witness in b.witnesses] == [18]
     assert (b.n_upper, b.m_upper, b.m_exact) == (18, 18, 18)
+
+
+def test_recorded_witnesses_match_their_catalog_entries():
+    # The feasibility layer records the totals as ints and never loads the
+    # catalog; each witness's name starts with the name of its entry.
+    for g in (3, 4):
+        for witness in min_fiber_bounds(g).witnesses:
+            entry = get_entry(witness.name.split()[0])
+            assert witness.fibers == entry.counts.total, witness.name
+            assert witness.hyperelliptic == entry.hyperelliptic, witness.name
 
 
 def test_bounds_high_genus_generic():

@@ -64,13 +64,13 @@ CASES = {
     "invariants": ("invariants --genus 3 --n 12 --s1 6 --hyperelliptic", BASE, True),
     "pi1": ("pi1 W1", CATALOG | {"fpgroup"}, False),
     "bounds g=2": ("bounds --genus 2", BASE | {"feasibility"}, False),
-    "bounds g=4": ("bounds --genus 4 --json", CATALOG | {"feasibility"}, False),
+    "bounds g=4": ("bounds --genus 4 --json", BASE | {"feasibility"}, False),
     "enumerate": (
         "enumerate --genus 3 --max-fibers 18 --hyperelliptic", BASE | {"feasibility"}, True
     ),
 }
 # Commands that only count fibers build no curve.
-COUNT_ONLY = ("invariants", "bounds g=2", "enumerate")
+COUNT_ONLY = ("invariants", "bounds g=2", "bounds g=4", "enumerate")
 
 
 def loaded_modules(proc):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lefschetz import factorization, mono, twists
 from lefschetz.catalog import get_entry, load_catalog
+from lefschetz.factorization import Factorization, TwistLetter
 from lefschetz.mono import MonoParseError, parse_mono, serialize_mono
 from lefschetz.surface import (
     BOUNDARY,
@@ -18,7 +19,6 @@ from lefschetz.surface import (
     HomologyClass,
     SurfaceSpec,
 )
-from lefschetz.twists import Factorization, TwistLetter
 from lefschetz.words import invert_word
 
 MINIMAL = """\
@@ -378,7 +378,7 @@ def test_parsed_curves_are_valid_by_construction():
                 word=c.word,
             )
             assert rebuilt == c
-            twists.check_curve(c, f.spec)
+            factorization.check_curve(c, f.spec)
     assert trusted
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz.factorization import Factorization, TwistLetter, check_curve
 from lefschetz.feasibility import ConstraintProfile
 from lefschetz.fpgroup import (
     GroupPresentation,
@@ -11,7 +12,7 @@ from lefschetz.fpgroup import (
     surface_group,
     todd_coxeter,
 )
-from lefschetz.invariants import FiberCounts, LedgerEntry, min_nonseparating_bound
+from lefschetz.invariants import FiberCounts, LedgerEntry, integer, min_nonseparating_bound
 from lefschetz.surface import (
     BOUNDARY,
     NONSEP,
@@ -21,18 +22,11 @@ from lefschetz.surface import (
     SurfaceSpec,
     classify_kind_from_word,
     homology_of_word,
-    integer,
     pair_coords,
     pairing_matrix,
     symplectic_pairing,
 )
-from lefschetz.twists import (
-    Factorization,
-    TwistLetter,
-    check_curve,
-    hurwitz_move,
-    twist_matrix,
-)
+from lefschetz.twists import hurwitz_move, twist_matrix
 from lefschetz.words import parse_word
 
 

@@ -8,6 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz.factorization import (
+    Factorization,
+    MissingHomology,
+    TwistLetter,
+    cancel_adjacent_inverses,
+    cap_boundary,
+    check_curve,
+    letter_counts,
+)
 from lefschetz.invariants import FiberCounts, twist_count_congruence
 from lefschetz.mono import parse_mono, serialize_mono
 from lefschetz.surface import (
@@ -22,18 +31,11 @@ from lefschetz.surface import (
 )
 from lefschetz.twists import (
     NECESSITY_NOTE,
-    Factorization,
-    MissingHomology,
-    TwistLetter,
-    cancel_adjacent_inverses,
-    cap_boundary,
-    check_curve,
     conjugate_factorization,
     factorization_matrix,
     hurwitz_move,
     identity_matrix,
     is_symplectic,
-    letter_counts,
     mat_vec,
     transvect,
     twist_matrix,
