@@ -13,8 +13,9 @@ and coset counts are reproducible:
   alphabet order (g1, g1^-1, g2, ...);
 * coincidences merge toward the smaller coset number;
 * when the live-coset limit is hit, one lookahead pass runs that scan
-  without defining at every live coset from the current one on; the
-  coset is retried only if the pass freed space.
+  without defining at every live coset from the current one on, skipping
+  those where no relator can take a first step; the coset is retried
+  only if the pass freed space.
 
 The scan reads each table entry once: one forward walk per relator,
 never restarted after a gap.  A lookahead pass is one scan call over
@@ -39,7 +40,8 @@ import math
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import ne
 
 from .invariants import exact_ints
 from .words import Word, exponent_sums, free_reduce, parse_word
@@ -219,8 +221,9 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     tuples and ``pairs`` hold references to the lists themselves.
 
     ``scan(cosets, fill)`` takes an iterable of cosets: the main loop
-    passes ``(alpha,)`` and each lookahead pass makes one call on
-    ``range(alpha, len(parent))``.  It walks each relator forward once;
+    passes ``(alpha,)`` and each lookahead pass makes one call on the
+    cosets of ``range(alpha, len(parent))`` that some relator can act
+    on.  It walks each relator forward once;
     a walk with no gap goes straight to the closing test, and a gap
     hands its ``(f, i)`` to the backward walk, deduction or definition.
     Liveness of the scanned coset is tested only after a coincidence:
@@ -233,6 +236,20 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     relator closes at it.  Definitions only add entries, and a
     coincidence keeps each edge as an edge between representatives, so
     that stays true and the skipped scans would do nothing.
+
+    A lookahead pass also skips every coset beta with no entry in any
+    relator's two quick columns, ``word[0]`` and ``back[last]``.  For a
+    relator of length >= 2 the forward walk stops at i = 0 and the
+    backward walk at j = last > i, so without fill nothing is defined,
+    deduced or merged: the scan is a no-op and skipping it changes no
+    counter.  The filter runs at C level: ``compress`` over the range,
+    selected by one list iterator per quick column set to alpha with
+    ``__setstate__`` (``islice`` would step through alpha entries on
+    every pass).  Each stage is lazy, so beta's entries are read after
+    the scan of the coset before it has finished, as the plain loop
+    would read them, and deductions made during the pass are seen.  A
+    relator of length 1 deduces at every coset, so a presentation with
+    one keeps the plain range.
     """
     (max_cosets,) = exact_ints((max_cosets,), "max_cosets")
     if max_cosets < 1:
@@ -244,12 +261,16 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
     pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
     column = {name: 2 * k for k, name in enumerate(p.generators)}
     relators = []
+    quick: set[int] = set()  # each relator's word[0] and back[last]
     for reduced in map(free_reduce, p.relators):
         if reduced:
             xs = [column[name] + (sign < 0) for name, sign in reduced]
             word = tuple(cols[x] for x in xs)
             back = tuple(cols[x ^ 1] for x in xs)
             relators.append((word, back, len(xs) - 1))
+            quick.update((xs[0], xs[-1] ^ 1))
+    # a length-1 relator acts on every coset: no column can skip one
+    skips = all(last for _, _, last in relators)
     parent = [0]
     queue: deque[int] = deque()
     merged = deductions = passes = 0
@@ -386,7 +407,14 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
         # the table is full: lookahead, then retry alpha if space was freed
         passes += 1
         before = merged
-        scan(range(alpha, len(parent)), False)
+        cosets = range(alpha, len(parent))
+        if skips:
+            its = [iter(cols[x]) for x in sorted(quick)]
+            for it in its:
+                it.__setstate__(alpha)
+            empty = (None,) * len(its)
+            cosets = compress(cosets, map(ne, zip(*its), repeat(empty)))
+        scan(cosets, False)
         if merged == before:
             break  # nothing freed: alpha stays short of the table's end
     order = len(parent) - merged if alpha == len(parent) else None

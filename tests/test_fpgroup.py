@@ -248,6 +248,8 @@ PRESENTATIONS = {
         "y3 y3~ y3 y1 y0~ y1 y1 y2~",
         "y2 y0 y2~ y1~ y2 y0",
     ),
+    # a length-1 relator acts at every coset, so lookahead skips none
+    "unit_relator": lambda: pres("x y", "y"),
 }
 
 # Exact (order, cosets_defined) of the frozen HLT strategy.  Every row
@@ -358,6 +360,11 @@ PINNED_COUNTERS = [
     ("S7", 10**6, 7105, 18214, 0),
     ("surface1", 2 * 10**3, 351, 1538, 2),
     ("random4", 400, 25733, 8298, 177),
+    # lookahead runs that skip the cosets no relator can change
+    ("surface2", 2 * 10**4, 1, 1837, 2),
+    ("surface3", 2 * 10**4, 0, 1045, 1),
+    ("W1", 50, 90, 41, 3),
+    ("unit_relator", 100, 0, 100, 1),
 ]
 
 
