@@ -113,7 +113,9 @@ def _packed_product(
     rows in that support change, by s a_i c.  Packing is Z-linear, so each
     of these is one int operation, exact whatever the carries between
     fields.  Words repeat few classes, so each class's support is found
-    once per call.
+    once per call, in one loop over a that also sums |a_i| and keeps the
+    largest: on 2g <= 20 small ints that runs faster than a comprehension
+    and two ``map`` passes (CPython 3.10-3.13).
 
     Every entry lies in [-2^bits, 2^bits), the range of a (bits + 1)-bit
     two's complement field, so the fields decode exactly while bits is
@@ -130,9 +132,16 @@ def _packed_product(
     for a, sign in reversed(twists):
         entry = supports.get(a)
         if entry is None:
-            support = [(i, ai if i & 1 else -ai, ai) for i, ai in enumerate(a) if ai]
-            grow = (max(map(abs, a), default=0) * sum(map(abs, a))).bit_length()
-            entry = supports[a] = support, grow
+            support = []
+            top = total = 0
+            for i, ai in enumerate(a):
+                if ai:
+                    support.append((i, ai if i & 1 else -ai, ai))
+                    size = abs(ai)
+                    total += size
+                    if size > top:
+                        top = size
+            entry = supports[a] = support, (top * total).bit_length()
         support, grow = entry
         if not support:  # the zero class acts as the identity
             continue
