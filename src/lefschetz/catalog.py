@@ -70,6 +70,16 @@ class NoWordData(ValueError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One named positive factorization of the catalog.
+
+    ``factorization`` is the twist word with its curve table, and
+    ``counts`` its audited letter tally (n, s_1, ...).  ``hyperelliptic``
+    selects the closed-form signature; otherwise ``ledger``, when set,
+    is the signature ledger.  ``description`` and ``notes`` are the text
+    the CLI prints, and ``aliases`` are other names ``get_entry``
+    accepts.
+    """
+
     name: str
     description: str
     factorization: Factorization

@@ -8,7 +8,7 @@ and coset counts are reproducible:
 
 * one scan per coset walks every relator, in presentation order, while
   the coset lives; it defines cosets at the leftmost undefined position
-  and walks on from the new coset, since a definition only adds entries;
+  until the forward and backward walks meet;
 * the same scan then fills the coset's remaining row entries in
   alphabet order (g1, g1^-1, g2, ...);
 * coincidences merge toward the smaller coset number;
@@ -327,7 +327,13 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
         alpha's row.
 
         f is alpha word[:i] and b is alpha word[j+1:]^-1.  A definition
-        only adds entries, so both paths resume where they stopped.
+        at gap i sets ``word[i][f]`` and ``back[i][beta]`` for a fresh
+        beta, then moves f to beta at i + 1 without walking on.
+        Relators are freely reduced, so letter i + 1 never inverts letter
+        i: ``word[i + 1]`` is never the list ``back[i]`` that holds
+        beta's only entry, and the next forward lookup would always hit a
+        gap.  The backward walk resumes where it stopped and can step at
+        once, when letter j inverts letter i and b is the old f.
         Returns False when a definition would pass the live limit.
         """
         nonlocal deductions
@@ -369,12 +375,6 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
                     word[i][f] = beta
                     f = beta
                     i += 1
-                    while i <= j:
-                        nxt = word[i][f]
-                        if nxt is None:
-                            break
-                        f = nxt
-                        i += 1
                 if j == i:
                     # deduction: one gap closes without a new coset
                     word[i][f] = b

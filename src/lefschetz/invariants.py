@@ -59,13 +59,15 @@ def exact_ints(values, what: str) -> tuple[int, ...]:
     """The values as exact ints; ValueError names a non-integer (no
     truncation) or a bool, which ``operator.index`` would read as 0 or 1.
 
-    One pass collects the value types.  In the common case, where every
-    value is an int, the values are returned as a tuple with no
-    ``operator.index`` call.
+    The values are read once into a tuple, so an iterator works too and
+    a tuple is not copied.  One pass collects the value types.  In the
+    common case, where every value is an int, that tuple is returned
+    with no ``operator.index`` call.
     """
+    values = tuple(values)
     types = set(map(type, values))
     if types == {int}:
-        return tuple(values)
+        return values
     try:
         if bool not in types:
             return tuple(map(operator.index, values))
@@ -97,8 +99,10 @@ class FiberCounts:
     s: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        counts = exact_ints((self.genus, self.n, *self.s), "genus and fiber counts")
-        genus, n, s = counts[0], counts[1], counts[2:]
+        # two reads, so a tuple of ints is kept as is, not copied
+        what = "genus and fiber counts"
+        genus, n = exact_ints((self.genus, self.n), what)
+        s = exact_ints(self.s, what)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
@@ -109,7 +113,7 @@ class FiberCounts:
                 f"genus {genus} needs {genus // 2} separating "
                 f"counts, got {len(s)}"
             )
-        if min(counts[1:]) < 0:  # n and every s_h
+        if n < 0 or min(s, default=0) < 0:
             raise ValueError("fiber counts must be nonnegative")
         if n + sum(s) < 1:
             raise ValueError("a nontrivial fibration needs at least one fiber")

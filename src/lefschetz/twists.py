@@ -250,6 +250,17 @@ NECESSITY_NOTE = (
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Outcome of ``verify_homological_relator`` on one word.
+
+    ``matrix_ok`` says the homological product is the identity.
+    ``congruence_ok`` is the hyperelliptic twist-count congruence, or
+    None when it was not asked for or the word has no fiber letter.
+    ``counts`` is the letter tally (None without a fiber letter),
+    ``letter_kinds`` each letter's (curve name, kind label) in word
+    order, and ``all_positive`` says every twist is positive.  ``note``
+    states that a passing matrix check is necessary, not sufficient.
+    """
+
     matrix_ok: bool
     congruence_ok: bool | None
     counts: FiberCounts | None  # None: the word has no fiber letter

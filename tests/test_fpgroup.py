@@ -199,6 +199,10 @@ def test_outcome_independent_of_relator_order_and_names():
         assert todd_coxeter(shuffled, 10**4).order == 12
     renamed = pres("u v", "u u", "v v v", "u v u v u v")
     assert todd_coxeter(renamed, 10**4).order == 12
+    # The scan never walks on from a new coset because relators are freely
+    # reduced first, so an unreduced relator enumerates as its reduced twin.
+    unreduced = pres("x y", "x y y~ x", "y y y", "x y x y x y")
+    assert todd_coxeter(unreduced, 10**4) == todd_coxeter(base, 10**4)
 
 
 def test_enumeration_deterministic():

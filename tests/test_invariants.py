@@ -23,6 +23,7 @@ from lefschetz.invariants import _s_terms
 def test_fiber_counts_validation():
     FiberCounts(1, 12)
     FiberCounts(4, 18, (6, 0))
+    assert FiberCounts(4, 18, iter((6, 0))).s == (6, 0)  # any iterable
     with pytest.raises(ValueError):
         FiberCounts(1, 12, (1,))  # s must be empty for g = 1
     with pytest.raises(ValueError):
@@ -37,6 +38,11 @@ def test_fiber_counts_validation():
         FiberCounts(2, 8.5, (1,))
     with pytest.raises(ValueError, match="must be integers, got True"):
         FiberCounts(4, True, (0, 0))  # not n = 1
+
+
+def test_fiber_counts_keep_an_int_tuple():
+    s = (6, 0)
+    assert FiberCounts(4, 18, s).s is s  # no copy of a genus-sized vector
 
 
 def test_fiber_counts_of_pads():
