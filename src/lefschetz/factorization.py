@@ -10,9 +10,10 @@ the operations that need no homology arithmetic: the fiber tally
 ``_minted`` is the one trusted constructor of a nonseparating curve.
 
 The transvection calculus on these values (products, verification,
-Hurwitz moves, conjugation) is in ``twists``, which re-imports every name
-defined here, so the catalog, the ``.mono`` reader and ``pi1`` load this
-module without it.
+Hurwitz moves, conjugation) is in ``twists``, which imports four names
+from here (``Factorization``, ``TwistLetter``, ``_minted`` and
+``effective_class``), so the catalog, the ``.mono`` reader and ``pi1``
+load this module without it.
 
 Letters, curves and classes are slotted frozen values, and every
 operation is a pure function.

@@ -45,6 +45,7 @@ from math import comb
 
 from .invariants import (
     FiberCounts,
+    _checked_genus,
     _h_coefficients,
     _s_terms,
     euler_characteristic,
@@ -87,8 +88,7 @@ class ConstraintProfile:
         )
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "max_total_fibers", bound)
-        if genus < 1:
-            raise ValueError(f"genus must be >= 1, got {genus}")
+        _checked_genus(genus)
         if bound < 1:
             raise ValueError("max_total_fibers must be >= 1")
         if hyperelliptic is not True:
@@ -423,9 +423,7 @@ def min_fiber_bounds(g: int) -> BoundsReport:
     whether M_g = 4g + 6 (as for g = 2, 3) is an open question, flagged
     in the notes, not a result.
     """
-    (g,) = exact_ints((g,), "genus values")
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    g = _checked_genus(*exact_ints((g,), "genus values"))
     if g in _RECORDED:
         (name, fibers), hyp, floor_note = _RECORDED[g]
         best = Witness(name, fibers, hyp is None)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ne
 
-from .invariants import exact_ints
+from .invariants import _checked_genus, exact_ints
 from .words import Word, exponent_sums, free_reduce, parse_word
 
 
@@ -78,9 +78,7 @@ def surface_group(g: int) -> GroupPresentation:
     The single relator is the chain form
     bg~ ... b1~ (a1 b1 a1~)(a2 b2 a2~) ... (ag bg ag~).
     """
-    (g,) = exact_ints((g,), "genus")
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    g = _checked_genus(*exact_ints((g,), "genus"))
     head = " ".join(f"b{i}~" for i in range(g, 0, -1))
     tail = " ".join(f"a{i} b{i} a{i}~" for i in range(1, g + 1))
     relator = parse_word(head + " " + tail)

@@ -8,9 +8,10 @@ floating point, tolerance zero.  All functions are stateless and pure.
 
 The package's two integer readers live here too: ``exact_ints`` (values
 as exact ints, rejecting bools) and ``integer`` (integer text, for
-``.mono`` files, options and ledgers).  This module imports nothing from
-the package, so a command that only counts fibers loads neither
-``surface`` nor ``words``.
+``.mono`` files, options and ledgers), and so does its one genus check,
+``_checked_genus``, run after an ``exact_ints`` read.  This module
+imports nothing from the package, so a command that only counts fibers
+loads neither ``surface`` nor ``words``.
 
 For a genus-g fibration over the 2-sphere with n nonseparating and s_h
 type-h separating vanishing cycles (s = sum s_h):
@@ -56,25 +57,31 @@ _FIXED_CONTRIBUTIONS = {LEDGER_MATSUMOTO_EVEN: -4, LEDGER_SEPARATING: -1}
 
 
 def exact_ints(values, what: str) -> tuple[int, ...]:
-    """The values as exact ints; ValueError names a non-integer (no
-    truncation) or a bool, which ``operator.index`` would read as 0 or 1.
+    """The values as exact ints; ValueError names the first value that is
+    a bool or that ``operator.index`` refuses (no truncation).
 
-    The values are read once into a tuple, so an iterator works too and
-    a tuple is not copied.  One pass collects the value types.  In the
-    common case, where every value is an int, that tuple is returned
-    with no ``operator.index`` call.
+    One test decides: not a bool, since ``operator.index`` would read one
+    as 0 or 1, and accepted by ``operator.index``.  The values are read
+    once into a tuple, so an iterator works too and a tuple is not copied:
+    when every value is an int, that tuple is returned as is.
     """
     values = tuple(values)
-    types = set(map(type, values))
-    if types == {int}:
+    if set(map(type, values)) == {int}:
         return values
-    try:
-        if bool not in types:
-            return tuple(map(operator.index, values))
-    except TypeError:
-        pass
-    bad = next(v for v in values if type(v) is bool or not hasattr(v, "__index__"))
-    raise ValueError(f"{what} must be integers, got {bad!r}")
+    ints = []
+    for v in values:
+        try:  # a bool goes in as None, which operator.index refuses
+            ints.append(operator.index(None if type(v) is bool else v))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {v!r}") from None
+    return tuple(ints)
+
+
+def _checked_genus(g: int) -> int:
+    """g, an int already read by ``exact_ints``; ValueError unless g >= 1."""
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    return g
 
 
 def integer(text: str) -> int:
@@ -106,8 +113,7 @@ class FiberCounts:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
-        if genus < 1:
-            raise ValueError(f"genus must be >= 1, got {genus}")
+        _checked_genus(genus)
         if len(s) != genus // 2:
             raise ValueError(
                 f"genus {genus} needs {genus // 2} separating "
@@ -276,7 +282,4 @@ def signature_bound_check(c: FiberCounts, sigma: int, b1: int = 0) -> bool:
 
 def min_nonseparating_bound(g: int) -> int:
     """Least possible n for a fibration on a simply-connected 4-manifold: 4g."""
-    (g,) = exact_ints((g,), "genus")
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    return 4 * g
+    return 4 * _checked_genus(*exact_ints((g,), "genus"))

@@ -75,9 +75,9 @@ class HomologyClass:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) % 2 != 0:
-            raise ValueError("homology coordinates must have even length 2g")
         coords = exact_ints(self.coords, "homology coordinates")
+        if len(coords) % 2 != 0:
+            raise ValueError("homology coordinates must have even length 2g")
         object.__setattr__(self, "coords", coords)
 
     @classmethod

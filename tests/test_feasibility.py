@@ -205,7 +205,7 @@ def test_check_counts_genus_mismatch():
 @pytest.mark.parametrize(
     "genus,bound,bad",
     [(4, 21.5, "21.5"), (4.0, 22, "4.0"), (4, "24", "'24'"), (Fraction(4), 24, "Fraction"),
-     (True, 5, "True"), (2, True, "True")],
+     (True, 5, "True"), (2, True, "True"), (0, 5.5, "5.5")],
 )
 def test_constraint_profile_rejects_non_integers(genus, bound, bad):
     # A float bound used to admit rows in check_counts and crash range()

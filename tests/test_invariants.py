@@ -12,12 +12,14 @@ from lefschetz.invariants import (
     chi_and_betti,
     endo_nagami_total,
     euler_characteristic,
+    exact_ints,
     hyperelliptic_signature,
     min_nonseparating_bound,
     signature_bound_check,
     twist_count_congruence,
 )
 from lefschetz.invariants import _s_terms
+from test_surface import FLOAT_INDEX, RAISING_INDEX
 
 
 def test_fiber_counts_validation():
@@ -38,6 +40,17 @@ def test_fiber_counts_validation():
         FiberCounts(2, 8.5, (1,))
     with pytest.raises(ValueError, match="must be integers, got True"):
         FiberCounts(4, True, (0, 0))  # not n = 1
+    with pytest.raises(ValueError, match="1.5"):
+        FiberCounts(0, 1.5, ())  # the integer read comes before the genus check
+    for bad in (FLOAT_INDEX, RAISING_INDEX):
+        # a StopIteration from the constructor would end map's list quietly
+        with pytest.raises(ValueError, match=repr(bad)):
+            list(map(lambda n: FiberCounts(2, n, (0,)), [bad]))
+
+
+def test_exact_ints_names_the_first_bad_value():
+    with pytest.raises(ValueError, match="x must be integers, got 1.5"):
+        exact_ints((1.5, True), "x")
 
 
 def test_fiber_counts_keep_an_int_tuple():

@@ -74,6 +74,30 @@ class _IntLike:
         return self.value
 
 
+class _FloatIndex:
+    """A broken integer: its ``__index__`` returns a float."""
+
+    def __index__(self):
+        return 1.5
+
+    def __repr__(self):
+        return "<__index__ returns 1.5>"
+
+
+class _RaisingIndex:
+    """A broken integer: its ``__index__`` raises TypeError."""
+
+    def __index__(self):
+        raise TypeError("no index")
+
+    def __repr__(self):
+        return "<__index__ raises TypeError>"
+
+
+# Values that define ``__index__`` and still are not integers.
+FLOAT_INDEX = _FloatIndex()
+RAISING_INDEX = _RaisingIndex()
+
 # Each builder gets one bad value; every integer field must name it in a
 # ValueError instead of storing it, truncating it or failing later.
 NON_INTEGER_CASES = {
@@ -94,6 +118,18 @@ NON_INTEGER_CASES = {
     "coset limit": (lambda: todd_coxeter(surface_group(1), 10.5), 10.5),
     "surface group genus": (lambda: surface_group(2.0), 2.0),
     "n lower bound genus": (lambda: min_nonseparating_bound(2.5), 2.5),
+    "surface genus float index": (lambda: SurfaceSpec(FLOAT_INDEX), FLOAT_INDEX),
+    "surface genus raising index": (lambda: SurfaceSpec(RAISING_INDEX), RAISING_INDEX),
+    "coset limit float index": (
+        lambda: todd_coxeter(surface_group(1), FLOAT_INDEX), FLOAT_INDEX
+    ),
+    "coset limit raising index": (
+        lambda: todd_coxeter(surface_group(1), RAISING_INDEX), RAISING_INDEX
+    ),
+    "surface group genus float index": (lambda: surface_group(FLOAT_INDEX), FLOAT_INDEX),
+    "surface group genus raising index": (
+        lambda: surface_group(RAISING_INDEX), RAISING_INDEX
+    ),
 }
 
 
@@ -210,6 +246,7 @@ def test_list_built_values_equal_their_tuple_twins():
             GroupPresentation(["a", "b"], [list(parse_word("a b"))]),
             GroupPresentation(("a", "b"), (parse_word("a b"),)),
         ),
+        (HomologyClass(iter((1, 0))), cls(1, 0)),
     ]
     for listed, twin in pairs:
         assert listed == twin and hash(listed) == hash(twin)

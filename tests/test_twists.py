@@ -43,6 +43,7 @@ from lefschetz.twists import (
 )
 from lefschetz.twists import _magnitude, _unpack
 from lefschetz.words import parse_word
+from test_surface import FLOAT_INDEX, RAISING_INDEX
 
 A1 = HomologyClass.basis(1, "a1")
 B1 = HomologyClass.basis(1, "b1")
@@ -630,7 +631,10 @@ def test_hurwitz_position_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "i,bad", [(1.0, "1.0"), ("1", "'1'"), (None, "None"), (True, "True")]
+    "i,bad",
+    [(1.0, "1.0"), ("1", "'1'"), (None, "None"), (True, "True"),
+     (FLOAT_INDEX, "<__index__ returns 1.5>"),
+     (RAISING_INDEX, "<__index__ raises TypeError>")],
 )
 def test_hurwitz_position_must_be_an_integer(i, bad):
     f = torus_factorization(("ta", "tb"))
