@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from .cli import EXIT_OK, _emit
+from .feasibility import min_fiber_bounds
 
 
 def _cmd_bounds(args) -> int:
-    from .feasibility import min_fiber_bounds
-
     report = min_fiber_bounds(args.genus)
 
     def fmt(lower, upper, label):

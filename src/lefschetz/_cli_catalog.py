@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from . import catalog as cat
 from .cli import EXIT_OK, _emit, _report_doc
+from .words import format_word
 
 
 def _entry_summary(entry) -> dict:
@@ -21,9 +23,6 @@ def _entry_summary(entry) -> dict:
 
 
 def _cmd_catalog(args) -> int:
-    from . import catalog as cat
-    from .words import format_word
-
     if args.action == "list":
         entries = cat.load_catalog()
         doc = {"entries": [_entry_summary(e) for e in entries]}
@@ -42,7 +41,7 @@ def _cmd_catalog(args) -> int:
     except KeyError as exc:
         raise ValueError(exc.args[0])
     if args.action == "export":
-        from .mono import serialize_mono
+        from .mono import serialize_mono  # list and show load no mono
 
         text = serialize_mono(entry.factorization, comment=f"catalog entry {entry.name}")
         _emit(args, {"name": entry.name, "mono": text}, text)

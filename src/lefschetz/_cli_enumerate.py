@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 
 from .cli import EXIT_NEGATIVE, EXIT_OK, _emit
+from .feasibility import ConstraintProfile, enumerate_feasible
 
 ENUMERATE_WARN_ROWS = 10**6  # above this many rows, enumerate warns first
 
@@ -21,20 +22,16 @@ def _row_doc(row) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
-    from .feasibility import ConstraintProfile, enumerate_feasible, row_count
-
-    profile = ConstraintProfile(
+    rows = enumerate_feasible(ConstraintProfile(
         genus=args.genus, max_total_fibers=args.max_fibers,
         hyperelliptic=args.hyperelliptic,
-    )
-    expected = row_count(profile)
-    if expected > ENUMERATE_WARN_ROWS:
+    ))
+    if len(rows) > ENUMERATE_WARN_ROWS:
         print(
-            f"warning: evaluating {expected:,} count vectors "
+            f"warning: evaluating {len(rows):,} count vectors "
             f"(more than {ENUMERATE_WARN_ROWS:,}); this may take minutes",
             file=sys.stderr,
         )
-    rows = enumerate_feasible(profile)
     # One pass over the lazy rows; only --show-rejected keeps them all.
     if args.show_rejected:
         shown = list(rows)

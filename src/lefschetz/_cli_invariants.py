@@ -5,11 +5,15 @@ from __future__ import annotations
 import sys
 
 from .cli import EXIT_NEGATIVE, EXIT_OK, _MAX_S_FLAGS, _emit, _report_doc
-from .invariants import integer
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # names for annotations only
-    from .invariants import FiberCounts, LedgerEntry
+from .invariants import (
+    FiberCounts,
+    LedgerEntry,
+    chi_and_betti,
+    endo_nagami_total,
+    euler_characteristic,
+    hyperelliptic_signature,
+    integer,
+)
 
 
 def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
@@ -19,8 +23,6 @@ def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
     defaults to 1 and may be negative for cancelled blocks, e.g.
     ``mats*1,block:-6*1,sep*-3``.
     """
-    from .invariants import LedgerEntry
-
     entries = []
     for term in spec.split(","):
         head, star, mult = term.strip().partition("*")
@@ -37,8 +39,6 @@ def _parse_ledger_spec(spec: str) -> list[LedgerEntry]:
 
 
 def _counts_from_args(args) -> FiberCounts:
-    from .invariants import FiberCounts
-
     top = args.genus // 2
     s = [0] * top
     for k in range(1, _MAX_S_FLAGS + 1):
@@ -56,13 +56,6 @@ def _counts_from_args(args) -> FiberCounts:
 
 
 def _cmd_invariants(args) -> int:
-    from .invariants import (
-        chi_and_betti,
-        endo_nagami_total,
-        euler_characteristic,
-        hyperelliptic_signature,
-    )
-
     counts = _counts_from_args(args)
     ledger = None if args.ledger is None else _parse_ledger_spec(args.ledger)
     e = euler_characteristic(counts)

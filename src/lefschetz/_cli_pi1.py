@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+from . import catalog as cat
 from .cli import EXIT_NEGATIVE, EXIT_OK, _emit, _load_mono
+from .factorization import cap_boundary
+from .fpgroup import abelianization, todd_coxeter
 
 
 def _cmd_pi1(args) -> int:
-    from pathlib import Path
-
-    from . import catalog as cat
-    from .fpgroup import abelianization, todd_coxeter
-    from .factorization import cap_boundary
-
     source = args.source
     try:
         entry = cat.get_entry(source)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from .cli import EXIT_NEGATIVE, EXIT_OK, _emit, _load_mono
+from .factorization import MissingHomology
+from .twists import verify_homological_relator
 
 
 def _cmd_verify(args) -> int:
-    from .factorization import MissingHomology
-    from .twists import verify_homological_relator
-
     f = _load_mono(args.file)
     try:
         report = verify_homological_relator(f, hyperelliptic=args.hyperelliptic)

@@ -8,10 +8,13 @@ stable field names and ordering (rationals are rendered as exact strings
 like ``-7/4``).
 
 Each subcommand's handler is in a private module of its own,
-``_cli_<subcommand>``, which ``main`` imports only after argparse has
-accepted that subcommand: a process compiles and loads the one handler it
-runs, and a usage error loads none.  The helpers that two handlers share
-stay here.
+``_cli_<subcommand>``, which binds the layers it runs at import; ``main``
+imports that module only after argparse has accepted that subcommand, so
+a process compiles and loads the one handler it runs, and a usage error
+loads none.  An import left inside a function keeps a module out of the
+processes that never call it: ``json`` in ``_emit``, the ``.mono`` reader
+in ``_load_mono`` and the ``.mono`` writer in ``catalog export``.  The
+helpers that two handlers share stay here.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import argparse
 import sys
 from importlib import import_module
 
-# The one layer the parser needs; each subcommand imports the layers it runs.
+# The one layer the parser needs.  Each handler module binds the layers it
+# runs at import, and main imports that module only after parsing.
 from .invariants import integer
 
 TYPE_CHECKING = False

@@ -14,7 +14,11 @@ end of the line.  Sections appear in order:
     target (boundary <INT> <INT>)+             # exactly one target line
 
 <INT> is ``-?[0-9]+`` in ASCII digits (no ``+``, no ``_``) and <NAME> is
-any non-empty token without whitespace or ``#``.  The kind token is the
+any non-empty token without whitespace or ``#``.  A declared <NAME> of the
+form ``<x>@h<k>`` has the form of the names that Hurwitz moves mint, so a
+move that takes away its last letter drops it from the curve table, as it
+drops a minted curve; ROADMAP item 11's minted mark is the planned fix.
+The kind token is the
 kind's name (``surface.NONSEP``, ``SEP``, ``BOUNDARY``).  ``hom`` takes 2g
 integers over the ordered basis a1 b1 a2 b2 ... ag bg.  Word tokens are
 a<k> / b<k> with a ``~`` suffix for inverses; [x,y] expands to the

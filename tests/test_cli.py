@@ -391,12 +391,13 @@ GENUS2_QUOTIENT = (
 
 
 def test_pi1_infinite_skips_enumeration(tmp_path, capsys, monkeypatch):
-    import lefschetz.fpgroup
+    import lefschetz._cli_pi1
 
     def refuse(*args, **kwargs):
         raise AssertionError("todd_coxeter ran on a group with free H_1")
 
-    monkeypatch.setattr(lefschetz.fpgroup, "todd_coxeter", refuse)
+    # The handler binds todd_coxeter at import, so the patch goes on its name.
+    monkeypatch.setattr(lefschetz._cli_pi1, "todd_coxeter", refuse)
     path = tmp_path / "big.mono"
     path.write_text(GENUS2_QUOTIENT)
     code, out, _ = run(capsys, "pi1", str(path))

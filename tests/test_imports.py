@@ -119,6 +119,19 @@ def test_fresh_process_imports_and_output(case, refs, tmp_path):
         assert (proc.returncode, proc.stdout) == (refs[key]["exit"], refs[key]["stdout"])
 
 
+def test_pi1_of_a_mono_file_loads_mono_and_prints_the_entry_result(refs, tmp_path):
+    # The one pi1 path that parses a file: only the label line differs.
+    (tmp_path / "W1.mono").write_text(refs["catalog export W1"]["stdout"])
+    proc = run_fresh(["-c", SCRIPT, "pi1", "W1.mono"], tmp_path)
+    assert loaded_modules(proc) == {"lefschetz", "lefschetz._cli_pi1"} | {
+        f"lefschetz.{name}" for name in CATALOG | {"fpgroup", "mono"}
+    }
+    ref = refs["pi1 W1"]
+    assert (proc.returncode, proc.stdout) == (
+        ref["exit"], ref["stdout"].replace("of catalog entry W1:", "of W1.mono:", 1)
+    )
+
+
 # argv that argparse answers itself -> exit code and the start of stdout.
 PARSER_ONLY = {
     "unknown subcommand": ("frobnicate", 2, ""),

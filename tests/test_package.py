@@ -1,6 +1,6 @@
 """Packaging gates: the runtime stays standard-library only, every Python
-file compiles without a warning, and no module imports a name it does
-not use."""
+file compiles without a warning, no module imports a name it does not use,
+and an import inside a function is one of the deferrals listed here."""
 
 import ast
 import importlib
@@ -126,6 +126,43 @@ def test_every_import_is_used():
             if (bound := alias.asname or alias.name.partition(".")[0]) not in used
         ]
     assert not unused, f"imported but never used: {unused}"
+
+
+# (module, innermost enclosing function, module the statement imports) ->
+# why that import waits for the call: each keeps a module out of some
+# process that loads the enclosing module.
+DEFERRED_IMPORTS = {
+    ("cli", "_emit", "json"): "only --json output loads json",
+    ("cli", "_load_mono", "pathlib"): "only a command that reads a file loads pathlib",
+    ("cli", "_load_mono", ".mono"): "pi1 of a catalog entry loads no .mono parser",
+    ("_cli_catalog", "_cmd_catalog", ".mono"): "catalog list and show load no mono",
+    ("catalog", "presentation_from_factorization", ".fpgroup"):
+        "catalog list and show load no group layer",
+    ("invariants", "_fraction", "fractions"):
+        "a command that prints no rational loads no fractions",
+}
+
+
+def test_every_function_level_import_is_a_listed_deferral():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # The function's own statements; a nested function is its own key.
+            stack = list(func.body)
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if isinstance(node, ast.Import):
+                    found += [(path.stem, func.name, a.name) for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    found.append((path.stem, func.name,
+                                  "." * node.level + (node.module or "")))
+                stack.extend(ast.iter_child_nodes(node))
+    assert sorted(found) == sorted(DEFERRED_IMPORTS)
 
 
 def test_cli_keeps_its_entry_points_and_constants():
