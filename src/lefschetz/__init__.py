@@ -17,16 +17,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "surface": (
         "BOUNDARY", "NONSEP", "SEP", "CurveClass", "HomologyClass",
-        "SurfaceSpec", "classify_kind_from_word", "homology_of_word",
-        "pairing_matrix", "symplectic_pairing",
+        "SurfaceSpec", "homology_of_word",
     ),
     "factorization": (
         "Factorization", "MissingHomology", "TwistLetter",
         "cancel_adjacent_inverses", "cap_boundary",
     ),
     "twists": (
-        "VerificationReport", "conjugate_factorization", "factorization_matrix",
-        "hurwitz_move", "is_symplectic", "twist_matrix", "verify_homological_relator",
+        "VerificationReport", "factorization_matrix", "hurwitz_move",
+        "verify_homological_relator",
     ),
     "invariants": (
         "FiberCounts", "InvariantReport", "LedgerEntry", "chi_and_betti",

@@ -9,8 +9,8 @@ the operations that need no homology arithmetic: the fiber tally
 ``letter_counts``, ``cancel_adjacent_inverses`` and ``cap_boundary``.
 ``_minted`` is the one trusted constructor of a nonseparating curve.
 
-The transvection calculus on these values (products, verification,
-Hurwitz moves, conjugation) is in ``twists``, which imports four names
+The transvection calculus on these values (products, verification and
+Hurwitz moves) is in ``twists``, which imports four names
 from here (``Factorization``, ``TwistLetter``, ``_minted`` and
 ``effective_class``), so the catalog, the ``.mono`` reader and ``pi1``
 load this module without it.

@@ -275,9 +275,13 @@ def twist_count_congruence(c: FiberCounts) -> bool:
     return (c.n + _s_terms(g, c.s)[1]) % modulus == 0
 
 
-def signature_bound_check(c: FiberCounts, sigma: int, b1: int = 0) -> bool:
-    """sigma <= n - s - 2(2g - b1); with b1 = 0 the simply-connected bound."""
-    return sigma <= c.n - c.s_total - 2 * (2 * c.genus - b1)
+def signature_bound_check(c: FiberCounts, sigma: int) -> bool:
+    """sigma <= n - s - 4g, the bound on a simply-connected total space.
+
+    The test reference for ``feasibility._verdict``'s ``REJECT_SIGMA_BOUND``
+    stage, which computes the same bound in its integer kernel.
+    """
+    return sigma <= c.n - c.s_total - 4 * c.genus
 
 
 def min_nonseparating_bound(g: int) -> int:

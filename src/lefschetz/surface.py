@@ -98,15 +98,11 @@ class HomologyClass:
         return math.gcd(*self.coords) == 1 if any(self.coords) else False
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        _check_same_rank(self, other)
+        if len(self.coords) != len(other.coords):
+            raise ValueError(
+                f"dimension mismatch: rank {len(self.coords)} vs {len(other.coords)}"
+            )
         return HomologyClass(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-
-def _check_same_rank(x: HomologyClass, y: HomologyClass) -> None:
-    if len(x.coords) != len(y.coords):
-        raise ValueError(
-            f"dimension mismatch: rank {len(x.coords)} vs {len(y.coords)}"
-        )
 
 
 def generator_index(name: str, genus: int) -> int:
@@ -120,30 +116,17 @@ def generator_index(name: str, genus: int) -> int:
     return 2 * (k - 1) + (0 if m.group(1) == "a" else 1)
 
 
-def pairing_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
-    """The matrix J of the symplectic pairing, block diag [[0,1],[-1,0]]."""
-    n = 2 * genus
-    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return tuple(tuple(pair_coords(x, y) for y in basis) for x in basis)
-
-
 def pair_coords(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     """<x, y> = x^T J y on raw coordinate tuples of the same even length.
 
     One index loop over the (a_k, b_k) pairs: every Hurwitz move calls
     this, and on a class's 2g small ints the loop runs faster than slices,
-    ``map`` and ``sum`` (CPython 3.11-3.13 for g <= 10; 3.10 for g <= 6).
+    ``map`` and ``sum`` (CPython 3.11-3.13, g <= 10).
     """
     total = 0
     for i in range(0, len(x), 2):
         total += x[i] * y[i + 1] - x[i + 1] * y[i]
     return total
-
-
-def symplectic_pairing(x: HomologyClass, y: HomologyClass) -> int:
-    """<x, y> = x^T J y.  Bilinear and antisymmetric."""
-    _check_same_rank(x, y)
-    return pair_coords(x.coords, y.coords)
 
 
 def homology_of_word(word: Word, spec: SurfaceSpec) -> HomologyClass:
@@ -155,17 +138,6 @@ def homology_of_word(word: Word, spec: SurfaceSpec) -> HomologyClass:
     for name, total in exponent_sums(word).items():
         coords[generator_index(name, spec.genus)] += total
     return HomologyClass(tuple(coords))
-
-
-def classify_kind_from_word(word: Word, spec: SurfaceSpec) -> str:
-    """One-way kind check from the abelianization of a curve's pi_1 word.
-
-    Returns SEP when the abelianization vanishes (consistent with a
-    separating curve) and NONSEP otherwise.  A nonzero abelianization
-    proves the curve is nonseparating; a zero one is merely consistent
-    with it being separating.
-    """
-    return SEP if homology_of_word(word, spec).is_zero() else NONSEP
 
 
 @dataclass(frozen=True, slots=True)

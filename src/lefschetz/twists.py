@@ -45,36 +45,14 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add, attrgetter, sub
 
 from .factorization import Factorization, TwistLetter, _minted, effective_class
 from .invariants import FiberCounts, exact_ints, twist_count_congruence
-from .surface import NONSEP, CurveClass, HomologyClass, pair_coords
+from .surface import NONSEP, pair_coords
 
 Matrix = tuple[tuple[int, ...], ...]
-
-# -- integer matrix helpers ------------------------------------------------
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def is_symplectic(m: Matrix, genus: int) -> bool:
-    """Whether m is 2g x 2g and keeps the pairing: <Me_i, Me_j> = <e_i, e_j>."""
-    n = 2 * genus
-    if len(m) != n or any(len(row) != n for row in m):
-        return False
-    pairs = tuple(zip(identity_matrix(n), zip(*m)))  # (e_j, M e_j)
-    return all(
-        pair_coords(mx, my) == pair_coords(x, y) for x, mx in pairs for y, my in pairs
-    )
-
 
 # -- twist action ----------------------------------------------------------
 
@@ -115,7 +93,7 @@ def _packed_product(
     fields.  Words repeat few classes, so each class's support is found
     once per call, in one loop over a that also sums |a_i| and keeps the
     largest: on 2g <= 20 small ints that runs faster than a comprehension
-    and two ``map`` passes (CPython 3.10-3.13).
+    and two ``map`` passes (CPython 3.11-3.13).
 
     Every entry lies in [-2^bits, 2^bits), the range of a (bits + 1)-bit
     two's complement field, so the fields decode exactly while bits is
@@ -205,18 +183,6 @@ def _unpack(rows: list[int], width: int) -> Matrix:
         out.append(tuple(int.from_bytes(data[k : k + step], "little", signed=True)
                          for k in range(0, size, step)))
     return tuple(out)
-
-
-def twist_matrix(a: HomologyClass, sign: int = 1) -> Matrix:
-    """Transvection matrix of t_a^sign:  x |-> x + sign <x, a> a.
-
-    The class must be zero (separating: identity matrix) or primitive.
-    """
-    if sign.__class__ is not int or sign not in (1, -1):
-        raise ValueError(f"twist sign must be the int +1 or -1, got {sign!r}")
-    if not a.is_zero() and not a.is_primitive():
-        raise ValueError("twist class must be zero or primitive (gcd 1)")
-    return _unpack(*_packed_product(len(a.coords), [(a.coords, sign)]))
 
 
 def factorization_matrix(f: Factorization) -> Matrix:
@@ -430,24 +396,3 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
         del index[old.name]
     return Factorization._checked(f.spec, index, letters, f.target)
 
-
-def conjugate_factorization(f: Factorization, m: Matrix) -> Factorization:
-    """Map every stored curve class by a symplectic matrix m.
-
-    Curve names and kinds are preserved; classes become m times the old
-    class.  The factorization matrix conjugates: matrix(result) equals
-    m matrix(f) m^-1.
-    """
-    if not is_symplectic(m, f.spec.genus):
-        raise ValueError("conjugating matrix is not symplectic (M^T J M != J)")
-
-    def mapped(c: CurveClass) -> CurveClass:
-        if c.homology is None:
-            return c
-        image = HomologyClass(mat_vec(m, c.homology.coords))
-        if image == c.homology:
-            return c
-        # a genuinely moved curve cannot keep its pi_1 word
-        return replace(c, homology=image, word=None)
-
-    return replace(f, curves=tuple(mapped(c) for c in f.curves))

@@ -30,15 +30,14 @@ from lefschetz.surface import (
     CurveClass,
     HomologyClass,
     SurfaceSpec,
-    classify_kind_from_word,
-    pairing_matrix,
+    homology_of_word,
 )
 from lefschetz.twists import (
     factorization_matrix,
     hurwitz_move,
-    twist_matrix,
     verify_homological_relator,
 )
+from test_surface import literal_j
 
 
 # Dense integer matrix helpers, kept here as an independent check on the
@@ -178,7 +177,7 @@ def test_criterion_07_homological_verifier_properties():
     while moves_done < 1000:
         genus = rng.randint(1, 4)
         dim = 2 * genus
-        j = pairing_matrix(genus)
+        j = literal_j(genus)
         curve_list = [
             CurveClass(f"c{k}", NONSEP, homology=_random_primitive(rng, dim))
             for k in range(5)
@@ -190,7 +189,8 @@ def test_criterion_07_homological_verifier_properties():
         f = Factorization(SurfaceSpec(genus), tuple(curve_list), letters)
         for c in curve_list:
             if c.homology is not None:
-                m = twist_matrix(c.homology, rng.choice((1, -1)))
+                letter = TwistLetter(c.name, rng.choice((1, -1)))
+                m = factorization_matrix(Factorization(f.spec, (c,), (letter,)))
                 assert mat_mul(mat_transpose(m), mat_mul(j, m)) == j
                 matrices_checked += 1
         before = factorization_matrix(f)
@@ -227,9 +227,9 @@ def test_criterion_09_catalog_self_audit():
         for curve in f.curves:
             if curve.word is None:
                 continue
-            consistent = classify_kind_from_word(curve.word, f.spec.capped())
-            declared = NONSEP if curve.kind == NONSEP else SEP
-            assert consistent == declared, (entry.name, curve.name)
+            # a zero abelianization is consistent with a separating curve only
+            zero = homology_of_word(curve.word, f.spec.capped()).is_zero()
+            assert zero == (curve.kind != NONSEP), (entry.name, curve.name)
         assert parse_mono(serialize_mono(f)) == f, entry.name
     _ok(9, "all six entries: tallies match, worded kinds consistent, round-trips equal")
 

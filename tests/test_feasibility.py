@@ -247,7 +247,7 @@ def fraction_route_verdict(c, bound):
         return REJECT_CONGRUENCE
     if not integral:
         return REJECT_SIGMA_INTEGRAL
-    if not signature_bound_check(c, int(sigma), b1=0):
+    if not signature_bound_check(c, int(sigma)):
         return REJECT_SIGMA_BOUND
     if chi_h.denominator != 1 or chi_h < 1:
         return REJECT_CHI_H

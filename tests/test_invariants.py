@@ -207,11 +207,9 @@ def test_twist_count_congruence():
 
 
 def test_signature_bound_check():
-    assert signature_bound_check(FiberCounts.of(4, 18, 6, 0), -8, b1=0)
-    assert signature_bound_check(FiberCounts.of(2, 8, 1), -5, b1=0)
-    assert not signature_bound_check(FiberCounts.of(2, 4, 0), -3, b1=0)
-    # with b1 > 0 the bound loosens
-    assert signature_bound_check(FiberCounts.of(2, 4, 0), -3, b1=2)
+    assert signature_bound_check(FiberCounts.of(4, 18, 6, 0), -8)
+    assert signature_bound_check(FiberCounts.of(2, 8, 1), -5)
+    assert not signature_bound_check(FiberCounts.of(2, 4, 0), -3)
 
 
 def test_min_nonseparating_bound():

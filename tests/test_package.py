@@ -56,14 +56,12 @@ CurveClass EnumerationResult Factorization FeasibilityRow FiberCounts
 GroupPresentation HomologyClass InvariantReport LedgerEntry MissingHomology
 MonoParseError NONSEP NoWordData SEP SurfaceSpec TwistLetter
 VerificationReport Word abelianization cancel_adjacent_inverses cap_boundary
-check_counts chi_and_betti classify_kind_from_word conjugate_factorization
-endo_nagami_total enumerate_feasible euler_characteristic factorization_matrix
-get_entry homology_of_word hurwitz_move hyperelliptic_signature
-invariant_report is_symplectic load_catalog min_fiber_bounds
-min_nonseparating_bound pairing_matrix parse_mono parse_word pi1_presentation
-quotient_by_cycles serialize_mono signature_bound_check surface_group
-symplectic_pairing todd_coxeter twist_count_congruence twist_matrix
-verify_homological_relator
+check_counts chi_and_betti endo_nagami_total enumerate_feasible
+euler_characteristic factorization_matrix get_entry homology_of_word
+hurwitz_move hyperelliptic_signature invariant_report load_catalog
+min_fiber_bounds min_nonseparating_bound parse_mono parse_word
+pi1_presentation quotient_by_cycles serialize_mono signature_bound_check
+surface_group todd_coxeter twist_count_congruence verify_homological_relator
 """.split()
 
 
@@ -94,9 +92,8 @@ def test_public_names():
 # Every public name lefschetz.twists defines: the calculus, which stayed
 # there when the factorization values moved to their own module.
 TWISTS_NAMES = """
-Matrix NECESSITY_NOTE VerificationReport conjugate_factorization
-factorization_matrix hurwitz_move identity_matrix is_symplectic mat_vec
-transvect twist_matrix verify_homological_relator
+Matrix NECESSITY_NOTE VerificationReport factorization_matrix hurwitz_move
+transvect verify_homological_relator
 """.split()
 
 

@@ -20,13 +20,10 @@ from lefschetz.surface import (
     CurveClass,
     HomologyClass,
     SurfaceSpec,
-    classify_kind_from_word,
     homology_of_word,
     pair_coords,
-    pairing_matrix,
-    symplectic_pairing,
 )
-from lefschetz.twists import hurwitz_move, twist_matrix
+from lefschetz.twists import hurwitz_move
 from lefschetz.words import parse_word
 
 
@@ -34,28 +31,49 @@ def cls(*coords):
     return HomologyClass(tuple(coords))
 
 
+# The 2x2 block of J in README's frozen convention: <a_i, b_i> = +1.
+J_BLOCK = ((0, 1), (-1, 0))
+
+
+def literal_j(genus):
+    """J = block diag [[0, 1], [-1, 0]], written out from the frozen
+    convention.  It is the reference the pairing is checked against, so
+    nothing here calls ``pair_coords``."""
+    n = 2 * genus
+    return tuple(
+        tuple(J_BLOCK[i % 2][k % 2] if i // 2 == k // 2 else 0 for k in range(n))
+        for i in range(n)
+    )
+
+
 def test_basis_pairings():
     a1 = HomologyClass.basis(2, "a1")
     b1 = HomologyClass.basis(2, "b1")
     a2 = HomologyClass.basis(2, "a2")
     b2 = HomologyClass.basis(2, "b2")
-    assert symplectic_pairing(a1, b1) == 1
-    assert symplectic_pairing(b1, a1) == -1
-    assert symplectic_pairing(a1, a1) == 0
-    assert symplectic_pairing(a1, a2) == 0
-    assert symplectic_pairing(a1, b2) == 0
+    assert pair_coords(a1.coords, b1.coords) == 1
+    assert pair_coords(b1.coords, a1.coords) == -1
+    assert pair_coords(a1.coords, a1.coords) == 0
+    assert pair_coords(a1.coords, a2.coords) == 0
+    assert pair_coords(a1.coords, b2.coords) == 0
     # <a1 + b2, b1 + a2> = 1 + (-1) = 0
-    assert symplectic_pairing(a1 + b2, b1 + a2) == 0
+    assert pair_coords((a1 + b2).coords, (b1 + a2).coords) == 0
 
 
 def test_pairing_matrix_blocks():
-    j = pairing_matrix(2)
-    assert j == (
+    assert literal_j(2) == (
         (0, 1, 0, 0),
         (-1, 0, 0, 0),
         (0, 0, 0, 1),
         (0, 0, -1, 0),
     )
+    assert literal_j(0) == ()
+    # <e_i, e_k> is the (i, k) entry of J
+    for genus in range(5):
+        basis = [tuple(int(i == k) for k in range(2 * genus)) for i in range(2 * genus)]
+        assert tuple(
+            tuple(pair_coords(x, y) for y in basis) for x in basis
+        ) == literal_j(genus)
 
 
 def test_homology_class_rejects_non_integers():
@@ -109,7 +127,6 @@ NON_INTEGER_CASES = {
         lambda: CurveClass("p", BOUNDARY, boundary_index=1.5), 1.5
     ),
     "twist sign": (lambda: TwistLetter("a", 1.0), 1.0),
-    "twist matrix sign": (lambda: twist_matrix(cls(1, 0), 1.0), 1.0),
     "target exponent": (
         lambda: Factorization(SurfaceSpec(1, 1), (), (), target=((1, 1.5),)), 1.5
     ),
@@ -255,11 +272,6 @@ def test_list_built_values_equal_their_tuple_twins():
     assert todd_coxeter(quotient, 100).order == 1
 
 
-def test_pairing_dimension_mismatch():
-    with pytest.raises(ValueError):
-        symplectic_pairing(cls(1, 0), cls(1, 0, 0, 0))
-
-
 coords6 = st.lists(st.integers(-9, 9), min_size=6, max_size=6).map(
     lambda v: HomologyClass(tuple(v))
 )
@@ -268,25 +280,24 @@ coords6 = st.lists(st.integers(-9, 9), min_size=6, max_size=6).map(
 @given(coords6, coords6)
 @settings(max_examples=150, deadline=None)
 def test_pairing_antisymmetric(x, y):
-    assert symplectic_pairing(x, y) == -symplectic_pairing(y, x)
+    assert pair_coords(x.coords, y.coords) == -pair_coords(y.coords, x.coords)
 
 
 @given(coords6, coords6, coords6)
 @settings(max_examples=150, deadline=None)
 def test_pairing_bilinear(x, y, z):
-    assert symplectic_pairing(x + y, z) == symplectic_pairing(
-        x, z
-    ) + symplectic_pairing(y, z)
+    assert pair_coords((x + y).coords, z.coords) == pair_coords(
+        x.coords, z.coords
+    ) + pair_coords(y.coords, z.coords)
 
 
 def test_pairing_matches_matrix_form():
-    j = pairing_matrix(3)
-    x = cls(1, -2, 3, 0, 5, 7)
-    y = cls(2, 2, -1, 4, 0, -3)
-    via_matrix = sum(
-        x.coords[i] * j[i][k] * y.coords[k] for i in range(6) for k in range(6)
-    )
-    assert symplectic_pairing(x, y) == via_matrix
+    j = literal_j(3)
+    x = (1, -2, 3, 0, 5, 7)
+    y = (2, 2, -1, 4, 0, -3)
+    via_matrix = sum(x[i] * j[i][k] * y[k] for i in range(6) for k in range(6))
+    assert via_matrix == 3  # 6 + 12 - 15, one handle at a time
+    assert pair_coords(x, y) == via_matrix
 
 
 @st.composite
@@ -300,7 +311,7 @@ def big_vector_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_pair_coords_is_the_matrix_form(pair):
     x, y = map(tuple, pair)
-    j = pairing_matrix(len(x) // 2)
+    j = literal_j(len(x) // 2)
     jy = [sum(jik * yk for jik, yk in zip(row, y)) for row in j]
     assert pair_coords(x, y) == sum(xi * v for xi, v in zip(x, jy))
 
@@ -332,6 +343,8 @@ def test_word_homology_additive():
     assert homology_of_word(u + v, spec) == homology_of_word(
         u, spec
     ) + homology_of_word(v, spec)
+    with pytest.raises(ValueError, match="rank 2 vs 4"):
+        cls(1, 0) + cls(1, 0, 0, 0)
 
 
 def test_word_homology_unknown_generator():
@@ -341,19 +354,21 @@ def test_word_homology_unknown_generator():
         homology_of_word(parse_word("c1"), SurfaceSpec(2))
 
 
-# -- classify_kind_from_word --------------------------------------------------
+# -- kinds from words ----------------------------------------------------------
+# A zero abelianization is consistent with a separating curve; a nonzero one
+# proves the curve nonseparating.
 
 
 def test_classify_separating_words():
     spec = SurfaceSpec(4)
-    assert classify_kind_from_word(parse_word("b2 a3~ a2 b2~ a2~ a3"), spec) == SEP
-    assert classify_kind_from_word(parse_word("[a1,b1]"), spec) == SEP
+    assert homology_of_word(parse_word("b2 a3~ a2 b2~ a2~ a3"), spec).is_zero()
+    assert homology_of_word(parse_word("[a1,b1]"), spec).is_zero()
 
 
 def test_classify_nonseparating_word():
     spec = SurfaceSpec(4)
     word = parse_word("b1 b2 a2~ a1 b2 a2~ a1")
-    assert classify_kind_from_word(word, spec) == NONSEP
+    assert not homology_of_word(word, spec).is_zero()
     # abelianization 2a1 - 2a2 + b1 + 2b2
     assert homology_of_word(word, spec) == cls(2, 1, -2, 2, 0, 0, 0, 0)
 

@@ -27,23 +27,17 @@ from lefschetz.surface import (
     HomologyClass,
     SurfaceSpec,
     homology_of_word,
-    pairing_matrix,
 )
 from lefschetz.twists import (
     NECESSITY_NOTE,
-    conjugate_factorization,
     factorization_matrix,
     hurwitz_move,
-    identity_matrix,
-    is_symplectic,
-    mat_vec,
     transvect,
-    twist_matrix,
     verify_homological_relator,
 )
 from lefschetz.twists import _magnitude, _unpack
 from lefschetz.words import parse_word
-from test_surface import FLOAT_INDEX, RAISING_INDEX
+from test_surface import FLOAT_INDEX, RAISING_INDEX, literal_j
 
 A1 = HomologyClass.basis(1, "a1")
 B1 = HomologyClass.basis(1, "b1")
@@ -83,8 +77,12 @@ def oracle_power(p, k):
 
 
 # -- independent dense reference for any genus -------------------------------
-# Each letter matrix is built as I + sign * a (Ja)^T from pairing_matrix and
+# Each letter matrix is built as I + sign * a (Ja)^T from the literal J and
 # the word's matrix is the product of the letter matrices left to right.
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b):
@@ -95,7 +93,7 @@ def mat_mul(a, b):
 
 def dense_twist_matrix(a, sign):
     n = len(a)
-    ja = [sum(x * y for x, y in zip(row, a)) for row in pairing_matrix(n // 2)]
+    ja = [sum(x * y for x, y in zip(row, a)) for row in literal_j(n // 2)]
     return tuple(
         tuple((1 if i == j else 0) + sign * a[i] * ja[j] for j in range(n))
         for i in range(n)
@@ -104,7 +102,7 @@ def dense_twist_matrix(a, sign):
 
 def dense_factorization_matrix(f):
     n = f.spec.homology_rank
-    out = identity_matrix(n)
+    out = identity(n)
     for letter in f.letters:
         homology = f.curve(letter.curve).homology
         a = homology.coords if homology is not None else (0,) * n
@@ -112,9 +110,16 @@ def dense_factorization_matrix(f):
     return out
 
 
+def letter_matrix(a, sign=1):
+    """The matrix of t_a^sign: factorization_matrix of that one-letter word."""
+    curve = CurveClass("c", NONSEP, homology=a)
+    spec = SurfaceSpec(len(a.coords) // 2)
+    return factorization_matrix(Factorization(spec, (curve,), (TwistLetter("c", sign),)))
+
+
 def test_twist_matrix_matches_hand_matrices():
-    assert twist_matrix(A1, 1) == ORACLE_A
-    assert twist_matrix(B1, 1) == ORACLE_B
+    assert letter_matrix(A1, 1) == ORACLE_A
+    assert letter_matrix(B1, 1) == ORACLE_B
 
 
 def test_torus_product_has_order_six():
@@ -125,26 +130,33 @@ def test_torus_product_has_order_six():
 
 
 def test_twist_matrix_zero_class_is_identity():
-    assert twist_matrix(HomologyClass.zero(2)) == identity_matrix(4)
-    assert twist_matrix(HomologyClass.zero(0)) == ()
+    # a boundary curve has the zero class (for a separating one see
+    # test_separating_letters_act_trivially)
+    curve = CurveClass("p", BOUNDARY, boundary_index=1)
+    for spec in (SurfaceSpec(2, 1), SurfaceSpec(0, 1)):
+        for sign in (1, -1):
+            f = Factorization(spec, (curve,), (TwistLetter("p", sign),))
+            assert factorization_matrix(f) == identity(spec.homology_rank)
 
 
 def test_twist_matrix_example_g1():
     # image of b1 under t_a1 is b1 - a1
-    assert mat_vec(twist_matrix(A1, 1), B1.coords) == (-1, 1)
+    m = letter_matrix(A1, 1)
+    assert tuple(sum(x * y for x, y in zip(row, B1.coords)) for row in m) == (-1, 1)
     assert transvect(B1.coords, A1.coords, 1) == (-1, 1)
     assert transvect(B1.coords, A1.coords, -1) == (1, 1)
 
 
 def test_twist_matrix_rejects_imprimitive():
-    with pytest.raises(ValueError):
-        twist_matrix(HomologyClass((2, 0)))
+    # no twist letter can act by (2, 0): its curve is refused
+    with pytest.raises(ValueError, match="gcd 1"):
+        CurveClass("c", NONSEP, homology=HomologyClass((2, 0)))
 
 
 def test_twist_inverse_pairs_cancel():
-    m = twist_matrix(HomologyClass((3, 5)), 1)
-    m_inv = twist_matrix(HomologyClass((3, 5)), -1)
-    assert mat_mul(m, m_inv) == identity_matrix(2)
+    m = letter_matrix(HomologyClass((3, 5)), 1)
+    m_inv = letter_matrix(HomologyClass((3, 5)), -1)
+    assert mat_mul(m, m_inv) == identity(2)
 
 
 def primitive_classes(genus):
@@ -165,9 +177,10 @@ def primitive_classes(genus):
 @given(primitive_classes(3), st.sampled_from([1, -1]))
 @settings(max_examples=200, deadline=None)
 def test_twist_matrices_are_symplectic(cls, sign):
-    m = twist_matrix(cls, sign)
-    assert is_symplectic(m, 3)
-    assert mat_mul(m, twist_matrix(cls, -sign)) == identity_matrix(6)
+    m = letter_matrix(cls, sign)
+    j = literal_j(3)
+    assert mat_mul(tuple(zip(*m)), mat_mul(j, m)) == j
+    assert mat_mul(m, letter_matrix(cls, -sign)) == identity(6)
 
 
 # -- factorization_matrix -----------------------------------------------------
@@ -175,17 +188,17 @@ def test_twist_matrices_are_symplectic(cls, sign):
 
 def test_empty_factorization_is_identity():
     f = torus_factorization(())
-    assert factorization_matrix(f) == identity_matrix(2)
+    assert factorization_matrix(f) == identity(2)
 
 
 def test_torus_relator_six_copies():
     f = torus_factorization(("ta", "tb") * 6)
-    assert factorization_matrix(f) == identity_matrix(2)
+    assert factorization_matrix(f) == identity(2)
 
 
 def test_single_positive_twist_not_identity():
     f = torus_factorization(("ta",))
-    assert factorization_matrix(f) != identity_matrix(2)
+    assert factorization_matrix(f) != identity(2)
 
 
 def test_composition_order_is_left_product():
@@ -257,7 +270,7 @@ def test_factorization_matrix_matches_dense_reference(f):
 def test_separating_letters_act_trivially():
     curves = (CurveClass("d", SEP, h=1),)
     f = Factorization(SurfaceSpec(2), curves, (TwistLetter("d"),))
-    assert factorization_matrix(f) == identity_matrix(4)
+    assert factorization_matrix(f) == identity(4)
 
 
 # SHA-256 of factorization_matrix and verify_homological_relator's matrix_ok
@@ -362,7 +375,7 @@ def test_verify_cancels_entries_past_the_field_width(k):
     inverse = tuple(TwistLetter(t.curve, -t.sign) for t in reversed(f.letters))
     closed = replace(f, letters=f.letters + inverse)
     assert verify_homological_relator(closed).matrix_ok
-    assert factorization_matrix(closed) == identity_matrix(2)
+    assert factorization_matrix(closed) == identity(2)
 
 
 @pytest.mark.parametrize("width", [64, 128])
@@ -395,7 +408,7 @@ def test_packed_fields_decode_at_their_edges(width):
 def test_product_of_edge_words(text):
     f = parse_mono(text)
     assert factorization_matrix(f) == dense_factorization_matrix(f)
-    full = dense_factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
+    full = dense_factorization_matrix(f) == identity(f.spec.homology_rank)
     assert verify_homological_relator(f).matrix_ok == full
 
 
@@ -456,7 +469,7 @@ def test_verify_matches_full_matrix(f, closed):
     if closed:
         inverse = tuple(TwistLetter(t.curve, -t.sign) for t in reversed(f.letters))
         f = replace(f, letters=f.letters + inverse)
-    full = factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
+    full = factorization_matrix(f) == identity(f.spec.homology_rank)
     assert verify_homological_relator(f).matrix_ok == full
 
 
@@ -539,7 +552,7 @@ def test_verify_report_matches_letter_by_letter_oracles():
                 continue
             report = verify_homological_relator(f, hyperelliptic=hyperelliptic)
             counts = letter_counts(f)
-            matrix_ok = factorization_matrix(f) == identity_matrix(f.spec.homology_rank)
+            matrix_ok = factorization_matrix(f) == identity(f.spec.homology_rank)
             assert report.matrix_ok == matrix_ok
             assert report.counts == counts
             assert report.congruence_ok == (
@@ -873,79 +886,6 @@ def test_hurwitz_results_are_valid_by_construction():
                                            homology=HomologyClass(coords))
                     check_curve(c, f.spec)
     assert minted
-
-
-# -- conjugate_factorization ----------------------------------------------------
-
-
-def test_conjugate_by_identity():
-    f = torus_factorization(("ta", "tb"))
-    assert conjugate_factorization(f, identity_matrix(2)) == f
-
-
-def test_conjugate_example_g1():
-    # frozen from the matrix-vector oracle: twist(b1, +1) a1 = a1 + b1
-    f = torus_factorization(("ta",))
-    m = twist_matrix(B1, 1)
-    conj = conjugate_factorization(f, m)
-    assert conj.curve("ta").homology == HomologyClass((1, 1))
-
-
-def test_conjugate_matrix_conjugates():
-    f = torus_factorization(("ta", "tb", "ta"))
-    m = twist_matrix(HomologyClass((1, 2)), 1)
-    conj = conjugate_factorization(f, m)
-    j = pairing_matrix(1)
-    m_inv = mat_mul(
-        tuple(tuple(-x for x in row) for row in j),
-        mat_mul(tuple(zip(*m)), j),
-    )
-    assert factorization_matrix(conj) == mat_mul(
-        m, mat_mul(factorization_matrix(f), m_inv)
-    )
-
-
-def test_conjugate_relator_stays_relator():
-    f = torus_factorization(("ta", "tb") * 6)
-    m = twist_matrix(HomologyClass((2, 1)), -1)
-    assert factorization_matrix(conjugate_factorization(f, m)) == identity_matrix(2)
-
-
-def test_conjugate_then_inverse_restores_classes():
-    f = torus_factorization(("ta", "tb"))
-    m = twist_matrix(HomologyClass((1, 3)), 1)
-    m_inv = twist_matrix(HomologyClass((1, 3)), -1)
-    back = conjugate_factorization(conjugate_factorization(f, m), m_inv)
-    assert [c.homology for c in back.curves] == [c.homology for c in f.curves]
-
-
-def test_conjugate_identity_keeps_words():
-    from lefschetz.words import parse_word
-
-    curves = (
-        CurveClass(
-            "u", NONSEP, homology=A1, word=parse_word("a1")
-        ),
-        CurveClass("v", NONSEP),  # no class: nothing to map
-    )
-    f = Factorization(SurfaceSpec(1), curves, (TwistLetter("u"),))
-    assert conjugate_factorization(f, identity_matrix(2)) == f
-    # a genuinely moved curve drops its word but keeps kind and name
-    moved = conjugate_factorization(f, twist_matrix(B1, 1))
-    assert moved.curve("u").word is None
-    assert moved.curve("u").homology == HomologyClass((1, 1))
-    assert moved.curve("v") is f.curve("v")
-
-
-@pytest.mark.parametrize(
-    "m",
-    [((1, 0), (0, 2)), ((1, 0), (0, 1, 0)), identity_matrix(4)],
-    ids=["scaled", "ragged", "wrong-size"],
-)
-def test_conjugate_rejects_non_symplectic(m):
-    f = torus_factorization(("ta",))
-    with pytest.raises(ValueError):
-        conjugate_factorization(f, m)
 
 
 # -- cancel_adjacent_inverses ----------------------------------------------------
