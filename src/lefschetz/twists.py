@@ -21,7 +21,12 @@ entries, grown per letter and reset from the rows when it nears the field
 width, says when the fields still decode; when the entries themselves
 would not fit, the product is redone at twice the width.  Matrices are
 decoded once, at the end; ``verify_homological_relator`` compares the
-packed rows with the packed identity without decoding.
+packed rows with the packed identity without decoding.  Both take a word's
+(class, sign) pairs from one left-to-right pass, ``_nonsep_twists``.
+Verification checks the matrix alone: the fiber tally, the kind labels,
+the sign test and the hyperelliptic congruence are ``letter_counts``,
+``CurveClass.kind_label``, ``Factorization.all_positive`` and
+``twist_count_congruence``.
 Separating and boundary-parallel curves act trivially (their class is
 zero after capping), so everything verified here is a necessary
 condition only: a matrix identity never certifies a relator, but a
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 from operator import add, attrgetter, sub
 
 from .factorization import Factorization, TwistLetter, _minted, effective_class
-from .invariants import FiberCounts, exact_ints, twist_count_congruence
+from .invariants import exact_ints
 from .surface import NONSEP, pair_coords
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -196,14 +201,25 @@ def factorization_matrix(f: Factorization) -> Matrix:
 
 
 def _nonsep_twists(f: Factorization) -> list[tuple[tuple[int, ...], int]]:
-    """(class, sign) of each nonseparating letter, left to right, so
-    MissingHomology names the leftmost one without a class.  The other
-    letters act trivially and are skipped before any vector is built."""
-    return [
-        (effective_class(curve, f.spec).coords, letter.sign)
-        for letter in f.letters
-        if (curve := f.curve(letter.curve)).kind == NONSEP
-    ]
+    """(class, sign) of each nonseparating letter, left to right.
+
+    Each curve name is resolved once, the first time a letter names it, so
+    MissingHomology names the leftmost letter without a class.  The other
+    letters act trivially and are skipped before any vector is built.
+    """
+    spec = f.spec
+    index = f._index
+    seen: dict[str, tuple[int, ...] | None] = {}  # None: acts trivially
+    twists = []
+    for letter in f.letters:
+        name = letter.curve
+        if name not in seen:
+            curve = index[name]
+            seen[name] = effective_class(curve, spec).coords if curve.kind == NONSEP else None
+        a = seen[name]
+        if a is not None:
+            twists.append((a, letter.sign))
+    return twists
 
 
 # -- verification ----------------------------------------------------------
@@ -218,96 +234,35 @@ NECESSITY_NOTE = (
 class VerificationReport:
     """Outcome of ``verify_homological_relator`` on one word.
 
-    ``matrix_ok`` says the homological product is the identity.
-    ``congruence_ok`` is the hyperelliptic twist-count congruence, or
-    None when it was not asked for or the word has no fiber letter.
-    ``counts`` is the letter tally (None without a fiber letter),
-    ``letter_kinds`` each letter's (curve name, kind label) in word
-    order, and ``all_positive`` says every twist is positive.  ``note``
-    states that a passing matrix check is necessary, not sufficient.
+    ``matrix_ok`` says the homological product is the identity.  ``note``,
+    a class attribute, states that a passing matrix check is necessary,
+    not sufficient.
     """
 
     matrix_ok: bool
-    congruence_ok: bool | None
-    counts: FiberCounts | None  # None: the word has no fiber letter
-    letter_kinds: tuple[tuple[str, str], ...]
-    all_positive: bool
-    note: str = NECESSITY_NOTE
+    note = NECESSITY_NOTE
 
 
-def verify_homological_relator(
-    f: Factorization, hyperelliptic: bool = False
-) -> VerificationReport:
+def verify_homological_relator(f: Factorization) -> VerificationReport:
     """Check the word against the identity in the homology representation.
 
-    Boundary letters act as the identity and tally as nothing, so the
-    check always compares the letter product with the identity, as if the
-    boundary were capped.  When ``hyperelliptic`` is set the twist-count
-    congruence is evaluated as a second necessary condition.  A word with
-    no nonseparating or separating letter has no fibers: its counts and
-    congruence are None, and only the matrix is checked.
+    Boundary letters act as the identity, so the check always compares
+    the letter product with the identity, as if the boundary were capped.
 
     A twist moves only the handles its class touches, so the product is
     compared with the identity on the touched handles alone: the cost
-    follows the letters, not the square of the genus.
-
-    One pass over the letters, left to right, collects the tally, the
-    nonseparating (class, sign) list, the kind labels and the sign test.
-    It resolves each curve name once, the first time it meets it, so
-    ``MissingHomology`` names the leftmost letter without a class.  Each
-    distinct class is restricted to the touched handles once.  The fields
-    are what ``letter_counts``, ``factorization_matrix``, ``kind_label``
-    and ``all_positive`` give.  The pass stays its own: sharing a letter
-    pass with them, as a lazy loop in ``factorization`` or as a curve
-    table in order of first appearance, made a call 4-10% slower, and
-    C-level passes over that table about 16% slower (in process, seed 1,
-    8 decks, beside an identical control copy).
+    follows the letters, not the square of the genus.  Each distinct
+    class is restricted to the touched handles once.
     """
-    spec = f.spec
-    index = f._index
-    seen: dict[str, tuple] = {}  # name -> ((name, kind label), class, sep type)
-    classes: set[tuple[int, ...]] = set()
-    kinds = []
-    twists = []
-    s = [0] * (spec.genus // 2)
-    all_positive = True
-    for letter in f.letters:
-        name, sign = letter.curve, letter.sign
-        entry = seen.get(name)
-        if entry is None:
-            curve = index[name]
-            a = None
-            if curve.kind == NONSEP:
-                a = effective_class(curve, spec).coords
-                classes.add(a)
-            entry = seen[name] = ((name, curve.kind_label()), a, curve.h)
-        pair, a, h = entry
-        kinds.append(pair)
-        if a is not None:
-            twists.append((a, sign))
-        elif h is not None:
-            s[h - 1] += 1
-        if sign != 1:
-            all_positive = False
-    n = len(twists)
-    counts = FiberCounts(spec.genus, n, tuple(s)) if n or any(s) else None
+    twists = _nonsep_twists(f)
+    classes = {a for a, _ in twists}
     handles = sorted({i // 2 for a in classes for i, x in enumerate(a) if x})
     keep = [k for h in handles for k in (2 * h, 2 * h + 1)]
-    if len(keep) < spec.homology_rank:
+    if len(keep) < f.spec.homology_rank:
         restricted = {a: tuple(a[k] for k in keep) for a in classes}
         twists = [(restricted[a], sign) for a, sign in twists]
     rows, width = _packed_product(len(keep), twists)
-    matrix_ok = rows == [1 << (width * j) for j in range(len(keep))]
-    congruence_ok = None
-    if hyperelliptic and counts is not None:
-        congruence_ok = twist_count_congruence(counts)
-    return VerificationReport(
-        matrix_ok=matrix_ok,
-        congruence_ok=congruence_ok,
-        counts=counts,
-        letter_kinds=tuple(kinds),
-        all_positive=all_positive,
-    )
+    return VerificationReport(rows == [1 << (width * j) for j in range(len(keep))])
 
 
 # -- word moves ------------------------------------------------------------

@@ -4,6 +4,7 @@ and an import inside a function is one of the deferrals listed here."""
 
 import ast
 import importlib
+import inspect
 import sys
 import types
 import warnings
@@ -87,6 +88,82 @@ def test_public_names():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         lefschetz.no_such_name
+
+
+# Each public callable's parameters as ``inspect.signature`` prints them
+# without annotations: names, kinds (``/`` and ``*`` mark positional-only
+# and keyword-only) and defaults; a class gives its constructor's.  A knob
+# added or dropped shows here.
+PUBLIC_SIGNATURES = {
+    "AbelianInvariants": "(divisors)",
+    "BoundsReport": "(genus, n_lower, n_upper, m_lower, m_upper, witnesses, notes)",
+    "CatalogEntry": "(name, description, factorization, counts, hyperelliptic, "
+                    "ledger=None, notes=(), aliases=())",
+    "ConstraintProfile": "(genus, max_total_fibers, hyperelliptic=True)",
+    "CurveClass": "(name, kind, h=None, boundary_index=None, homology=None, word=None)",
+    "EnumerationResult": "(order, cosets_defined, max_cosets, merged=0, deductions=0, "
+                         "lookahead_passes=0)",
+    "Factorization": "(spec, curves, letters, target=())",
+    "FeasibilityRow": "(counts, verdict)",
+    "FiberCounts": "(genus, n, s=())",
+    "GroupPresentation": "(generators, relators)",
+    "HomologyClass": "(coords)",
+    "InvariantReport": "(e, sigma, chi_h, b2plus, b2minus, candidate)",
+    "LedgerEntry": "(kind, multiplicity=1, value=None, label=None)",
+    "MissingHomology": "(curve_name)",
+    "MonoParseError": "(line, message)",
+    "SurfaceSpec": "(genus, boundary_count=0)",
+    "TwistLetter": "(curve, sign=1)",
+    "VerificationReport": "(matrix_ok)",
+    "abelianization": "(p)",
+    "cancel_adjacent_inverses": "(f)",
+    "cap_boundary": "(f)",
+    "check_counts": "(c, p)",
+    "chi_and_betti": "(e, sigma)",
+    "endo_nagami_total": "(entries)",
+    "enumerate_feasible": "(p)",
+    "euler_characteristic": "(c)",
+    "factorization_matrix": "(f)",
+    "get_entry": "(name)",
+    "homology_of_word": "(word, spec)",
+    "hurwitz_move": "(f, i, direction='right')",
+    "hyperelliptic_signature": "(c)",
+    "invariant_report": "(entry_name)",
+    "load_catalog": "()",
+    "min_fiber_bounds": "(g)",
+    "min_nonseparating_bound": "(g)",
+    "parse_mono": "(text)",
+    "parse_word": "(text)",
+    "pi1_presentation": "(entry_name)",
+    "quotient_by_cycles": "(p, cycles)",
+    "serialize_mono": "(f, comment=None)",
+    "signature_bound_check": "(c, sigma)",
+    "surface_group": "(g)",
+    "todd_coxeter": "(p, max_cosets=1000000)",
+    "twist_count_congruence": "(c)",
+    "verify_homological_relator": "(f)",
+}
+# Public names with no Python-level signature: the kind constants, the
+# ``Word`` type alias and an exception that keeps ``ValueError``'s constructor.
+UNSIGNED_NAMES = {"BOUNDARY", "NONSEP", "SEP", "NoWordData", "Word"}
+
+
+def test_public_signatures():
+    import lefschetz
+
+    found = {}
+    for name in lefschetz.__all__:
+        value = getattr(lefschetz, name)
+        init = getattr(value, "__init__", None) if isinstance(value, type) else None
+        function = inspect.unwrap(value)  # load_catalog is an lru_cache wrapper
+        if isinstance(function, types.FunctionType) or isinstance(init, types.FunctionType):
+            sig = inspect.signature(value)
+            found[name] = str(sig.replace(
+                parameters=[p.replace(annotation=p.empty) for p in sig.parameters.values()],
+                return_annotation=sig.empty,
+            ))
+    assert found == PUBLIC_SIGNATURES
+    assert set(lefschetz.__all__) - set(found) == UNSIGNED_NAMES
 
 
 # Every public name lefschetz.twists defines: the calculus, which stayed

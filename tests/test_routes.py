@@ -113,8 +113,6 @@ LEDGER = {
     "counts": Row((
         Route("lefschetz.factorization.letter_counts", CATALOG + tuple(MONO),
               lambda fn, x: fn(_factorization(x))),
-        Route("lefschetz.twists.verify_homological_relator", tuple(MONO),
-              lambda fn, x: fn(_factorization(x)).counts),
         Route("lefschetz.catalog.get_entry", CATALOG, lambda fn, x: fn(x).counts),
     )),
     "sigma": Row(

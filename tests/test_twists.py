@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import cli
 from lefschetz.factorization import (
     Factorization,
     MissingHomology,
@@ -416,11 +418,10 @@ def test_product_of_edge_words(text):
 
 
 def test_verify_torus_relator():
-    report = verify_homological_relator(torus_factorization(("ta", "tb") * 6))
-    assert report.matrix_ok
-    assert report.congruence_ok is None
-    assert report.counts == FiberCounts(1, 12)
-    assert report.all_positive
+    f = torus_factorization(("ta", "tb") * 6)
+    assert verify_homological_relator(f).matrix_ok
+    assert letter_counts(f) == FiberCounts(1, 12)
+    assert f.all_positive()
 
 
 def test_verify_torus_fifth_power_fails():
@@ -441,9 +442,8 @@ def test_verify_braid_word_on_genus_two():
         TwistLetter("b", -1), TwistLetter("a", -1), TwistLetter("b", -1),
     )
     f = Factorization(SurfaceSpec(2), curves, letters)
-    report = verify_homological_relator(f)
-    assert report.matrix_ok
-    assert not report.all_positive
+    assert verify_homological_relator(f).matrix_ok
+    assert not f.all_positive()
 
 
 def test_verify_caps_boundary_targets():
@@ -475,36 +475,36 @@ def test_verify_matches_full_matrix(f, closed):
 
 @pytest.mark.parametrize("twists", ["", "twist p\n", "twist p\ntwist p -\n"])
 def test_verify_fiberless_word(twists):
-    # boundary letters cap away: no fibers, so no counts and no congruence
+    # boundary letters cap away: no fibers, so no counts to test the
+    # congruence on, and the matrix is the identity
     f = parse_mono(
         "genus 1\nboundary 1\ncurve p kind boundary 1\n" + twists + "target identity\n"
     )
     assert letter_counts(f) is None
-    for hyperelliptic in (False, True):
-        report = verify_homological_relator(f, hyperelliptic=hyperelliptic)
-        assert report.matrix_ok
-        assert report.counts is None
-        assert report.congruence_ok is None
+    assert verify_homological_relator(f).matrix_ok
 
 
 def test_verify_does_not_grow_with_genus():
-    # one separating letter at genus 500: nothing to multiply, no 2g x 2g matrix
-    f = parse_mono("genus 500\nboundary 0\ncurve d kind sep 1\ntwist d\ntarget identity\n")
-    tracemalloc.start()
-    try:
-        report = verify_homological_relator(f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.matrix_ok
-    assert peak < 2**20
+    # one separating letter: nothing to multiply, no 2g x 2g matrix and no
+    # tally of floor(g/2) separating counts; each file is parsed untraced
+    for genus in (500, 10**7):
+        f = parse_mono(f"genus {genus}\nboundary 0\ncurve d kind sep 1\ntwist d\n"
+                       "target identity\n")
+        tracemalloc.start()
+        try:
+            report = verify_homological_relator(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.matrix_ok
+        assert peak < 2**20, genus
 
 
 def test_verify_hyperelliptic_congruence_flag():
     f = torus_factorization(("ta", "tb") * 6)
-    assert verify_homological_relator(f, hyperelliptic=True).congruence_ok
+    assert twist_count_congruence(letter_counts(f))
     f5 = torus_factorization(("ta", "tb") * 5)
-    assert not verify_homological_relator(f5, hyperelliptic=True).congruence_ok
+    assert not twist_count_congruence(letter_counts(f5))
 
 
 def seeded_verify_words():
@@ -536,37 +536,63 @@ def seeded_verify_words():
     yield Factorization(SurfaceSpec(1, 1), curves, (TwistLetter("p"), TwistLetter("p", -1)))
 
 
-def test_verify_report_matches_letter_by_letter_oracles():
-    # Every field of the one-pass report against the separate functions
-    # that compute it; MissingHomology names the leftmost classless letter.
+def test_verify_report_matches_letter_by_letter_oracles(tmp_path, capsys):
+    # Every field `lefschetz verify --json` prints, with and without
+    # --hyperelliptic, against an oracle that reads the word letter by
+    # letter; MissingHomology names the leftmost classless letter.
     outcomes = set()
-    for f in seeded_verify_words():
+    for k, f in enumerate(seeded_verify_words()):
+        path = tmp_path / f"w{k}.mono"
+        path.write_text(serialize_mono(f))
         classless = [t.curve for t in f.letters
                      if f.curve(t.curve).kind == NONSEP and f.curve(t.curve).homology is None]
+        if classless:
+            with pytest.raises(MissingHomology) as info:
+                verify_homological_relator(f)
+            assert info.value.curve_name == classless[0]
+        else:
+            matrix_ok = dense_factorization_matrix(f) == identity(f.spec.homology_rank)
+            assert verify_homological_relator(f).matrix_ok == matrix_ok
+        kinds = [f.curve(t.curve) for t in f.letters]
+        n = sum(c.kind == NONSEP for c in kinds)
+        s = tuple(sum(c.kind == SEP and c.h == h for c in kinds)
+                  for h in range(1, f.spec.genus // 2 + 1))
+        counts = FiberCounts(f.spec.genus, n, s) if n or any(s) else None
+        assert letter_counts(f) == counts
+        all_positive = all(t.sign == 1 for t in f.letters)
+        assert f.all_positive() == all_positive
         for hyperelliptic in (False, True):
+            argv = ["verify", str(path), "--json"] + ["--hyperelliptic"] * hyperelliptic
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            doc = list(json.loads(captured.out).items())  # keys in printed order
+            head = [("command", "verify"), ("file", str(path))]
             if classless:
-                with pytest.raises(MissingHomology) as info:
-                    verify_homological_relator(f, hyperelliptic=hyperelliptic)
-                assert info.value.curve_name == classless[0]
+                assert code == 1
+                assert doc == head + [("matrix_ok", None),
+                                      ("reason", str(MissingHomology(classless[0])))]
                 outcomes.add("missing")
                 continue
-            report = verify_homological_relator(f, hyperelliptic=hyperelliptic)
-            counts = letter_counts(f)
-            matrix_ok = factorization_matrix(f) == identity(f.spec.homology_rank)
-            assert report.matrix_ok == matrix_ok
-            assert report.counts == counts
-            assert report.congruence_ok == (
-                twist_count_congruence(counts) if hyperelliptic and counts else None
-            )
-            assert report.letter_kinds == tuple(
-                (t.curve, f.curve(t.curve).kind_label()) for t in f.letters
-            )
-            assert report.all_positive == f.all_positive()
-            assert report.note == NECESSITY_NOTE
+            congruence_ok = None
+            if hyperelliptic and counts is not None:
+                congruence_ok = twist_count_congruence(counts)
+            assert doc == head + [
+                ("matrix_ok", matrix_ok),
+                ("congruence_ok", congruence_ok),
+                ("all_positive", all_positive),
+                ("counts", None if counts is None else
+                 {"genus": f.spec.genus, "n": n, "s": list(s)}),
+                ("letters", [{"name": t.curve, "kind": c.kind_label()}
+                             for t, c in zip(f.letters, kinds)]),
+                ("note", NECESSITY_NOTE),
+            ]
+            assert code == (0 if matrix_ok and congruence_ok is not False else 1)
             outcomes |= {("closed", matrix_ok), ("fiberless", counts is None),
-                         ("positive", report.all_positive)}
+                         ("positive", all_positive), ("congruence", congruence_ok)}
     assert outcomes == {"missing"} | {(what, value) for value in (True, False)
-                                      for what in ("closed", "fiberless", "positive")}
+                                      for what in ("closed", "fiberless", "positive",
+                                                   "congruence")} | {("congruence", None)}
 
 
 # -- hurwitz_move ---------------------------------------------------------------
