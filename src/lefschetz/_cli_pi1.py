@@ -24,6 +24,7 @@ def _cmd_pi1(args) -> int:
         f, label = _load_mono(source), source
     else:
         f, label = entry.factorization, f"catalog entry {entry.name}"
+    sectioned = f.spec.boundary_count > 0  # each boundary component gives a section
     f = cap_boundary(f)  # capped once: the builder below returns it as is
     try:
         presentation = cat.presentation_from_factorization(f)
@@ -65,6 +66,13 @@ def _cmd_pi1(args) -> int:
         "cosets_defined": defined,
         "abelian_invariants": list(invariants.divisors),
     }
+    # G, the presented group, surjects onto pi_1 of the total space, and is
+    # it when every letter curve carries a word and the fibration has a
+    # section (Gompf-Stipsicz 8.1); otherwise only order 1 decides pi_1.
+    conclusive = order == 1 or (carried == distinct and sectioned)
+    if not conclusive:
+        verdict += "; presented group only: pi_1 of the total space may be a proper quotient"
+        doc["conclusive"] = False
     lines = [
         f"pi_1 of {label}: {len(presentation.generators)} generators, "
         f"{len(presentation.relators)} relators ({worded})",

@@ -251,7 +251,7 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
             words=_W1_WORDS,
             ledger=(
                 LedgerEntry(LEDGER_MATSUMOTO_EVEN, 1),
-                LedgerEntry(LEDGER_BLOCK, 1, value=-6, label="W"),
+                LedgerEntry(LEDGER_BLOCK, 1, value=-6),
                 LedgerEntry(LEDGER_SEPARATING, -3),
             ),
             notes=(

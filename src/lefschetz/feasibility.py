@@ -361,14 +361,6 @@ class BoundsReport:
     witnesses: tuple[Witness, ...]
     notes: tuple[str, ...]
 
-    @property
-    def n_exact(self) -> int | None:
-        return self.n_lower if self.n_lower == self.n_upper else None
-
-    @property
-    def m_exact(self) -> int | None:
-        return self.m_lower if self.m_lower == self.m_upper else None
-
 
 # Per genus: the best recorded witness (name, fibers), the hyperelliptic
 # witness when that is a different fibration (otherwise the best one is

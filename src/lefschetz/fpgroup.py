@@ -111,10 +111,6 @@ class AbelianInvariants:
     divisors: tuple[int, ...]
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.divisors
-
-    @property
     def order(self) -> int | None:
         return None if 0 in self.divisors else math.prod(self.divisors)
 
@@ -185,7 +181,6 @@ class EnumerationResult:
 
     order: int | None
     cosets_defined: int
-    max_cosets: int
     merged: int = 0
     deductions: int = 0
     lookahead_passes: int = 0
@@ -416,6 +411,4 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> EnumerationRe
         if merged == before:
             break  # nothing freed: alpha stays short of the table's end
     order = len(parent) - merged if alpha == len(parent) else None
-    return EnumerationResult(
-        order, len(parent), max_cosets, merged, deductions, passes
-    )
+    return EnumerationResult(order, len(parent), merged, deductions, passes)

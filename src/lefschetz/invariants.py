@@ -188,12 +188,11 @@ def hyperelliptic_signature(c: FiberCounts) -> tuple[Fraction, bool]:
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One relator block: kind, multiplicity, optional value and label."""
+    """One relator block: kind, multiplicity and optional value."""
 
     kind: str
     multiplicity: int = 1
     value: int | None = None
-    label: str | None = None
 
     def __post_init__(self) -> None:
         (multiplicity,) = exact_ints((self.multiplicity,), "ledger multiplicities")

@@ -84,12 +84,6 @@ class HomologyClass:
     def zero(cls, genus: int) -> "HomologyClass":
         return cls((0,) * (2 * genus))
 
-    @classmethod
-    def basis(cls, genus: int, name: str) -> "HomologyClass":
-        coords = [0] * (2 * genus)
-        coords[generator_index(name, genus)] = 1
-        return cls(tuple(coords))
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 

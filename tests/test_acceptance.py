@@ -64,7 +64,7 @@ def test_criterion_01_invariant_pipeline_x1():
     sigma = endo_nagami_total(
         [
             LedgerEntry("mats", 1),
-            LedgerEntry("block", 1, value=-6, label="W"),
+            LedgerEntry("block", 1, value=-6),
             LedgerEntry("sep", -3),
         ]
     )
@@ -141,7 +141,7 @@ def test_criterion_06_group_engine():
         presentation = pi1_presentation(name)
         result = todd_coxeter(presentation, max_cosets=10**6)
         assert result.order == 1, (name, result)
-        assert abelianization(presentation).is_trivial
+        assert abelianization(presentation).divisors == ()
     for g in range(1, 7):
         assert abelianization(surface_group(g)).divisors == (0,) * (2 * g)
     _ok(6, "W1 and W2 pi_1 enumerate to order 1; H1 trivial; surface H1 free of rank 2g")
@@ -156,8 +156,8 @@ def _random_primitive(rng, dim):
 
 
 def test_criterion_07_homological_verifier_properties():
-    a1 = HomologyClass.basis(1, "a1")
-    b1 = HomologyClass.basis(1, "b1")
+    a1 = HomologyClass((1, 0))
+    b1 = HomologyClass((0, 1))
     curves = (
         CurveClass("u", NONSEP, homology=a1),
         CurveClass("v", NONSEP, homology=b1),

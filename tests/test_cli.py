@@ -377,9 +377,18 @@ def test_pi1_exceeded(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "pi1", str(path), "--max-cosets", "2")
     assert code == 1
-    assert "exceeded 2 cosets (3 defined)" in out
+    assert out.splitlines()[1] == (
+        "exceeded 2 cosets (3 defined); order not certified" + PRESENTED_ONLY
+    )
     assert "abelian invariants: [3]" in out
+    # A closed enumeration keeps exit 0 when it does not decide pi_1.
+    code, out, _ = run(capsys, "pi1", str(path))
+    assert (code, out.splitlines()[1]) == (0, "order 3   (5 cosets defined)" + PRESENTED_ONLY)
 
+
+# The verdict line's suffix when the verdict is about the presented group
+# and may not decide pi_1 of the total space.
+PRESENTED_ONLY = "; presented group only: pi_1 of the total space may be a proper quotient"
 
 # quotient of the genus-2 surface group by one commuting word: H_1 = Z^3
 GENUS2_QUOTIENT = (
@@ -403,7 +412,7 @@ def test_pi1_infinite_skips_enumeration(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "pi1", str(path))
     assert code == 1
     assert out.splitlines()[1:] == [
-        "infinite: H_1 has free rank 3; coset enumeration not run",
+        "infinite: H_1 has free rank 3; coset enumeration not run" + PRESENTED_ONLY,
         "abelian invariants: [0, 0, 0]",
     ]
     code, out, _ = run(capsys, "pi1", str(path), "--json")
@@ -412,7 +421,9 @@ def test_pi1_infinite_skips_enumeration(tmp_path, capsys, monkeypatch):
     assert list(doc) == [
         "command", "source", "generators", "relators", "worded_letters",
         "max_cosets", "outcome", "order", "cosets_defined", "abelian_invariants",
+        "conclusive",
     ]
+    assert doc["conclusive"] is False
     assert (doc["outcome"], doc["order"], doc["cosets_defined"]) == ("infinite", None, 0)
     assert (doc["max_cosets"], doc["abelian_invariants"]) == (10**6, [0, 0, 0])
 
@@ -422,6 +433,82 @@ def test_pi1_max_cosets_checked_before_infinite_h1(tmp_path, capsys):
     path.write_text(GENUS2_QUOTIENT)
     code, out, err = run(capsys, "pi1", str(path), "--max-cosets", "0")
     assert (code, out, err) == (2, "", "error: max_cosets must be >= 1\n")
+
+
+def chain_mono(boundary):
+    """The 3-chain relation (t_c1 t_c2 t_c3)^4 = t_d1 t_d2 of a genus-1
+    surface with two boundary circles, in a genus-2 surface where d2 bounds
+    the second handle: (t_c1 t_c2 t_c3)^4 t_d^-1 = t_delta with one boundary
+    circle delta, or = 1 once it is capped.  After capping c3 is isotopic to
+    c1, so every letter curve carries a word and G = <a2, b2 | [a2, b2]>."""
+    return (
+        f"genus 2\nboundary {boundary}\n"
+        "curve c1 kind nonsep hom 1 0 0 0 word a1\n"
+        "curve c2 kind nonsep hom 0 1 0 0 word b1\n"
+        "curve c3 kind nonsep hom 1 0 0 0 word a1\n"
+        "curve d kind sep 1 word [a1,b1]\n"
+        + "twist c1\ntwist c2\ntwist c3\n" * 4
+        + "twist d -\n"
+        + ("target boundary 1 1\n" if boundary else "target identity\n")
+    )
+
+
+def test_pi1_worded_with_a_section_decides_the_total_space(tmp_path, capsys):
+    # A boundary circle gives a section, and with a word on every letter
+    # curve the presented group is pi_1 of the total space: Z^2 here.
+    path = tmp_path / "chain.mono"
+    path.write_text(chain_mono(1))
+    assert run(capsys, "verify", str(path))[0] == 0
+    code, out, _ = run(capsys, "pi1", str(path))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "infinite: H_1 has free rank 2; coset enumeration not run",
+        "abelian invariants: [0, 0]",
+    ]
+    doc = json.loads(run(capsys, "pi1", str(path), "--json")[1])
+    assert "conclusive" not in doc
+    # Without c3's word the same group is presented, but pi_1 may be smaller.
+    path.write_text(chain_mono(1).replace("c3 kind nonsep hom 1 0 0 0 word a1", "c3 kind nonsep"))
+    code, out, _ = run(capsys, "pi1", str(path))
+    assert (code, out.splitlines()[1]) == (
+        1, "infinite: H_1 has free rank 2; coset enumeration not run" + PRESENTED_ONLY
+    )
+
+
+def test_pi1_worded_without_a_section_describes_the_presented_group(tmp_path, capsys):
+    # The same word capped: an identity target says nothing of a section.
+    path = tmp_path / "capped.mono"
+    path.write_text(chain_mono(0))
+    code, out, _ = run(capsys, "pi1", str(path))
+    assert code == 1
+    assert "(4/4 distinct letter curves carry words)" in out.splitlines()[0]
+    assert out.splitlines()[1] == (
+        "infinite: H_1 has free rank 2; coset enumeration not run" + PRESENTED_ONLY
+    )
+    doc = json.loads(run(capsys, "pi1", str(path), "--json")[1])
+    assert doc["conclusive"] is False
+
+
+def test_pi1_stripped_words_describe_the_presented_group(tmp_path, capsys):
+    # W1 with 9 of its 12 words stripped: H_1 of G has free rank 6, which
+    # says nothing of pi_1 of W1, whose full words give order 1.
+    text = run(capsys, "catalog", "export", "W1")[1]
+    worded = [line for line in text.splitlines() if " word " in line]
+    assert len(worded) == 12
+    for line in worded[3:]:
+        text = text.replace(line, line.split(" word ")[0])
+    path = tmp_path / "stripped.mono"
+    path.write_text(text)
+    code, out, _ = run(capsys, "pi1", str(path))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "infinite: H_1 has free rank 6; coset enumeration not run" + PRESENTED_ONLY,
+        "abelian invariants: [0, 0, 0, 0, 0, 0]",
+    ]
+    doc = json.loads(run(capsys, "pi1", str(path), "--json")[1])
+    assert (doc["worded_letters"], doc["conclusive"]) == (
+        "3/23 distinct letter curves carry words", False,
+    )
 
 
 # -- catalog ------------------------------------------------------------------------

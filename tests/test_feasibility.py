@@ -712,22 +712,21 @@ def test_admitted_rows_revalidate_independently():
 
 def test_bounds_g1_and_g2_exact():
     b1 = min_fiber_bounds(1)
-    assert (b1.n_exact, b1.m_exact) == (12, 12)
+    assert (b1.n_lower, b1.n_upper, b1.m_lower, b1.m_upper) == (12, 12, 12, 12)
     b2 = min_fiber_bounds(2)
-    assert (b2.n_exact, b2.m_exact) == (14, 14)
+    assert (b2.n_lower, b2.n_upper, b2.m_lower, b2.m_upper) == (14, 14, 14, 14)
 
 
 def test_bounds_g3():
     b = min_fiber_bounds(3)
     assert (b.n_lower, b.n_upper) == (12, 18)
-    assert b.m_exact == 18
+    assert (b.m_lower, b.m_upper) == (18, 18)
 
 
 def test_bounds_g4():
     b = min_fiber_bounds(4)
     assert (b.n_lower, b.n_upper) == (16, 23)
     assert (b.m_lower, b.m_upper) == (21, 24)
-    assert b.n_exact is None and b.m_exact is None
 
 
 def test_bounds_witness_counts_fibers_not_boundary_letters():
@@ -741,7 +740,7 @@ def test_bounds_witness_counts_fibers_not_boundary_letters():
     assert letter_counts(f).total == 18 < len(f.letters)
     b = min_fiber_bounds(3)
     assert [witness.fibers for witness in b.witnesses] == [18]
-    assert (b.n_upper, b.m_upper, b.m_exact) == (18, 18, 18)
+    assert (b.n_upper, b.m_lower, b.m_upper) == (18, 18, 18)
 
 
 def test_recorded_witnesses_match_their_catalog_entries():

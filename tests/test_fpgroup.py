@@ -86,7 +86,6 @@ def test_abelianization_surface_groups_free():
 def test_abelianization_trivial_group():
     inv = abelianization(pres("x y", "x", "y"))
     assert inv.divisors == ()
-    assert inv.is_trivial
     assert inv.order == 1
 
 
@@ -148,7 +147,6 @@ def test_free_group_exceeds():
     result = todd_coxeter(pres("x"), max_cosets=50)
     assert result.order is None
     assert not result.closed
-    assert result.max_cosets == 50
 
 
 def test_exceeded_is_data_not_error():
@@ -186,7 +184,7 @@ def test_order_divisible_by_abelianization_order():
 def test_trivial_certificate_forces_trivial_h1():
     p = pres("x y", "x y", "x y y")
     assert todd_coxeter(p, 10**4).order == 1
-    assert abelianization(p).is_trivial
+    assert abelianization(p).divisors == ()
 
 
 def test_outcome_independent_of_relator_order_and_names():
@@ -389,8 +387,8 @@ def test_live_cosets_are_defined_minus_merged(name, limit, order, defined):
         assert live <= limit and result.lookahead_passes >= 1
 
 
-def test_counters_default_for_three_argument_constructor():
-    result = EnumerationResult(3, 5, 10)
+def test_counters_default_for_two_argument_constructor():
+    result = EnumerationResult(3, 5)
     assert (result.merged, result.deductions, result.lookahead_passes) == (0, 0, 0)
 
 

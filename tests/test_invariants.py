@@ -153,7 +153,7 @@ def test_s_terms_match_the_naive_sums():
 def test_ledger_totals():
     ledger = [
         LedgerEntry(LEDGER_MATSUMOTO_EVEN, 1),
-        LedgerEntry(LEDGER_BLOCK, 1, value=-6, label="W"),
+        LedgerEntry(LEDGER_BLOCK, 1, value=-6),
         LedgerEntry(LEDGER_SEPARATING, -3),
     ]
     assert endo_nagami_total(ledger) == -7

@@ -1,6 +1,7 @@
 """Packaging gates: the runtime stays standard-library only, every Python
 file compiles without a warning, no module imports a name it does not use,
-and an import inside a function is one of the deferrals listed here."""
+an import inside a function is one of the deferrals listed here, and each
+record of ``tests/mutants.py`` still matches the source."""
 
 import ast
 import importlib
@@ -101,15 +102,14 @@ PUBLIC_SIGNATURES = {
                     "ledger=None, notes=(), aliases=())",
     "ConstraintProfile": "(genus, max_total_fibers, hyperelliptic=True)",
     "CurveClass": "(name, kind, h=None, boundary_index=None, homology=None, word=None)",
-    "EnumerationResult": "(order, cosets_defined, max_cosets, merged=0, deductions=0, "
-                         "lookahead_passes=0)",
+    "EnumerationResult": "(order, cosets_defined, merged=0, deductions=0, lookahead_passes=0)",
     "Factorization": "(spec, curves, letters, target=())",
     "FeasibilityRow": "(counts, verdict)",
     "FiberCounts": "(genus, n, s=())",
     "GroupPresentation": "(generators, relators)",
     "HomologyClass": "(coords)",
     "InvariantReport": "(e, sigma, chi_h, b2plus, b2minus, candidate)",
-    "LedgerEntry": "(kind, multiplicity=1, value=None, label=None)",
+    "LedgerEntry": "(kind, multiplicity=1, value=None)",
     "MissingHomology": "(curve_name)",
     "MonoParseError": "(line, message)",
     "SurfaceSpec": "(genus, boundary_count=0)",
@@ -237,6 +237,21 @@ def test_every_function_level_import_is_a_listed_deferral():
                                   "." * node.level + (node.module or "")))
                 stack.extend(ast.iter_child_nodes(node))
     assert sorted(found) == sorted(DEFERRED_IMPORTS)
+
+
+def test_every_mutant_record_matches_todays_source():
+    # The cheap half of tests/mutants.py: each old text occurs exactly once
+    # in its module and each test named to kill the mutant exists, so a
+    # rewrite of the target or a renamed test fails here, not in the runner.
+    from mutants import MUTANTS
+
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (SOURCE_DIR / m.file).read_text().count(m.old) == 1, m.id
+        assert m.new != m.old, m.id
+        for node in m.kills:
+            path, _, name = node.partition("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(), (m.id, node)
 
 
 def test_cli_keeps_its_entry_points_and_constants():

@@ -47,10 +47,10 @@ def literal_j(genus):
 
 
 def test_basis_pairings():
-    a1 = HomologyClass.basis(2, "a1")
-    b1 = HomologyClass.basis(2, "b1")
-    a2 = HomologyClass.basis(2, "a2")
-    b2 = HomologyClass.basis(2, "b2")
+    a1 = HomologyClass((1, 0, 0, 0))
+    b1 = HomologyClass((0, 1, 0, 0))
+    a2 = HomologyClass((0, 0, 1, 0))
+    b2 = HomologyClass((0, 0, 0, 1))
     assert pair_coords(a1.coords, b1.coords) == 1
     assert pair_coords(b1.coords, a1.coords) == -1
     assert pair_coords(a1.coords, a1.coords) == 0

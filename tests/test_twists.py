@@ -41,8 +41,8 @@ from lefschetz.twists import _magnitude, _unpack
 from lefschetz.words import parse_word
 from test_surface import FLOAT_INDEX, RAISING_INDEX, literal_j
 
-A1 = HomologyClass.basis(1, "a1")
-B1 = HomologyClass.basis(1, "b1")
+A1 = HomologyClass((1, 0))
+B1 = HomologyClass((0, 1))
 
 
 def torus_factorization(names):
@@ -431,8 +431,8 @@ def test_verify_torus_fifth_power_fails():
 
 def test_verify_braid_word_on_genus_two():
     # t_a t_b t_a t_b^-1 t_a^-1 t_b^-1 with <a, b> = 1
-    a = HomologyClass.basis(2, "a1")
-    b = HomologyClass.basis(2, "b1")
+    a = HomologyClass((1, 0, 0, 0))
+    b = HomologyClass((0, 1, 0, 0))
     curves = (
         CurveClass("a", NONSEP, homology=a),
         CurveClass("b", NONSEP, homology=b),
@@ -608,8 +608,8 @@ def test_hurwitz_right_move_conjugates():
 
 
 def test_hurwitz_disjoint_swap_keeps_classes():
-    a1 = HomologyClass.basis(2, "a1")
-    a2 = HomologyClass.basis(2, "a2")
+    a1 = HomologyClass((1, 0, 0, 0))
+    a2 = HomologyClass((0, 0, 1, 0))
     curves = (
         CurveClass("u", NONSEP, homology=a1),
         CurveClass("v", NONSEP, homology=a2),
@@ -650,7 +650,7 @@ def test_hurwitz_right_then_left_restores():
 
 
 def test_hurwitz_kind_multiset_preserved():
-    a1 = HomologyClass.basis(2, "a1")
+    a1 = HomologyClass((1, 0, 0, 0))
     curves = (
         CurveClass("u", NONSEP, homology=a1),
         CurveClass("d", SEP, h=1),
