@@ -35,7 +35,6 @@ The catalog is immutable static data and thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .factorization import Factorization, Target, TwistLetter, cap_boundary
@@ -47,6 +46,7 @@ from .invariants import (
     FiberCounts,
     InvariantReport,
     LedgerEntry,
+    _Record,
     chi_and_betti,
     endo_nagami_total,
     euler_characteristic,
@@ -68,8 +68,7 @@ class NoWordData(ValueError):
     """The entry carries no printed pi_1 words to present a group with."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One named positive factorization of the catalog.
 
     ``factorization`` is the twist word with its curve table, and
@@ -80,14 +79,21 @@ class CatalogEntry:
     accepts.
     """
 
-    name: str
-    description: str
-    factorization: Factorization
-    counts: FiberCounts
-    hyperelliptic: bool
-    ledger: tuple[LedgerEntry, ...] | None = None
-    notes: tuple[str, ...] = ()
-    aliases: tuple[str, ...] = ()
+    __match_args__ = ("name", "description", "factorization", "counts", "hyperelliptic",
+                      "ledger", "notes", "aliases")
+
+    def __init__(self, name: str, description: str, factorization: Factorization,
+                 counts: FiberCounts, hyperelliptic: bool,
+                 ledger: tuple[LedgerEntry, ...] | None = None, notes: tuple[str, ...] = (),
+                 aliases: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "hyperelliptic", hyperelliptic)
+        object.__setattr__(self, "ledger", ledger)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "aliases", aliases)
 
     @property
     def spec(self) -> SurfaceSpec:

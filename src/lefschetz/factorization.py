@@ -22,9 +22,8 @@ operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-from .invariants import FiberCounts, exact_ints
+from .invariants import FiberCounts, _Record, exact_ints
 from .surface import BOUNDARY, KIND_INT, NONSEP, SEP, CurveClass, HomologyClass
 from .surface import SurfaceSpec, generator_index
 from .words import exponent_sums, free_reduce
@@ -43,46 +42,44 @@ class MissingHomology(ValueError):
         self.curve_name = curve_name
 
 
-@dataclass(frozen=True, slots=True)
-class TwistLetter:
+class TwistLetter(_Record):
     """One Dehn-twist letter: a curve name and a sign (+1 or -1)."""
 
-    curve: str
-    sign: int = 1
+    __slots__ = __match_args__ = ("curve", "sign")
 
-    def __post_init__(self) -> None:
-        if self.sign.__class__ is not int or self.sign not in (1, -1):
-            raise ValueError(f"twist sign must be the int +1 or -1, got {self.sign!r}")
+    def __init__(self, curve: str, sign: int = 1) -> None:
+        if sign.__class__ is not int or sign not in (1, -1):
+            raise ValueError(f"twist sign must be the int +1 or -1, got {sign!r}")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """An ordered Dehn-twist word over a table of declared curves."""
 
-    spec: SurfaceSpec
-    curves: tuple[CurveClass, ...]
-    letters: tuple[TwistLetter, ...]
-    target: Target = IDENTITY_TARGET
+    __match_args__ = ("spec", "curves", "letters", "target")
 
-    def __post_init__(self) -> None:
+    def __init__(self, spec: SurfaceSpec, curves: tuple[CurveClass, ...],
+                 letters: tuple[TwistLetter, ...], target: Target = IDENTITY_TARGET) -> None:
         # tuples, so a list-built value equals and hashes as its twin
-        vars(self).update(curves=tuple(self.curves), letters=tuple(self.letters))
+        curves, letters = tuple(curves), tuple(letters)
         index: dict[str, CurveClass] = {}
-        for curve in self.curves:
+        for curve in curves:
             if curve.name in index:
                 raise ValueError(f"duplicate curve name {curve.name!r}")
             index[curve.name] = curve
-            check_curve(curve, self.spec)
-        for letter in self.letters:
+            check_curve(curve, spec)
+        for letter in letters:
             if letter.curve not in index:
                 raise ValueError(
                     f"letter references undeclared curve {letter.curve!r}"
                 )
-        vars(self).update(target=check_target(self.target, self.spec), _index=index)
+        vars(self).update(spec=spec, curves=curves, letters=letters,
+                          target=check_target(target, spec), _index=index)
 
     @classmethod
     def _checked(cls, spec, index, letters, target, curves=None) -> "Factorization":
-        """Build from parts already checked, skipping ``__post_init__``.
+        """Build from parts already checked, skipping ``__init__``.
 
         The caller vouches for those checks: ``index`` maps each name to
         its curve in table order and each curve passed ``check_curve`` on
@@ -208,12 +205,13 @@ def letter_counts(f: Factorization) -> FiberCounts | None:
 # class and no word, for Hurwitz moves and the .mono parser; each says why
 # the checks hold.  It fills the seven slots through the member descriptors'
 # own ``__set__``, as ``feasibility._rows`` does, skipping the frozen
-# ``__setattr__`` and ``__post_init__``: about 0.47 us a call, against 1.1 us
-# for an ``object.__setattr__`` loop and 2.1 us for the checking constructors.
+# ``__setattr__`` and the checks in ``__init__``: about 0.47 us a call, against
+# 1.1 us for an ``object.__setattr__`` loop and 2.1 us for the checking
+# constructors.
 _new = object.__new__
 _set_coords = HomologyClass.coords.__set__
 _set_curve = tuple(getattr(CurveClass, field).__set__
-                   for field in CurveClass.__dataclass_fields__)
+                   for field in CurveClass.__match_args__)
 
 
 def _minted(name: str, coords: tuple[int, ...]) -> CurveClass:
@@ -234,7 +232,8 @@ def _minted(name: str, coords: tuple[int, ...]) -> CurveClass:
 def cancel_adjacent_inverses(f: Factorization) -> Factorization:
     """Remove adjacent t_c t_c^-1 and t_c^-1 t_c pairs until none remain."""
     pairs = free_reduce(tuple((letter.curve, letter.sign) for letter in f.letters))
-    return replace(f, letters=tuple(TwistLetter(curve, sign) for curve, sign in pairs))
+    letters = tuple(TwistLetter(curve, sign) for curve, sign in pairs)
+    return Factorization(f.spec, f.curves, letters, f.target)
 
 
 def cap_boundary(f: Factorization) -> Factorization:

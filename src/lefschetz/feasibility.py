@@ -39,12 +39,12 @@ kept.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from itertools import count, repeat
 from math import comb
 
 from .invariants import (
     FiberCounts,
+    _Record,
     _checked_genus,
     _h_coefficients,
     _s_terms,
@@ -69,8 +69,7 @@ _VERDICTS = (ADMITTED, REJECT_TOTAL, REJECT_N_LOWER, REJECT_CONGRUENCE,
              REJECT_SIGMA_INTEGRAL, REJECT_SIGMA_BOUND, REJECT_CHI_H)
 
 
-@dataclass(frozen=True)
-class ConstraintProfile:
+class ConstraintProfile(_Record):
     """What to enumerate: a genus and a strict bound on the fiber total.
 
     Every profile is hyperelliptic, since only there do the counts fix
@@ -78,16 +77,11 @@ class ConstraintProfile:
     accepts True, its default, and raises ValueError on anything else.
     """
 
-    genus: int
-    max_total_fibers: int
-    hyperelliptic: InitVar[bool] = True
+    __match_args__ = ("genus", "max_total_fibers", "hyperelliptic")
+    _fields = ("genus", "max_total_fibers")
 
-    def __post_init__(self, hyperelliptic: bool) -> None:
-        genus, bound = exact_ints(
-            (self.genus, self.max_total_fibers), "genus and max_total_fibers"
-        )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "max_total_fibers", bound)
+    def __init__(self, genus: int, max_total_fibers: int, hyperelliptic: bool = True) -> None:
+        genus, bound = exact_ints((genus, max_total_fibers), "genus and max_total_fibers")
         _checked_genus(genus)
         if bound < 1:
             raise ValueError("max_total_fibers must be >= 1")
@@ -96,10 +90,11 @@ class ConstraintProfile:
                 "profile is not hyperelliptic: sigma is determined by the "
                 f"counts only for hyperelliptic fibrations, got {hyperelliptic!r}"
             )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "max_total_fibers", bound)
 
 
-@dataclass(frozen=True)
-class FeasibilityRow:
+class FeasibilityRow(_Record):
     """One evaluated count vector and its verdict; invariants derive on read.
 
     The checking constructor fills ``counts`` and ``verdict``.  An
@@ -112,18 +107,16 @@ class FeasibilityRow:
     """
 
     __slots__ = ("counts", "verdict", "_source")
-    counts: FiberCounts
-    verdict: str
+    __match_args__ = ("counts", "verdict")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.counts, FiberCounts) or self.verdict not in _VERDICTS:
+    def __init__(self, counts: FiberCounts, verdict: str) -> None:
+        if not isinstance(counts, FiberCounts) or verdict not in _VERDICTS:
             raise ValueError(
                 f"a row needs FiberCounts and a verdict in {_VERDICTS}, "
-                f"got {self.counts!r} and {self.verdict!r}"
+                f"got {counts!r} and {verdict!r}"
             )
-
-    def __reduce__(self):
-        return type(self), (self.counts, self.verdict)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def sigma(self) -> Fraction:
@@ -150,10 +143,10 @@ class _CountsSlot:
     """``FeasibilityRow.counts``: the slot, filled on an enumerated row's
     first read.
 
-    It wraps the slot's member descriptor and is installed after
-    ``@dataclass`` has run, so the fields stay (counts, verdict).  Being a
-    data descriptor, it is found before any instance lookup, and a row's
-    other attributes need no fallback hook.  An empty slot is filled
+    It wraps the slot's member descriptor, so it is installed once the
+    class exists, in place of that descriptor.  Being a data descriptor,
+    it is found before any instance lookup, and a row's other attributes
+    need no fallback hook.  An empty slot is filled
     through the slot setters, as in ``_rows``: g is a checked profile
     genus, n and s come from ``range``, and s has width g // 2.
     """
@@ -290,7 +283,7 @@ def _rows(p: ConstraintProfile):
     Each row is a fresh ``object.__new__`` instance whose verdict and
     source pair (n, block entry) are written through the slot
     descriptors' own setters, which skip the frozen ``__setattr__`` and
-    ``__post_init__``; its counts are built on first read
+    ``__init__``; its counts are built on first read
     (``_CountsSlot``), so a row costs two slot writes.  Each
     check the constructors would make holds by construction: the genus is
     a checked ``ConstraintProfile`` genus, an exact int >= 1; n and each
@@ -335,17 +328,18 @@ def enumerate_feasible(p: ConstraintProfile) -> _LazyRows:
 # -- minimal numbers of singular fibers -------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A known fibration realizing a fiber count."""
 
-    name: str
-    fibers: int
-    hyperelliptic: bool
+    __match_args__ = ("name", "fibers", "hyperelliptic")
+
+    def __init__(self, name: str, fibers: int, hyperelliptic: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "hyperelliptic", hyperelliptic)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """Bounds on the minimal singular-fiber counts N_g (all fibrations)
     and M_g (hyperelliptic ones), on simply-connected total spaces.
 
@@ -353,13 +347,19 @@ class BoundsReport:
     the assembly reasoning, including the open 4g+6 target for g >= 5.
     """
 
-    genus: int
-    n_lower: int
-    n_upper: int | None
-    m_lower: int
-    m_upper: int | None
-    witnesses: tuple[Witness, ...]
-    notes: tuple[str, ...]
+    __match_args__ = ("genus", "n_lower", "n_upper", "m_lower", "m_upper", "witnesses",
+                      "notes")
+
+    def __init__(self, genus: int, n_lower: int, n_upper: int | None, m_lower: int,
+                 m_upper: int | None, witnesses: tuple[Witness, ...],
+                 notes: tuple[str, ...]) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "n_lower", n_lower)
+        object.__setattr__(self, "n_upper", n_upper)
+        object.__setattr__(self, "m_lower", m_lower)
+        object.__setattr__(self, "m_upper", m_upper)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "notes", notes)
 
 
 # Per genus: the best recorded witness (name, fibers), the hyperelliptic

@@ -39,29 +39,25 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ne
 
-from .invariants import _checked_genus, exact_ints
+from .invariants import _Record, _checked_genus, exact_ints
 from .words import Word, exponent_sums, free_reduce, parse_word
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Record):
     """Finite generator list plus relator words."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __match_args__ = ("generators", "relators")
 
-    def __post_init__(self) -> None:
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]) -> None:
         # tuples, so a list-built value equals and hashes as its twin
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
-        if len(set(self.generators)) != len(self.generators):
+        generators, relators = tuple(generators), tuple(map(tuple, relators))
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        declared = set(self.generators)
-        for relator in self.relators:
+        declared = set(generators)
+        for relator in relators:
             for name, sign in relator:
                 if name not in declared:
                     raise ValueError(f"unknown generator {name!r} in relator")
@@ -70,6 +66,8 @@ class GroupPresentation:
                         f"letter {name!r} has sign {sign!r}; "
                         "it must be the int +1 or -1"
                     )
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
 
 def surface_group(g: int) -> GroupPresentation:
@@ -100,15 +98,17 @@ def quotient_by_cycles(
 # -- abelianization ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(_Record):
     """Divisor chain d1 | d2 | ... of H1; entries > 1, with 0 = free factor.
 
     The group is trivial iff the chain is empty; the order is the product
     of the entries when none is zero, infinite otherwise.
     """
 
-    divisors: tuple[int, ...]
+    __match_args__ = ("divisors",)
+
+    def __init__(self, divisors: tuple[int, ...]) -> None:
+        object.__setattr__(self, "divisors", divisors)
 
     @property
     def order(self) -> int | None:
@@ -166,8 +166,7 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
 # -- coset enumeration ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_Record):
     """Outcome of a coset enumeration over the trivial subgroup.
 
     ``order`` is the number of live cosets when the table closed, or None
@@ -179,11 +178,15 @@ class EnumerationResult:
     coset, and ``lookahead_passes`` the passes run at the limit.
     """
 
-    order: int | None
-    cosets_defined: int
-    merged: int = 0
-    deductions: int = 0
-    lookahead_passes: int = 0
+    __match_args__ = ("order", "cosets_defined", "merged", "deductions", "lookahead_passes")
+
+    def __init__(self, order: int | None, cosets_defined: int, merged: int = 0,
+                 deductions: int = 0, lookahead_passes: int = 0) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cosets_defined", cosets_defined)
+        object.__setattr__(self, "merged", merged)
+        object.__setattr__(self, "deductions", deductions)
+        object.__setattr__(self, "lookahead_passes", lookahead_passes)
 
     @property
     def closed(self) -> bool:

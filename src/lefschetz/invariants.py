@@ -11,7 +11,8 @@ as exact ints, rejecting bools) and ``integer`` (integer text, for
 ``.mono`` files, options and ledgers), and so does its one genus check,
 ``_checked_genus``, run after an ``exact_ints`` read.  This module
 imports nothing from the package, so a command that only counts fibers
-loads neither ``surface`` nor ``words``.
+loads neither ``surface`` nor ``words``.  Every process loads it, so it
+also holds ``_Record``, the base of the package's immutable records.
 
 For a genus-g fibration over the 2-sphere with n nonseparating and s_h
 type-h separating vanishing cycles (s = sum s_h):
@@ -42,7 +43,6 @@ multiplicity.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names for annotations only; fractions loads on first use
@@ -92,8 +92,58 @@ def integer(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True, slots=True)
-class FiberCounts:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record's fields are its ``_fields``: its ``__match_args__``, unless
+    the class names them itself (``ConstraintProfile`` matches an
+    init-only keyword that it does not keep).  Two records are equal when
+    they have the same class and equal fields, and a record hashes as the
+    tuple of its fields.  Its repr is ``Name(field=value, ...)``.  After
+    ``__init__`` no attribute can be set or deleted, and copies and
+    pickles rebuild through the checking constructor.
+
+    Each record's ``__init__`` checks and normalizes its arguments, then
+    sets each field once with ``object.__setattr__``.  A slotted record
+    declares its fields as ``__slots__``; any other keeps a ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__match_args__
+        # The tuple of the fields, read by one C-level getter: a loop of
+        # attribute reads made == and hash about three times slower.
+        get = operator.attrgetter(*cls._fields)
+        if len(cls._fields) > 1:
+            cls._values = lambda self: get(self)
+        else:  # a getter of one name returns the value, not a 1-tuple
+            cls._values = lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values())
+        return f"{self.__class__.__qualname__}({', '.join([f'{n}={v!r}' for n, v in pairs])})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FiberCounts(_Record):
     """(n, s_1, ..., s_{floor(g/2)}) for a genus-g fibration.
 
     All counts are nonnegative, the total is at least 1 (the fibration is
@@ -101,18 +151,13 @@ class FiberCounts:
     g = 1).
     """
 
-    genus: int
-    n: int
-    s: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("genus", "n", "s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, genus: int, n: int, s: tuple[int, ...] = ()) -> None:
         # two reads, so a tuple of ints is kept as is, not copied
         what = "genus and fiber counts"
-        genus, n = exact_ints((self.genus, self.n), what)
-        s = exact_ints(self.s, what)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", s)
+        genus, n = exact_ints((genus, n), what)
+        s = exact_ints(s, what)
         _checked_genus(genus)
         if len(s) != genus // 2:
             raise ValueError(
@@ -123,6 +168,9 @@ class FiberCounts:
             raise ValueError("fiber counts must be nonnegative")
         if n + sum(s) < 1:
             raise ValueError("a nontrivial fibration needs at least one fiber")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def of(cls, genus: int, n: int, *s: int) -> "FiberCounts":
@@ -186,28 +234,26 @@ def hyperelliptic_signature(c: FiberCounts) -> tuple[Fraction, bool]:
     return value, value.denominator == 1
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(_Record):
     """One relator block: kind, multiplicity and optional value."""
 
-    kind: str
-    multiplicity: int = 1
-    value: int | None = None
+    __match_args__ = ("kind", "multiplicity", "value")
 
-    def __post_init__(self) -> None:
-        (multiplicity,) = exact_ints((self.multiplicity,), "ledger multiplicities")
-        object.__setattr__(self, "multiplicity", multiplicity)
-        if self.value is not None:
-            (value,) = exact_ints((self.value,), "ledger values")
-            object.__setattr__(self, "value", value)
-        if self.kind in _FIXED_CONTRIBUTIONS:
-            if self.value is not None:
-                raise ValueError(f"{self.kind} entries carry a fixed contribution")
-        elif self.kind == LEDGER_BLOCK:
-            if self.value is None:
+    def __init__(self, kind: str, multiplicity: int = 1, value: int | None = None) -> None:
+        (multiplicity,) = exact_ints((multiplicity,), "ledger multiplicities")
+        if value is not None:
+            (value,) = exact_ints((value,), "ledger values")
+        if kind in _FIXED_CONTRIBUTIONS:
+            if value is not None:
+                raise ValueError(f"{kind} entries carry a fixed contribution")
+        elif kind == LEDGER_BLOCK:
+            if value is None:
                 raise ValueError("block entries need an integer contribution")
         else:
-            raise ValueError(f"unknown ledger kind {self.kind!r}")
+            raise ValueError(f"unknown ledger kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "value", value)
 
     @property
     def contribution(self) -> int:
@@ -221,8 +267,7 @@ def endo_nagami_total(entries: tuple[LedgerEntry, ...] | list[LedgerEntry]) -> i
     return sum(e.multiplicity * e.contribution for e in entries)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Record):
     """(e, sigma, chi_h, Betti data) under the b1 = 0 assumption.
 
     When the Betti arithmetic does not return nonnegative integers the
@@ -230,12 +275,16 @@ class InvariantReport:
     data, not an error, since the feasibility filter consumes it.
     """
 
-    e: int
-    sigma: int
-    chi_h: Fraction
-    b2plus: int | None
-    b2minus: int | None
-    candidate: str | None
+    __match_args__ = ("e", "sigma", "chi_h", "b2plus", "b2minus", "candidate")
+
+    def __init__(self, e: int, sigma: int, chi_h: Fraction, b2plus: int | None,
+                 b2minus: int | None, candidate: str | None) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "chi_h", chi_h)
+        object.__setattr__(self, "b2plus", b2plus)
+        object.__setattr__(self, "b2minus", b2minus)
+        object.__setattr__(self, "candidate", candidate)
 
     @property
     def feasible(self) -> bool:

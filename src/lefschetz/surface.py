@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .invariants import exact_ints
+from .invariants import _Record, exact_ints
 from .words import Word, exponent_sums
 
 # Curve kinds.
@@ -42,23 +41,21 @@ KIND_INT = {
 _GENERATOR = re.compile(r"([ab])([1-9][0-9]*)\Z")
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(_Record):
     """A compact oriented surface: genus and number of boundary circles."""
 
-    genus: int
-    boundary_count: int = 0
+    __match_args__ = ("genus", "boundary_count")
 
-    def __post_init__(self) -> None:
+    def __init__(self, genus: int, boundary_count: int = 0) -> None:
         genus, boundary_count = exact_ints(
-            (self.genus, self.boundary_count), "genus and boundary_count"
+            (genus, boundary_count), "genus and boundary_count"
         )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary_count", boundary_count)
         if genus < 0:
             raise ValueError(f"genus must be >= 0, got {genus}")
         if boundary_count < 0:
             raise ValueError(f"boundary_count must be >= 0, got {boundary_count}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_count", boundary_count)
 
     @property
     def homology_rank(self) -> int:
@@ -68,14 +65,13 @@ class SurfaceSpec:
         return SurfaceSpec(self.genus, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class HomologyClass:
+class HomologyClass(_Record):
     """An integer vector over the ordered basis (a1, b1, ..., ag, bg)."""
 
-    coords: tuple[int, ...]
+    __slots__ = __match_args__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        coords = exact_ints(self.coords, "homology coordinates")
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        coords = exact_ints(coords, "homology coordinates")
         if len(coords) % 2 != 0:
             raise ValueError("homology coordinates must have even length 2g")
         object.__setattr__(self, "coords", coords)
@@ -134,60 +130,69 @@ def homology_of_word(word: Word, spec: SurfaceSpec) -> HomologyClass:
     return HomologyClass(tuple(coords))
 
 
-@dataclass(frozen=True, slots=True)
-class CurveClass:
+class CurveClass(_Record):
     """A named vanishing-cycle datum.
 
     The name is one ``.mono`` token: non-empty, no whitespace, no ``#``.
     kind is NONSEP, SEP (with separating type ``h``), or BOUNDARY (with
     ``boundary_index``).  ``homology`` and ``word`` are optional algebraic
-    data; separating and boundary-parallel curves must be null-homologous,
-    nonseparating ones must carry a primitive class when they carry one at
-    all.
+    data: a ``HomologyClass``, and a sequence of (generator, +1 or -1)
+    pairs with int signs, kept as a tuple.  Separating and
+    boundary-parallel curves must be null-homologous, nonseparating ones
+    must carry a primitive class when they carry one at all.
     """
 
-    name: str
-    kind: str
-    h: int | None = None
-    boundary_index: int | None = None
-    homology: HomologyClass | None = None
-    word: Word | None = None
+    __slots__ = __match_args__ = ("name", "kind", "h", "boundary_index", "homology", "word")
 
-    def __post_init__(self) -> None:
-        name = self.name
+    def __init__(self, name: str, kind: str, h: int | None = None,
+                 boundary_index: int | None = None, homology: HomologyClass | None = None,
+                 word: Word | None = None) -> None:
         if not isinstance(name, str) or name.split() != [name] or "#" in name:
             raise ValueError(
                 f"curve name must be non-empty with no whitespace or '#', got {name!r}"
             )
-        if self.kind not in (NONSEP, *KIND_INT):
-            raise ValueError(f"curve {self.name!r}: unknown kind {self.kind!r}")
-        if self.word is not None:  # a tuple, like a parsed word
-            object.__setattr__(self, "word", tuple(self.word))
-        for kind, (field, noun, _top) in KIND_INT.items():
-            value = getattr(self, field)
-            if value is not None:
-                (value,) = exact_ints((value,), f"curve {self.name!r}: {field} values")
-                object.__setattr__(self, field, value)
-            if kind != self.kind:
-                if value is not None:
+        if kind not in (NONSEP, *KIND_INT):
+            raise ValueError(f"curve {name!r}: unknown kind {kind!r}")
+        if word is not None:  # a tuple, like a parsed word
+            word = tuple(word)
+            for letter in word:
+                if not (letter.__class__ is tuple and len(letter) == 2
+                        and letter[0].__class__ is str and letter[1].__class__ is int
+                        and letter[1] in (1, -1)):
                     raise ValueError(
-                        f"curve {self.name!r}: {noun} only applies to kind {kind}"
+                        f"curve {name!r}: word letters must be (generator, +1 or -1) "
+                        f"pairs with an int sign, got {letter!r}"
                     )
+        ints = {"h": h, "boundary_index": boundary_index}
+        for each, (field, noun, _top) in KIND_INT.items():
+            value = ints[field]
+            if value is not None:
+                (value,) = exact_ints((value,), f"curve {name!r}: {field} values")
+                ints[field] = value
+            if each != kind:
+                if value is not None:
+                    raise ValueError(f"curve {name!r}: {noun} only applies to kind {each}")
             elif value is None or value < 1:
+                raise ValueError(f"curve {name!r}: {kind} curves need a {noun} >= 1")
+        if homology is not None:
+            if not isinstance(homology, HomologyClass):
                 raise ValueError(
-                    f"curve {self.name!r}: {kind} curves need a {noun} >= 1"
+                    f"curve {name!r}: homology must be a HomologyClass, got {homology!r}"
                 )
-        if self.homology is not None:
-            if self.kind == NONSEP:
-                if not self.homology.is_primitive():
+            if kind == NONSEP:
+                if not homology.is_primitive():
                     raise ValueError(
-                        f"curve {self.name!r}: nonseparating class must be "
+                        f"curve {name!r}: nonseparating class must be "
                         "nonzero with coordinate gcd 1"
                     )
-            elif not self.homology.is_zero():
-                raise ValueError(
-                    f"curve {self.name!r}: {self.kind} curves are null-homologous"
-                )
+            elif not homology.is_zero():
+                raise ValueError(f"curve {name!r}: {kind} curves are null-homologous")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "h", ints["h"])
+        object.__setattr__(self, "boundary_index", ints["boundary_index"])
+        object.__setattr__(self, "homology", homology)
+        object.__setattr__(self, "word", word)
 
     def kind_label(self) -> str:
         if self.kind in KIND_INT:

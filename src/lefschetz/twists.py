@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from operator import add, attrgetter, sub
 
 from .factorization import Factorization, TwistLetter, _minted, effective_class
-from .invariants import exact_ints
+from .invariants import _Record, exact_ints
 from .surface import NONSEP, pair_coords
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -230,8 +229,7 @@ NECESSITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of ``verify_homological_relator`` on one word.
 
     ``matrix_ok`` says the homological product is the identity.  ``note``,
@@ -239,8 +237,11 @@ class VerificationReport:
     not sufficient.
     """
 
-    matrix_ok: bool
+    __match_args__ = ("matrix_ok",)
     note = NECESSITY_NOTE
+
+    def __init__(self, matrix_ok: bool) -> None:
+        object.__setattr__(self, "matrix_ok", matrix_ok)
 
 
 def verify_homological_relator(f: Factorization) -> VerificationReport:
@@ -294,8 +295,8 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     names an ``@h`` curve, a move followed by its inverse restores f
     exactly.
 
-    The result is valid by construction, so no ``__post_init__`` runs, of
-    the factorization, the new curve or its class: every kept curve was
+    The result is valid by construction, so no checking ``__init__`` runs,
+    of the factorization, the new curve or its class: every kept curve was
     checked in f; the new curve is nonseparating like the moving one, with
     no word and a class of the same rank that stays primitive, since a
     transvection is unimodular; its name is the old name plus ``@h<k>``,

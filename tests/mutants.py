@@ -117,6 +117,24 @@ MUTANTS = (
         "conclusive = order == 1 or sectioned",
         ("tests/test_cli.py::test_pi1_worded_with_a_section_decides_the_total_space",),
     ),
+    Mutant(
+        "record-eq-without-class-test", "invariants.py",
+        "if other.__class__ is self.__class__:",
+        "if True:",
+        ("tests/test_records.py::test_record_semantics",),
+    ),
+    Mutant(
+        "record-hash-drops-a-field", "invariants.py",
+        "return hash(self._values())",
+        "return hash(self._values()[1:])",
+        ("tests/test_records.py::test_record_semantics",),
+    ),
+    Mutant(
+        "record-setattr-assigns", "invariants.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        ("tests/test_records.py::test_record_semantics",),
+    ),
 )
 
 

@@ -4,7 +4,9 @@ In-process CLI tests cannot see a lazy import that is missing, because
 earlier tests have already loaded every module.  Here every case starts
 its own ``python -c``: the set of ``lefschetz`` modules it leaves loaded,
 and whether it loaded the standard library's ``fractions``, are pinned, and
-its stdout and exit code must match the recorded bytes.  Each subcommand
+its stdout and exit code must match the recorded bytes.  No case loads
+``dataclasses`` or ``inspect``: the records are plain classes, and those
+two modules cost a fresh process several milliseconds.  Each subcommand
 loads one handler module, ``lefschetz._cli_<subcommand>``, and no other.
 
 CI also runs this file against the installed package, from a copy of
@@ -23,9 +25,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 CLI_REFS = ROOT / "bench" / "refs" / "cli.json"
 
+# Standard library modules that no case may load.
+UNLOADED = {"dataclasses", "inspect"}
+
 # Runs the argv through cli.main (or only imports the package when there is
-# none), then writes the loaded lefschetz modules, and fractions when it is
-# loaded, as the last stderr line.
+# none), then writes the loaded lefschetz modules, and fractions, dataclasses
+# and inspect when they are loaded, as the last stderr line.
 SCRIPT = """
 import sys
 if sys.argv[1:]:
@@ -36,7 +41,8 @@ else:
     code = 0
 sys.stdout.flush()
 print(" ".join(sorted(m for m in sys.modules
-                      if m.partition(".")[0] == "lefschetz" or m == "fractions")),
+                      if m.partition(".")[0] == "lefschetz"
+                      or m in ("fractions", "dataclasses", "inspect"))),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -74,8 +80,11 @@ COUNT_ONLY = ("invariants", "bounds g=2", "bounds g=4", "enumerate")
 
 
 def loaded_modules(proc):
-    """The module names ``SCRIPT`` wrote as its last stderr line."""
-    return set(proc.stderr.splitlines()[-1].split())
+    """The module names ``SCRIPT`` wrote as its last stderr line, none of
+    them ``UNLOADED``."""
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert not loaded & UNLOADED
+    return loaded
 
 
 def run_fresh(args, cwd):
@@ -156,3 +165,15 @@ def test_a_public_value_name_loads_neither_the_calculus_nor_fractions(tmp_path):
     loaded = set(proc.stdout.split())
     assert "lefschetz.factorization" in loaded
     assert not loaded & {"lefschetz.twists", "fractions"}
+
+
+def test_every_public_name_loads_neither_dataclasses_nor_inspect(tmp_path):
+    proc = run_fresh(["-c", "import sys, lefschetz\n"
+                            "for name in lefschetz.__all__: getattr(lefschetz, name)\n"
+                            "print(*sorted(sys.modules))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    defining = {"surface", "factorization", "twists", "invariants", "fpgroup",
+                "feasibility", "catalog", "mono", "words"}
+    assert {f"lefschetz.{name}" for name in defining} <= loaded
+    assert not loaded & UNLOADED

@@ -328,13 +328,13 @@ def test_plain_nonsep_hom_lines_skip_the_checking_constructors(monkeypatch):
     calls = {CurveClass: [], HomologyClass: []}
 
     def count(cls):
-        post_init = cls.__post_init__
+        init = cls.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             calls[cls].append(self)
-            post_init(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
 
     count(CurveClass)
     count(HomologyClass)

@@ -189,6 +189,26 @@ REJECTED_VALUE_CASES = {
         lambda: CurveClass("c", NONSEP, boundary_index=1),
         "boundary index only applies to kind boundary",
     ),
+    "curve nonsep homology not a class": (
+        lambda: CurveClass("c", NONSEP, homology=(1, 0)),
+        "curve 'c': homology must be a HomologyClass, got (1, 0)",
+    ),
+    "curve sep homology not a class": (
+        lambda: CurveClass("d", SEP, h=1, homology=(0, 0, 0, 0)),
+        "curve 'd': homology must be a HomologyClass, got (0, 0, 0, 0)",
+    ),
+    "curve word a string": (
+        lambda: CurveClass("c", NONSEP, word="a1"),
+        "curve 'c': word letters must be (generator, +1 or -1) pairs with an int "
+        "sign, got 'a'",
+    ),
+    "curve word sign 2": (
+        lambda: CurveClass("c", NONSEP, word=(("a1", 1), ("a1", 2))),
+        "got ('a1', 2)",
+    ),
+    "curve word bool sign": (
+        lambda: CurveClass("c", NONSEP, word=(("a1", True),)), "got ('a1', True)"
+    ),
     "check_curve sep range": (
         lambda: check_curve(CurveClass("d", SEP, h=3), SurfaceSpec(4)),
         "curve 'd': separating type 3 out of range 1..2",

@@ -3,7 +3,6 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -375,7 +374,7 @@ def test_verify_cancels_entries_past_the_field_width(k):
     # first, has entries past 2^63 (k = 25) or 2^127 (k = 51)
     f = growing_word(k)
     inverse = tuple(TwistLetter(t.curve, -t.sign) for t in reversed(f.letters))
-    closed = replace(f, letters=f.letters + inverse)
+    closed = Factorization(f.spec, f.curves, f.letters + inverse, f.target)
     assert verify_homological_relator(closed).matrix_ok
     assert factorization_matrix(closed) == identity(2)
 
@@ -468,7 +467,7 @@ def test_verify_matches_full_matrix(f, closed):
     # occur.  Boundary-only words are drawn too: they have no counts.
     if closed:
         inverse = tuple(TwistLetter(t.curve, -t.sign) for t in reversed(f.letters))
-        f = replace(f, letters=f.letters + inverse)
+        f = Factorization(f.spec, f.curves, f.letters + inverse, f.target)
     full = factorization_matrix(f) == identity(f.spec.homology_rank)
     assert verify_homological_relator(f).matrix_ok == full
 
@@ -888,7 +887,7 @@ def test_hurwitz_move_mints_nonseparating_curves():
 
 
 def test_hurwitz_results_are_valid_by_construction():
-    # hurwitz_move runs no __post_init__ on its result, the curve it mints,
+    # hurwitz_move runs no checking __init__ on its result, the curve it mints,
     # that curve's class or its letter; the checking constructors must
     # accept each of them and build an equal value.
     minted = 0
